@@ -75,11 +75,45 @@ def _validate_run(eta0: Configuration, rate: RateFn, kernel: Kernel,
                     f"initial site {x!r} outside the {policy.describe()} box")
 
 
-def _push_window_atoms(heap, noise, site, band, slab, t_min, t_max):
-    ts, ys, us = noise.window(site, band, slab)
-    for t, y, u in zip(ts.tolist(), ys.tolist(), us.tolist()):
-        if t_min < t <= t_max:
-            heappush(heap, (t, site, y, u))
+def _run_thinning(occ: dict, g, T: float, noise: HarrisNoise, step) -> None:
+    """The lazy-window event loop shared by every Harris-noise run.
+
+    Calls step(t, x, u, k) for each atom (t, y, u) at site x that fires, in
+    time order: k = occ[x] > 0 and y <= g(k). step applies the move to occ
+    and returns the site it added a particle to, or None. Windows are drawn
+    one time slab at a time: at a slab start every occupied site draws bands
+    0 .. bands_for(g(k)) - 1 of that slab, and an occupancy rise draws the
+    missing bands for the rest of the slab. Every atom that can fire is
+    therefore in the heap before its time comes, and atoms of windows nobody
+    drew could not have fired.
+    """
+    heap: list = []
+    t_now = 0.0
+
+    def draw(site, b0: int, b1: int, slab: int) -> None:
+        for b in range(b0, b1):
+            ts, ys, us = noise.window(site, b, slab)
+            for t, y, u in zip(ts.tolist(), ys.tolist(), us.tolist()):
+                if t_now < t <= T:
+                    heappush(heap, (t, site, y, u))
+
+    for slab in range(int(math.floor(T / TIME_SLAB)) + 1):
+        bands = {x: bands_for(g(k)) for x, k in occ.items()}
+        for x, m in bands.items():
+            draw(x, 0, m, slab)
+        while heap:
+            t, x, y, u = heappop(heap)
+            k = occ.get(x, 0)
+            if k == 0 or y > g(k):
+                continue
+            t_now = t
+            dst = step(t, x, u, k)
+            if dst is not None:
+                m = bands_for(g(occ[dst]))
+                have = bands.get(dst, 0)
+                if m > have:
+                    bands[dst] = m
+                    draw(dst, have, m, slab)
 
 
 def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
@@ -90,32 +124,12 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
     d = eta0.d
     g = rate.g
     occ: dict[Site, int] = dict(eta0.occ)
-    heap: list = []
-    site_bands: dict[Site, int] = {}
-    n_slabs = int(math.floor(T / TIME_SLAB)) + 1
-
-    def ensure(site: Site, cap: float, t_now: float) -> None:
-        m_new = bands_for(cap)
-        m_old = site_bands.get(site, 0)
-        if m_new <= m_old:
-            return
-        site_bands[site] = m_new
-        for b in range(m_old, m_new):
-            for s in range(int(t_now / TIME_SLAB), n_slabs):
-                _push_window_atoms(heap, noise, site, b, s, t_now, T)
-
-    for x, k in occ.items():
-        ensure(x, g(k), 0.0)
-
     kind_open = policy.kind == "open"
     kind_killed = policy.kind == "killed"
     box_n = policy.n
     events = []
-    while heap:
-        t, x, y, u = heappop(heap)
-        k = occ.get(x, 0)
-        if k == 0 or y > g(k):
-            continue
+
+    def step(t, x, u, k):
         z = sample_jump(kernel, u)
         raw = site_add(x, z)
         if kind_open:
@@ -132,11 +146,13 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
             del occ[x]
         else:
             occ[x] = k - 1
-        if kind != "kill" and dst != x:
-            kd = occ.get(dst, 0) + 1
-            occ[dst] = kd
-            ensure(dst, g(kd), t)
         events.append((t, x, dst, kind, tag))
+        if kind != "kill" and dst != x:
+            occ[dst] = occ.get(dst, 0) + 1
+            return dst
+        return None
+
+    _run_thinning(occ, g, T, noise, step)
 
     return Trajectory(d=d, initial=eta0, events=events,
                       final=Configuration(d, occ), T=T,
@@ -348,54 +364,36 @@ def _simulate_labeled_pq(eta0: Configuration, rate: RateFn, p: float, T: float,
     for labs in site_labels.values():
         labs.sort()
 
-    heap: list = []
-    site_bands: dict[int, int] = {}
-    n_slabs = int(math.floor(T / TIME_SLAB)) + 1
-
-    def ensure(site: int, cap: float, t_now: float) -> None:
-        m_new = bands_for(cap)
-        m_old = site_bands.get(site, 0)
-        if m_new <= m_old:
-            return
-        site_bands[site] = m_new
-        for b in range(m_old, m_new):
-            for s in range(int(t_now / TIME_SLAB), n_slabs):
-                _push_window_atoms(heap, noise, site, b, s, t_now, T)
-
-    for x, labs in site_labels.items():
-        ensure(x, g(len(labs)), 0.0)
-
+    occ = {x: len(labs) for x, labs in site_labels.items()}
     out = np.empty((len(snapshot_times), len(labels0)), dtype=np.int64)
     snap_i = 0
     events = []
-    while heap:
-        t, x, y, u = heappop(heap)
+
+    def step(t, x, u, k):
+        nonlocal snap_i
         while snap_i < len(snapshot_times) and t > snapshot_times[snap_i]:
             out[snap_i] = pos
             snap_i += 1
-        labs = site_labels.get(x)
-        k = len(labs) if labs else 0
-        if k == 0 or y > g(k):
-            continue
+        labs = site_labels[x]
         if u <= p:
             dst, lab = x + 1, labs.pop()      # rightward: highest label leaves
         else:
             dst, lab = x - 1, labs.pop(0)     # leftward: lowest label leaves
-        dlabs = site_labels.get(dst)
-        if dlabs is None:
-            site_labels[dst] = [lab]
-            kd = 1
+        if k == 1:
+            del occ[x]
         else:
-            insort(dlabs, lab)
-            kd = len(dlabs)
+            occ[x] = k - 1
+        insort(site_labels.setdefault(dst, []), lab)
+        occ[dst] = occ.get(dst, 0) + 1
         pos[lab] = dst
-        ensure(dst, g(kd), t)
         events.append((t, x, dst, "jump", tag))
+        return dst
+
+    _run_thinning(occ, g, T, noise, step)
     while snap_i < len(snapshot_times):
         out[snap_i] = pos
         snap_i += 1
 
-    occ = {x: len(labs) for x, labs in site_labels.items() if labs}
     traj = Trajectory(d=1, initial=eta0, events=events,
                       final=Configuration(1, occ), T=T, policy="open",
                       seed_desc=f"harris:{noise.master}:{noise.path}")
