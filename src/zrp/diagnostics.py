@@ -14,7 +14,7 @@ import numpy as np
 from scipy.stats import chi2 as chi2_dist
 
 from .configuration import Configuration, intervals, snapshots
-from .engine import OPEN, BoundaryPolicy, periodic, simulate
+from .engine import OPEN, BoundaryPolicy, periodic, route, simulate
 from .errors import ConfigError, InvariantViolation
 from .kernel import Kernel, is_nearest_neighbour_1d, nn_kernel_1d
 from .localfn import LocalFunction
@@ -22,23 +22,9 @@ from .measures import FugacityMeasure, canonical_torus_measure, fugacity_measure
 from .noise import HarrisNoise
 from .parallel import TAG_GILLESPIE, TAG_SAMPLE, derived_rng, replica_map
 from .rates import RateFn
-from .sites import Site, fold_into_box, in_box, site_add, site_sub
+from .sites import Site, fold_into_box, site_add, site_sub
 
 # --------------------------------------------------------------- generator
-
-def _route(x: Site, z: Site, policy: BoundaryPolicy):
-    """(dst, kind) for a displacement z out of x under the boundary policy;
-    kind None marks a wrap onto the source (state no-op)."""
-    raw = site_add(x, z)
-    if policy.kind == "open":
-        return raw, "jump"
-    if policy.kind == "killed":
-        return (raw, "jump") if in_box(raw, policy.n) else (raw, "kill")
-    dst = fold_into_box(raw, policy.n)
-    if dst == x:
-        return dst, None
-    return dst, "jump" if dst == raw else "periodic-wrap"
-
 
 def _candidate_sources(f: LocalFunction, kernel: Kernel, policy: BoundaryPolicy):
     """Support of f plus every site that can send a particle into it."""
@@ -89,7 +75,7 @@ def _generator_apply_dict(f: LocalFunction, occ: dict, rate: RateFn,
         if gx == 0.0:
             continue
         for z, p in kernel.support():
-            dst, kind = _route(x, z, policy)
+            dst, kind = route(policy, x, z)
             if kind is None:
                 continue
             if kind == "kill":

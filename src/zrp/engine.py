@@ -62,6 +62,26 @@ def periodic(n: int) -> BoundaryPolicy:
     return BoundaryPolicy("periodic", n)
 
 
+def route(policy: BoundaryPolicy, x: Site, z: Site) -> tuple[Site, str | None]:
+    """(dst, kind) for a displacement z out of x under the boundary policy.
+
+    kind is "jump", "kill" (the particle left a killed box) or
+    "periodic-wrap" (folded back onto the torus). None marks a wrap onto x
+    itself: the state does not change and no event is recorded. This is the
+    one routing rule of the Harris engine, the Gillespie engine and the
+    generator; replay treats a logged dst == src move the same way.
+    """
+    raw = site_add(x, z)
+    if policy.kind == "open":
+        return raw, "jump"
+    if policy.kind == "killed":
+        return raw, "jump" if in_box(raw, policy.n) else "kill"
+    dst = fold_into_box(raw, policy.n)
+    if dst == x:
+        return dst, None
+    return dst, "jump" if dst == raw else "periodic-wrap"
+
+
 def _validate_run(eta0: Configuration, rate: RateFn, kernel: Kernel,
                   policy: BoundaryPolicy, T: float) -> None:
     if kernel.d != eta0.d:
@@ -124,33 +144,21 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
     d = eta0.d
     g = rate.g
     occ: dict[Site, int] = dict(eta0.occ)
-    kind_open = policy.kind == "open"
-    kind_killed = policy.kind == "killed"
-    box_n = policy.n
     events = []
 
     def step(t, x, u, k):
-        z = sample_jump(kernel, u)
-        raw = site_add(x, z)
-        if kind_open:
-            dst, kind = raw, "jump"
-        elif kind_killed:
-            if in_box(raw, box_n):
-                dst, kind = raw, "jump"
-            else:
-                dst, kind = raw, "kill"
-        else:
-            dst = fold_into_box(raw, box_n)
-            kind = "jump" if dst == raw else "periodic-wrap"
+        dst, kind = route(policy, x, sample_jump(kernel, u))
+        if kind is None:
+            return None
         if k == 1:
             del occ[x]
         else:
             occ[x] = k - 1
         events.append((t, x, dst, kind, tag))
-        if kind != "kill" and dst != x:
-            occ[dst] = occ.get(dst, 0) + 1
-            return dst
-        return None
+        if kind == "kill":
+            return None
+        occ[dst] = occ.get(dst, 0) + 1
+        return dst
 
     _run_thinning(occ, g, T, noise, step)
 
@@ -171,9 +179,6 @@ def simulate_gillespie(eta0: Configuration, rate: RateFn, kernel: Kernel,
     rng = (derived_rng(rng_or_seed, TAG_GILLESPIE)
            if isinstance(rng_or_seed, (int, np.integer)) else rng_or_seed)
     occ: dict[Site, int] = dict(eta0.occ)
-    kind_open = policy.kind == "open"
-    kind_killed = policy.kind == "killed"
-    box_n = policy.n
     events = []
     t = 0.0
     while True:
@@ -195,24 +200,15 @@ def simulate_gillespie(eta0: Configuration, rate: RateFn, kernel: Kernel,
                 break
         if x is None:  # float edge: r landed on the top boundary
             x = site
-        z = sample_jump(kernel, rng.random())
-        raw = site_add(x, z)
-        if kind_open:
-            dst, kind = raw, "jump"
-        elif kind_killed:
-            if in_box(raw, box_n):
-                dst, kind = raw, "jump"
-            else:
-                dst, kind = raw, "kill"
-        else:
-            dst = fold_into_box(raw, box_n)
-            kind = "jump" if dst == raw else "periodic-wrap"
+        dst, kind = route(policy, x, sample_jump(kernel, rng.random()))
+        if kind is None:
+            continue
         k = occ[x]
         if k == 1:
             del occ[x]
         else:
             occ[x] = k - 1
-        if kind != "kill" and dst != x:
+        if kind != "kill":
             occ[dst] = occ.get(dst, 0) + 1
         events.append((t, x, dst, kind, tag))
 

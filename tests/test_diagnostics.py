@@ -23,7 +23,7 @@ from zrp.diagnostics import (
 )
 from zrp.engine import OPEN, periodic, simulate
 from zrp.errors import ConfigError
-from zrp.kernel import nn_kernel_1d, symmetric_nn_kernel
+from zrp.kernel import make_kernel, nn_kernel_1d, symmetric_nn_kernel
 from zrp.localfn import capped_occupancy, occupancy_indicator
 from zrp.noise import HarrisNoise
 from zrp.rates import power_rate
@@ -191,6 +191,22 @@ def test_mass_conservation_small_run():
     assert rep.passed
     assert rep.extras["torus_mean"] == pytest.approx(rep.extras["density"],
                                                      abs=4 * 0.06)
+
+
+def test_mass_conservation_with_self_wrapping_kernel():
+    # offset +3 folds back onto its own source on the 3-site ring
+    kernel = make_kernel([(3, 0.5), (-1, 0.5)])
+    rep = mass_conservation_check(power_rate(1.0), kernel, 1.0, 1, 2.0, 200, 23)
+    assert rep.passed
+
+
+def test_generator_self_wrap_is_no_op():
+    # on the 3-site ring, +3 out of 0 lands on 0: only the -1 move counts,
+    # at rate g(1) * 0.5, and it empties the origin
+    f = occupancy_indicator(0, 1)
+    kernel = make_kernel([(3, 0.5), (-1, 0.5)])
+    val = generator_apply(f, Configuration(1, {0: 1}), SQ, kernel, periodic(1))
+    assert val == pytest.approx(-0.5, abs=1e-14)
 
 
 def test_report_json_shape():

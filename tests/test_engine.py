@@ -50,6 +50,22 @@ def test_killed_run_loses_exactly_kill_count():
     assert all(-1 <= x <= 1 for x in traj.final.occ)
 
 
+# offset +3 folds back onto its own source on the 3-site ring {-1, 0, 1}
+SELF_WRAP = make_kernel([(3, 0.5), (-1, 0.5)])
+
+
+@pytest.mark.parametrize("engine", ["harris", "gillespie"])
+def test_self_wrap_keeps_mass(engine):
+    eta0 = Configuration(1, {0: 3})
+    args = (eta0, power_rate(1.0), SELF_WRAP, periodic(1), 2.0)
+    traj = (simulate(*args, HarrisNoise(6)) if engine == "harris"
+            else simulate_gillespie(*args, 6))
+    assert traj.event_count() > 0
+    assert all(e[1] != e[2] for e in traj.events)
+    assert traj.final.total() == eta0.total()
+    assert replay(traj) == traj.final
+
+
 def test_harris_determinism():
     eta0 = Configuration(1, {0: 2, 1: 1})
     a = simulate(eta0, RATE, NN, OPEN, 2.0, HarrisNoise(9, (4,)))
