@@ -3,8 +3,11 @@
 simulate() runs the thinning construction on the lazy Poisson field: pop the
 earliest pending atom (t, y, u) at site x, fire iff the current occupancy k
 satisfies y <= g(k), route the displaced particle through the jump kernel and
-the boundary policy. Atoms above g(k) are discarded; per-site height caps
-track max(1, 2 g(k)) so thinning wastes at most a constant factor.
+the boundary policy. Atoms above g(k) are discarded. Height caps follow the
+occupancy one time slab at a time: at each slab start a site holding k
+particles draws bands_for(g(k)) bands, whose ceiling is 1 for g(k) <= 1 and
+lies in [g(k), 2 g(k)) above that; a rise within the slab draws the missing
+bands for the rest of it, and a fall keeps what was drawn until the slab ends.
 
 simulate_gillespie() is the independent distributional cross-check: identical
 law, completely different use of randomness (global exponential clocks).
@@ -113,7 +116,7 @@ def _run_thinning(occ: dict, g, T: float, noise: HarrisNoise, step) -> None:
     def draw(site, b0: int, b1: int, slab: int) -> None:
         for b in range(b0, b1):
             ts, ys, us = noise.window(site, b, slab)
-            for t, y, u in zip(ts.tolist(), ys.tolist(), us.tolist()):
+            for t, y, u in zip(ts, ys, us):
                 if t_now < t <= T:
                     heappush(heap, (t, site, y, u))
 

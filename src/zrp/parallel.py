@@ -1,10 +1,12 @@
 """Deterministic seed derivation and replica-parallel mapping.
 
-Seed splitting: every RNG in the package is derived as
+Seed splitting: every numpy generator in the package is derived as
 PCG64(SeedSequence(entropy=(master, *path))) where path is a tuple of
-non-negative ints naming the consumer (stream tag, replica index, site
-coordinates...). Identical (master, path) always yields the identical
-stream, so results never depend on evaluation order or thread count.
+non-negative ints naming the consumer (stream tag, replica index...).
+The Harris field is not a generator: noise.HarrisNoise hashes each window
+from (master, TAG_HARRIS, path, site, band, slab) with a counter-based
+SplitMix64 hash. Either way, identical keys always yield identical numbers,
+so results never depend on evaluation order or thread count.
 """
 from __future__ import annotations
 

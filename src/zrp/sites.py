@@ -70,15 +70,6 @@ def box_sites(n: int, d: int) -> list[Site]:
     return sites
 
 
-def zigzag(a: int) -> int:
-    """Z -> N, for building non-negative seed paths from coordinates."""
-    return 2 * a if a >= 0 else -2 * a - 1
-
-
-def site_seed_path(x: Site) -> tuple[int, ...]:
-    return tuple(zigzag(c) for c in site_coords(x))
-
-
 def validate_site(x, d: int) -> Site:
     if d == 1:
         if isinstance(x, bool) or not isinstance(x, int):

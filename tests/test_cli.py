@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from zrp import cli
 from zrp.cli import main
+from zrp.diagnostics import Report
 
 BASE = {
     "kernel": {"d": 1, "support": [{"z": [1], "p": 0.7}, {"z": [-1], "p": 0.3}]},
@@ -139,17 +141,21 @@ def test_diagnostic_prerequisites_enforced(tmp_path):
     assert "stationarity" in text
 
 
-def test_failing_diagnostic_exits_two(tmp_path):
-    """Exit-code 2 path. Every diagnostic the CLI offers checks a true law,
-    so an honest failure needs a one-in-a-hundred seed: 163 lands in the
-    alpha = 0.01 tail of the stationarity chi-square for this config (found
-    by scanning seeds 0..400). The CLI must report FAIL and exit 2."""
+def test_failing_diagnostic_exits_two(tmp_path, monkeypatch):
+    """Exit-code 2 path. Every diagnostic the CLI offers checks a true law, so
+    the stationarity diagnostic is replaced by one that reports a failure;
+    the CLI must print FAIL and exit 2 whatever the random stream."""
+    def failing(rate, kernel, phi, torus_n, T, replicas, seed, threads=1):
+        return Report(test="stationarity_statistical", passed=False,
+                      statistic=1e-9, threshold=0.01, seed=seed,
+                      n_replicas=replicas)
+    monkeypatch.setattr(cli, "stationarity_statistical", failing)
     cfg = {
         "kernel": {"d": 1, "support": [{"z": [1], "p": 0.5}, {"z": [-1], "p": 0.5}]},
         "rate": {"family": "power", "a": 2.0},
         "policy": {"kind": "periodic", "n": 2},
         "T": 0.2,
-        "replicas": 400,
+        "replicas": 4,
         "seed": 163,
         "initial": {"mode": "product", "phi": 1.0, "n": 2},
         "diagnostics": ["stationarity"],

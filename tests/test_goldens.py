@@ -57,14 +57,14 @@ CASES = {
 }
 
 GOLDEN = {
-    "d1-killed": "158f789348add8cb7a49c4c3869acd28c7b01e02298fcff0507c75506485babe",
-    "d1-open": "30c4bdf508b11b9dd4529ed87a13d94dbdc6c3a2b7a80ba7be8e67fe7668d15b",
-    "d1-periodic": "c6440ed321576a9d089a40692a5817cd6305230ce42473eeeb05d4c1a41c3686",
-    "d2-killed": "03ce3a52d8843dc2206ec602663687bcffcce4515748f76d712fd42c84adf3ea",
-    "d2-open": "e8d7cc17889b8ae6d48eed91607d7a052b71d6e34db9ad53ca7167ccee0499ef",
-    "d2-periodic": "3fecf2778ef460df6a842773f74834ae84a477467aea790454fe778c090f3632",
-    "pq-family": "01b742136a309e7b55c1c2e3a8f0026341f7ea7736ffb363ee2d77d1a4f62d58",
-    "truncation-schedule": "68b4b3fc4300534b87116a0d586087caadff0eb52b896110cd2fa063b16a222a",
+    "d1-killed": "d78a30b2541abd036f84147c171102ca684548f7e871fca8d0afb1379fdc35d2",
+    "d1-open": "a5eb22aaae1a047cc3274491893da60acbd2d72400d2c0b892b062340726b455",
+    "d1-periodic": "e74dc895a9b7ce8c58b492c1b8b9d33e9f98924573873077cb4e42d24584c7ae",
+    "d2-killed": "df3f2987b36ec95d1be4f2e301a3a969ad058d5f43079d3cfe7bb9b5e1908f13",
+    "d2-open": "e63713bb124456c0927af1a059e403a83faa13010c02bfef64dfc85018be9fe5",
+    "d2-periodic": "9daaa1eebfab0edc0cced7c799493f5dd401d3952828597f83c13d398172b138",
+    "pq-family": "d018eec80c53b61f4f6485de842ee27a9af21bf07389ac399ee99ac68838f658",
+    "truncation-schedule": "c3b48ed9608eb5489affa2209b7325e94f879f035737328000ce2a15e86dbd8c",
 }
 
 

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare, kstest, poisson
 
 from zrp.noise import HarrisNoise, band_bounds, band_ceiling, bands_for
 from zrp.parallel import derived_rng, replica_map, resolve_threads, seed_path
@@ -58,7 +59,7 @@ def test_window_fields_in_range():
     total = 0
     for band in range(3):
         for slab in range(3):
-            t, y, u = n.window(0, band, slab)
+            t, y, u = (np.asarray(v) for v in n.window(0, band, slab))
             total += len(t)
             lo, hi = band_bounds(band)
             assert np.all((t >= slab) & (t < slab + 1))
@@ -96,12 +97,64 @@ def test_atom_counts_match_band_area():
     assert abs(mean - 2.0) < 4 * math.sqrt(2.0 / len(counts))
 
 
-def test_cache_survives_clear():
-    n = HarrisNoise(5)
-    before = n.window(2, 1, 0)
-    n.clear_cache()
-    after = n.window(2, 1, 0)
-    assert np.array_equal(before[0], after[0])
+def test_window_counts_are_poisson_in_band_area():
+    n = HarrisNoise(41, (2,))
+    for band in range(5):
+        lo, hi = band_bounds(band)
+        counts = np.array([len(n.window(x, band, 3)[0]) for x in range(4000)])
+        pmf = poisson.pmf(np.arange(60), hi - lo)
+        # pool the upper tail into the last cell, keeping every cell >= 5
+        top = int(np.nonzero(pmf * len(counts) >= 5)[0][-1])
+        expected = np.append(pmf[:top], 1.0 - pmf[:top].sum()) * len(counts)
+        observed = np.bincount(np.minimum(counts, top), minlength=top + 1)
+        assert chisquare(observed, expected).pvalue > 1e-4, band
+
+
+def test_atom_coordinates_are_uniform():
+    n = HarrisNoise(42)
+    times, heights, marks = [], [], []
+    for x in range(1500):
+        for band, slab in ((0, 0), (2, 5), (3, 1)):
+            lo, hi = band_bounds(band)
+            t, y, u = n.window(x, band, slab)
+            times += [v - slab for v in t]
+            heights += [(v - lo) / (hi - lo) for v in y]
+            marks += u
+    for sample in (times, heights, marks):
+        assert len(sample) > 10000
+        assert kstest(sample, "uniform").pvalue > 1e-4
+
+
+def _window_stats(noise, site, band, slab):
+    t, y, u = noise.window(site, band, slab)
+    return len(t), sum(u), sum(t) - slab * len(t)
+
+
+@pytest.mark.parametrize("neighbour", ["site", "slab", "band", "path"])
+def test_neighbouring_windows_are_uncorrelated(neighbour):
+    root = HarrisNoise(43)
+    a, b = [], []
+    for x in range(3000):
+        a.append(_window_stats(root.child(0), x, 2, 4))
+        other = {"site": (root.child(0), x + 1, 2, 4),
+                 "slab": (root.child(0), x, 2, 5),
+                 "band": (root.child(0), x, 3, 4),
+                 "path": (root.child(1), x, 2, 4)}[neighbour]
+        b.append(_window_stats(*other))
+    a, b = np.array(a), np.array(b)
+    for j in range(a.shape[1]):
+        r = np.corrcoef(a[:, j], b[:, j])[0, 1]
+        assert abs(r) < 4 / math.sqrt(len(a)), (neighbour, j, r)
+
+
+def test_window_does_not_depend_on_request_order():
+    keys = [(x, band, slab) for x in (-3, 0, 7) for band in range(4)
+            for slab in range(3)]
+    n1, n2 = HarrisNoise(44, (1,)), HarrisNoise(44, (1,))
+    forward = {k: n1.window(*k) for k in keys}
+    order = np.random.default_rng(0).permutation(len(keys))
+    backward = {keys[i]: n2.window(*keys[i]) for i in order[::-1]}
+    assert forward == backward
 
 
 def test_derived_rng_streams():
