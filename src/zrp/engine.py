@@ -66,14 +66,9 @@ def periodic(n: int) -> BoundaryPolicy:
 
 
 def route(policy: BoundaryPolicy, x: Site, z: Site) -> tuple[Site, str | None]:
-    """(dst, kind) for a displacement z out of x under the boundary policy.
-
-    kind is "jump", "kill" (the particle left a killed box) or
-    "periodic-wrap" (folded back onto the torus). None marks a wrap onto x
-    itself: the state does not change and no event is recorded. This is the
-    one routing rule of the Harris engine, the Gillespie engine and the
-    generator; replay treats a logged dst == src move the same way.
-    """
+    """(dst, kind) for a displacement z out of x: kind is "jump", "kill" or
+    "periodic-wrap", or None for a wrap onto x itself, which changes nothing
+    and is no event. Both engines and the generator route through here."""
     raw = site_add(x, z)
     if policy.kind == "open":
         return raw, "jump"
@@ -99,17 +94,13 @@ def _validate_run(eta0: Configuration, rate: RateFn, kernel: Kernel,
 
 
 def _run_thinning(occ: dict, g, T: float, noise: HarrisNoise, step) -> None:
-    """The lazy-window event loop shared by every Harris-noise run.
-
-    Calls step(t, x, u, k) for each atom (t, y, u) at site x that fires, in
-    time order: k = occ[x] > 0 and y <= g(k). step applies the move to occ
-    and returns the site it added a particle to, or None. Windows are drawn
-    one time slab at a time: at a slab start every occupied site draws bands
-    0 .. bands_for(g(k)) - 1 of that slab, and an occupancy rise draws the
-    missing bands for the rest of the slab. Every atom that can fire is
-    therefore in the heap before its time comes, and atoms of windows nobody
-    drew could not have fired.
-    """
+    """The lazy-window event loop of every Harris-noise run: calls
+    step(t, x, u, k) for each atom (t, y, u) at site x that fires (k = occ[x]
+    > 0 and y <= g(k)), in time order. step applies the move to occ and
+    returns the site it added a particle to, or None. At a slab start each
+    occupied site draws bands 0 .. bands_for(g(k)) - 1 of that slab; a rise
+    draws the missing bands for the rest of the slab. So every atom that can
+    fire is in the heap before its time comes."""
     heap: list = []
     t_now = 0.0
 

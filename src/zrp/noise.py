@@ -15,27 +15,22 @@ never change atoms already seen, and any two runs sharing a HarrisNoise see
 the identical field: that is what turns shared noise into the monotone
 couplings (truncation levels, two-marginal order, the (p,q) family).
 
-Derivation. The field is counter-based (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11): nothing is seeded or stored, a window
-is hashed from its key each time it is asked for. The hash is the SplitMix64
-finaliser mix64 of Steele, Lea & Flood (OOPSLA'14), a bijection of 64-bit
-words, folded over the key one word at a time, h <- mix64((h + GAMMA) ^ w):
-
-    master, TAG_HARRIS, len(path), *path  (each as its count of 64-bit
-                                           limbs, then the limbs),
-    zigzag(c) for each site coordinate c,
-    slab << 16 | band << 8 | d   (d = number of site coordinates).
-
-Distinct keys give distinct word sequences, as long as coordinates and slabs
-fit in 64 bits and band, d < 256. From the key hash h the window reads a
-SplitMix64 stream, word i being mix64(h + i * GAMMA) as a 53-bit uniform:
-word 1 picks the atom count by inverting the Poisson(band width) CDF, and
+Derivation. The field is counter-based (Salmon et al., SC'11): a window is
+hashed from its key on every request, nothing is seeded or stored. The
+SplitMix64 finaliser mix64 (Steele, Lea & Flood, OOPSLA'14), a bijection of
+64-bit words, is folded over the key words as h <- mix64((h + GAMMA) ^ w):
+master, TAG_HARRIS, len(path) and the path components, each as its count of
+64-bit limbs then the limbs; zigzag(c) for each site coordinate c; and
+slab << 16 | band << 8 | d, with d the number of coordinates. Distinct keys
+give distinct word sequences while coordinates and slabs fit in 64 bits and
+band, d < 256. Word i of the window is mix64(h + i * GAMMA) read as a 53-bit
+uniform: word 1 inverts the Poisson(band area) CDF for the atom count, and
 atom j takes words 3j+2, 3j+3, 3j+4 for its time, height and mark.
 
-Collision bound. Modelling mix64 as a random function, two of N distinct
-windows get the same key hash with probability at most N^2 / 2^65, and two
-windows using at most L words each read overlapping streams with probability
-at most N^2 L / 2^64: below 1e-5 for a million windows of up to 16 words.
+Collision bound: modelling mix64 as a random function, among N distinct
+windows of at most L words each, two share a key hash with probability at
+most N^2 / 2^65 and two read overlapping words with probability at most
+N^2 L / 2^64, below 1e-5 for a million windows of 16 words.
 """
 from __future__ import annotations
 
@@ -43,6 +38,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 from .parallel import TAG_HARRIS, seed_path
 from .sites import Site
@@ -51,8 +47,6 @@ TIME_SLAB = 1.0
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_M1 = 0xBF58476D1CE4E5B9
-_M2 = 0x94D049BB133111EB
 _UNIT = 2.0 ** -53
 
 
@@ -76,16 +70,19 @@ def band_ceiling(m: int) -> float:
 
 
 def _fold(h: int, word: int) -> int:
+    """mix64((h + GAMMA) ^ word), mix64 being the SplitMix64 finaliser."""
     z = ((h + _GAMMA) & _MASK) ^ word
-    z = ((z ^ (z >> 30)) * _M1) & _MASK
-    z = ((z ^ (z >> 27)) * _M2) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
 
 
-def _uniform(z: int) -> float:
-    """mix64(z) as a uniform on [0, 1), for a counter z < 2^64."""
-    z = ((z ^ (z >> 30)) * _M1) & _MASK
-    z = ((z ^ (z >> 27)) * _M2) & _MASK
+def _word(h: int, i: int) -> float:
+    """Word i of the stream keyed by h, mix64(h + i * GAMMA), as a uniform
+    on [0, 1)."""
+    z = (h + i * _GAMMA) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return ((z ^ (z >> 31)) >> 11) * _UNIT
 
 
@@ -95,13 +92,8 @@ def _poisson_cdf(band: int) -> list[float]:
     until the remaining tail is far below the 2^-53 resolution of a draw."""
     lo, hi = band_bounds(band)
     mean = (hi - lo) * TIME_SLAB
-    log_mean = math.log(mean)
-    out = []
-    acc = 0.0
-    for k in range(int(mean + 10.0 * math.sqrt(mean)) + 20):
-        acc += math.exp(k * log_mean - mean - math.lgamma(k + 1))
-        out.append(acc)
-    return out
+    return list(accumulate(math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+                           for k in range(int(mean + 10.0 * math.sqrt(mean)) + 20)))
 
 
 @dataclass(frozen=True)
@@ -114,9 +106,8 @@ class HarrisNoise:
         h = 0
         for v in seed_path(self.master, TAG_HARRIS, len(self.path), *self.path):
             limbs = [(v >> s) & _MASK for s in range(0, max(v.bit_length(), 1), 64)]
-            h = _fold(h, len(limbs))
-            for limb in limbs:
-                h = _fold(h, limb)
+            for w in [len(limbs)] + limbs:
+                h = _fold(h, w)
         object.__setattr__(self, "_key", h)
 
     def child(self, *path: int) -> "HarrisNoise":
@@ -134,12 +125,11 @@ class HarrisNoise:
         for c in coords:
             h = _fold(h, 2 * c if c >= 0 else -2 * c - 1)
         h = _fold(h, (slab << 16) | (band << 8) | len(coords))
-        n = bisect_right(_poisson_cdf(band), _uniform((h + _GAMMA) & _MASK))
+        n = bisect_right(_poisson_cdf(band), _word(h, 1))
         if not n:
             return [], [], []
-        words = [_uniform((h + i * _GAMMA) & _MASK) for i in range(2, 3 * n + 2)]
+        u = [_word(h, i) for i in range(2, 3 * n + 2)]
         lo, hi = band_bounds(band)
         t0 = slab * TIME_SLAB
-        return ([t0 + v * TIME_SLAB for v in words[0::3]],
-                [lo + (hi - lo) * v for v in words[1::3]],
-                words[2::3])
+        return ([t0 + v * TIME_SLAB for v in u[0::3]],
+                [lo + (hi - lo) * v for v in u[1::3]], u[2::3])
