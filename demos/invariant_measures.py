@@ -7,8 +7,6 @@ import numpy as np
 from scipy import stats
 
 from zrp import (
-    density,
-    fugacity_identity,
     fugacity_measure,
     nn_kernel_1d,
     power_rate,
@@ -25,7 +23,7 @@ print("fugacity phi -> mean departure rate (must equal phi) and density")
 print(f"{'phi':>6} {'E[g]':>12} {'R(phi)':>10}")
 for phi in (0.25, 0.5, 1.0, 2.0, 4.0):
     mu = fugacity_measure(rate, phi)
-    print(f"{phi:>6.2f} {fugacity_identity(mu):>12.8f} {density(mu):>10.6f}")
+    print(f"{phi:>6.2f} {mu.mean_rate():>12.8f} {mu.density():>10.6f}")
 
 # g(k) = k makes the marginal exactly Poisson(phi)
 lin = fugacity_measure(power_rate(1.0), 1.3)

@@ -79,8 +79,6 @@ from .measures import (
     CanonicalTorusMeasure,
     FugacityMeasure,
     canonical_torus_measure,
-    density,
-    fugacity_identity,
     fugacity_measure,
     partition_function,
     sample_box_config,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantViolation
 from .sites import (Site, max_norm, site_add, site_coords, site_from_coords,
-                    validate_site)
+                    site_sub, validate_site)
 
 EVENT_KINDS = ("jump", "kill", "periodic-wrap")
 
@@ -132,15 +132,11 @@ def enumerate_particles(cfg: Configuration, z: Site) -> list[Site]:
     lexicographically; a site with k particles appears k times in a row."""
     z = validate_site(z, cfg.d)
     ordered = sorted(cfg.occ.items(),
-                     key=lambda it: (max_norm(site_add(it[0], _neg(z))), site_coords(it[0])))
+                     key=lambda it: (max_norm(site_sub(it[0], z)), site_coords(it[0])))
     out: list[Site] = []
     for x, k in ordered:
         out.extend([x] * k)
     return out
-
-
-def _neg(z: Site) -> Site:
-    return -z if isinstance(z, int) else tuple(-c for c in z)
 
 
 # ---------------------------------------------------------------- JSON forms

@@ -6,8 +6,9 @@ satisfies y <= g(k), route the displaced particle through the jump kernel and
 the boundary policy. Atoms above g(k) are discarded. Height caps follow the
 occupancy one time slab at a time: at each slab start a site holding k
 particles draws bands_for(g(k)) bands, whose ceiling is 1 for g(k) <= 1 and
-lies in [g(k), 2 g(k)) above that; a rise within the slab draws the missing
-bands for the rest of it, and a fall keeps what was drawn until the slab ends.
+lies in [g(k), 2 g(k)) above that, all sites in one HarrisNoise.slab_atoms
+batch; a rise within the slab draws the missing bands for the rest of it one
+window at a time, and a fall keeps what was drawn until the slab ends.
 
 simulate_gillespie() is the independent distributional cross-check: identical
 law, completely different use of randomness (global exponential clocks).
@@ -19,9 +20,10 @@ property, the second the labelled-particle ordering across drift parameters.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import itemgetter
 
 import numpy as np
 
@@ -98,10 +100,10 @@ def _run_thinning(occ: dict, g, T: float, noise: HarrisNoise, step) -> None:
     step(t, x, u, k) for each atom (t, y, u) at site x that fires (k = occ[x]
     > 0 and y <= g(k)), in time order. step applies the move to occ and
     returns the site it added a particle to, or None. At a slab start each
-    occupied site draws bands 0 .. bands_for(g(k)) - 1 of that slab; a rise
-    draws the missing bands for the rest of the slab. So every atom that can
-    fire is in the heap before its time comes."""
-    heap: list = []
+    occupied site draws bands 0 .. bands_for(g(k)) - 1 of that slab, in one
+    sorted batch that becomes the (then empty) heap; a rise draws the missing
+    bands for the rest of the slab. So every atom that can fire is in the
+    heap before its time comes."""
     t_now = 0.0
 
     def draw(site, b0: int, b1: int, slab: int) -> None:
@@ -113,8 +115,9 @@ def _run_thinning(occ: dict, g, T: float, noise: HarrisNoise, step) -> None:
 
     for slab in range(int(math.floor(T / TIME_SLAB)) + 1):
         bands = {x: bands_for(g(k)) for x, k in occ.items()}
-        for x, m in bands.items():
-            draw(x, 0, m, slab)
+        atoms = noise.slab_atoms(list(bands), list(bands.values()), slab)
+        heap = atoms[bisect_right(atoms, t_now, key=itemgetter(0)):
+                     bisect_right(atoms, T, key=itemgetter(0))]
         while heap:
             t, x, y, u = heappop(heap)
             k = occ.get(x, 0)

@@ -7,8 +7,8 @@ must not contain the zero offset, and the weights must sum to 1.
 Two inverse-CDF conventions coexist:
   * sample_jump orders the support lexicographically (works in any d);
   * the d=1 nearest-neighbour family construction instead maps u <= p to +1
-    (sample_jump_pq), which is what makes the simultaneous (p,q)-coupling
-    order-preserving. Engine code picks the right one per use.
+    (inlined in engine._simulate_labeled_pq), which is what makes the
+    simultaneous (p,q)-coupling order-preserving.
 """
 from __future__ import annotations
 
@@ -134,11 +134,6 @@ def sample_jump(kernel: Kernel, u: float) -> Site:
         i = len(kernel.offsets) - 1
     z = kernel.offsets[i]
     return z[0] if kernel.d == 1 else z
-
-
-def sample_jump_pq(p: float, u: float) -> int:
-    """The d=1 family convention: +1 iff u <= p, else -1."""
-    return 1 if u <= p else -1
 
 
 def kernel_to_json(kernel: Kernel) -> dict:

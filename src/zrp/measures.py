@@ -87,7 +87,8 @@ class FugacityMeasure:
         return float(np.dot(np.arange(self.K + 1), self.pmf))
 
     def mean_rate(self) -> float:
-        """E[g(occupancy)]; equals phi up to the certified tail."""
+        """E[g(occupancy)]; the invariance identity says this equals phi, up
+        to the certified tail."""
         gv = np.array([self.rate.g(k) for k in range(self.K + 1)])
         return float(np.dot(gv, self.pmf))
 
@@ -118,19 +119,6 @@ def fugacity_measure(rate: RateFn, phi: float, tol: float = 1e-12) -> FugacityMe
     cdf = np.cumsum(pmf)
     return FugacityMeasure(rate=rate, phi=phi, tol=tol, K=K, log_z=log_z,
                            tail_bound=tail, log_w=log_w, pmf=pmf, cdf=cdf)
-
-
-def density(measure: FugacityMeasure) -> float:
-    return measure.density()
-
-
-def fugacity_identity(measure: FugacityMeasure) -> float:
-    """E[g] under the measure; the invariance identity says this is phi."""
-    return measure.mean_rate()
-
-
-def sample_marginal(measure: FugacityMeasure, u: float) -> int:
-    return measure.sample_marginal(u)
 
 
 def sample_box_config(measure: FugacityMeasure, n: int, d: int, rng_or_seed) -> Configuration:
@@ -206,14 +194,6 @@ class CanonicalTorusMeasure:
         for state, p in zip(self.states, self.probs):
             out[state[j]] += p
         return out
-
-    def marginal_csv(self, site: Site) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["k", "p_k"])
-        for k, p in enumerate(self.marginal(site)):
-            w.writerow([k, repr(float(p))])
-        return buf.getvalue()
 
 
 def canonical_torus_measure(rate: RateFn, sites_per_dim: int, d: int,

@@ -31,6 +31,16 @@ Collision bound: modelling mix64 as a random function, among N distinct
 windows of at most L words each, two share a key hash with probability at
 most N^2 / 2^65 and two read overlapping words with probability at most
 N^2 L / 2^64, below 1e-5 for a million windows of 16 words.
+
+Batches. Because a window is a pure function of its key, the windows of a
+whole slab start (every occupied site, every band it needs) can be hashed
+together: slab_atoms runs the same _fold and _word on np.uint64 arrays, which
+wrap mod 2^64 exactly as the masked Python ints do, inverts each band's CDF
+with searchsorted(side="right") as bisect_right does, and forms times and
+heights with the same float64 operations, so it returns bit-for-bit the atoms
+of window(). numpy pays a fixed cost of about 150 us per batch against
+8-17 us per scalar window, so batches of fewer than _BATCH_MIN windows
+(about three times the break-even of 20) loop over window() instead.
 """
 from __future__ import annotations
 
@@ -40,6 +50,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 
+import numpy as np
+
 from .parallel import TAG_HARRIS, seed_path
 from .sites import Site
 
@@ -48,6 +60,7 @@ TIME_SLAB = 1.0
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _UNIT = 2.0 ** -53
+_BATCH_MIN = 64    # windows; smaller slab starts take the scalar path
 
 
 def band_bounds(b: int) -> tuple[float, float]:
@@ -69,17 +82,18 @@ def band_ceiling(m: int) -> float:
     return 0.0 if m == 0 else float(2 ** (m - 1))
 
 
-def _fold(h: int, word: int) -> int:
-    """mix64((h + GAMMA) ^ word), mix64 being the SplitMix64 finaliser."""
+def _fold(h, word):
+    """mix64((h + GAMMA) ^ word), mix64 being the SplitMix64 finaliser; on
+    Python ints or elementwise on np.uint64 arrays."""
     z = ((h + _GAMMA) & _MASK) ^ word
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
 
 
-def _word(h: int, i: int) -> float:
+def _word(h, i):
     """Word i of the stream keyed by h, mix64(h + i * GAMMA), as a uniform
-    on [0, 1)."""
+    on [0, 1); on Python ints or elementwise on np.uint64 arrays."""
     z = (h + i * _GAMMA) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -133,3 +147,50 @@ class HarrisNoise:
         t0 = slab * TIME_SLAB
         return ([t0 + v * TIME_SLAB for v in u[0::3]],
                 [lo + (hi - lo) * v for v in u[1::3]], u[2::3])
+
+    def slab_atoms(self, sites, counts, slab: int) -> list:
+        """Atoms (t, site, y, u) of windows (sites[i], b, slab) for every i
+        and b < counts[i], sorted: the atoms window() gives, as tuples."""
+        if sum(counts) >= _BATCH_MIN:
+            try:
+                coords = np.array(sites, dtype=np.int64).reshape(len(sites), -1)
+            except OverflowError:  # a coordinate past int64: its word needs > 64 bits
+                pass
+            else:
+                return self._slab_batch(coords, sites, counts, slab)
+        atoms = [(t, x, y, u) for x, m in zip(sites, counts) for b in range(m)
+                 for t, y, u in zip(*self.window(x, b, slab))]
+        atoms.sort()
+        return atoms
+
+    def _slab_batch(self, coords, sites, counts, slab: int) -> list:
+        """slab_atoms for int64 coordinates, hashed in np.uint64 arrays."""
+        h = np.full(len(sites), self._key, dtype=np.uint64)
+        for c in coords.T:
+            neg = c < 0
+            h = _fold(h, (np.where(neg, ~c, c).astype(np.uint64) << 1) | neg)
+        site, band = _expand(np.asarray(counts, dtype=np.int64))
+        h = _fold(h[site], (slab << 16) | (band.astype(np.uint64) << 8) | coords.shape[1])
+        n_bands = int(band.max()) + 1
+        count_u = _word(h, 1)
+        num = np.empty(len(h), dtype=np.int64)
+        for b in range(n_bands):
+            sel = band == b
+            num[sel] = np.searchsorted(_poisson_cdf(b), count_u[sel], side="right")
+        win, j = _expand(num)
+        h, i, ab = h[win], (3 * j + 2).astype(np.uint64), band[win]
+        lo, hi = np.array([band_bounds(k) for k in range(n_bands)]).T
+        t = slab * TIME_SLAB + _word(h, i) * TIME_SLAB
+        y = lo[ab] + (hi - lo)[ab] * _word(h, i + 1)
+        u = _word(h, i + 2)
+        order = np.argsort(t, kind="stable")
+        atoms = list(zip(t[order].tolist(), [sites[k] for k in site[win][order].tolist()],
+                         y[order].tolist(), u[order].tolist()))
+        atoms.sort()  # exact ties in t fall back to tuple order, as in a heap
+        return atoms
+
+
+def _expand(counts: np.ndarray):
+    """(group, rank) of every item, group g holding counts[g] items."""
+    group = np.repeat(np.arange(len(counts)), counts)
+    return group, np.arange(len(group)) - np.repeat(np.cumsum(counts) - counts, counts)

@@ -35,12 +35,6 @@ def site_sub(x: Site, z: Site) -> Site:
     return tuple(a - b for a, b in zip(x, z))
 
 
-def site_neg(z: Site) -> Site:
-    if isinstance(z, int):
-        return -z
-    return tuple(-a for a in z)
-
-
 def max_norm(x: Site) -> int:
     if isinstance(x, int):
         return abs(x)

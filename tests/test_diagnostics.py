@@ -4,11 +4,16 @@ Statistical tests here run at reduced replica counts with fixed seeds; the
 heavyweight versions live in the acceptance suite. Hand-computed generator
 values are derived in the comments next to each assertion.
 """
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import chi2, norm
 
+from zrp import diagnostics
 from zrp.configuration import Configuration
 from zrp.diagnostics import (
+    _chi2_two_sided_z,
     chi2_joint_two_sample,
     engine_agreement_check,
     forward_equation_check,
@@ -184,6 +189,28 @@ def test_poisson_flux_small_run():
 def test_flux_needs_drift_one_kernel():
     with pytest.raises(ConfigError):
         poisson_flux_check(SQ, 1.0, 7, 1.0, 100, 1, start="canonical")
+
+
+def test_dispersion_z_at_the_4se_tail():
+    # a 4 SE normal band fails with two-sided probability 6.3e-5; the
+    # dispersion test's quantiles at that probability map back to z = 4
+    p = 2 * norm.sf(4.0)
+    assert p == pytest.approx(6.334e-5, rel=1e-3)
+    for q in (chi2.isf(p / 2, 99), chi2.ppf(p / 2, 99)):
+        assert _chi2_two_sided_z(q, 99) == pytest.approx(4.0, rel=1e-9)
+    assert _chi2_two_sided_z(99.0, 99) < 0.1
+    assert _chi2_two_sided_z(math.inf, 99) == math.inf
+
+
+def test_mass_conservation_equal_counts_have_finite_z(monkeypatch):
+    # every replica ends with 4 at the origin; g(k) = k at phi = 3 makes the
+    # marginal Poisson(3), so the exact SE is sqrt(3 / 5)
+    monkeypatch.setattr(diagnostics, "replica_map",
+                        lambda fn, n, threads, args: [4] * n)
+    rep = mass_conservation_check(power_rate(1.0), nn_kernel_1d(0.5), 3.0, 5,
+                                  1.0, 5, 19)
+    assert rep.statistic == pytest.approx(1.0 / math.sqrt(0.6), rel=1e-9)
+    assert rep.passed
 
 
 def test_mass_conservation_small_run():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zrp import noise as noise_module
 from zrp.configuration import Configuration, leq, replay, snapshots, truncate
 from zrp.engine import (
     OPEN,
@@ -195,6 +196,40 @@ def test_pq_family_validation():
     with pytest.raises(ConfigError):
         simulate_pq_family(Configuration(2, {(0, 0): 1}), RATE, 1.0,
                            HarrisNoise(0), [(1.0, 0.0)])
+
+
+class _OneAtom:
+    """Noise with a single atom (t=0.5, y=0.5, mark u) at site 0, slab 0."""
+    master, path = 0, ()
+
+    def __init__(self, u):
+        self.u = u
+
+    def slab_atoms(self, sites, counts, slab):
+        return [(0.5, 0, 0.5, self.u)] if slab == 0 and 0 in sites else []
+
+    def window(self, site, band, slab):
+        return [], [], []
+
+
+def test_pq_family_mark_convention():
+    # u <= p is a right jump, whatever the kernel's cdf layout does
+    for u, dst in ((0.69, 1), (0.7, 1), (0.71, -1)):
+        res = simulate_pq_family(Configuration(1, {0: 1}), power_rate(1.0), 1.0,
+                                 _OneAtom(u), [(0.7, 0.3)])
+        assert [ev[:3] for ev in res.trajectories[(0.7, 0.3)].events] == [(0.5, 0, dst)]
+
+
+@pytest.mark.parametrize("policy", [OPEN, killed(30), periodic(30)])
+def test_batched_slab_starts_leave_events_unchanged(policy, monkeypatch):
+    eta0 = constant_rule(1).config_on_box(30, 1)
+    runs = []
+    for cutoff in (1, 10 ** 9):   # every slab start batched, none batched
+        monkeypatch.setattr(noise_module, "_BATCH_MIN", cutoff)
+        runs.append(simulate(eta0, RATE, nn_kernel_1d(0.6), policy, 3.7,
+                             HarrisNoise(47, (1,))).events)
+    assert len(runs[0]) > 100
+    assert runs[0] == runs[1]
 
 
 def test_pq_extremes_follow_single_marginal():

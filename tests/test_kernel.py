@@ -12,7 +12,6 @@ from zrp.kernel import (
     mean_drift,
     nn_kernel_1d,
     sample_jump,
-    sample_jump_pq,
     symmetric_nn_kernel,
 )
 
@@ -89,13 +88,6 @@ def test_sample_jump_matches_probs():
     for z, p in k.support():
         frac = float(np.mean(draws == z))
         assert abs(frac - p) < 4 * math.sqrt(p * (1 - p) / draws.size)
-
-
-def test_sample_jump_pq_convention():
-    # u <= p means a right jump, whatever the kernel's cdf layout does
-    assert sample_jump_pq(0.7, 0.69) == 1
-    assert sample_jump_pq(0.7, 0.7) == 1
-    assert sample_jump_pq(0.7, 0.71) == -1
 
 
 def test_json_roundtrip():

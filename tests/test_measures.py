@@ -14,13 +14,10 @@ from zrp.errors import CertificationError
 from zrp.measures import (
     canonical_torus_measure,
     compositions,
-    density,
-    fugacity_identity,
     fugacity_measure,
     partition_function,
     restrict_measure,
     sample_box_config,
-    sample_marginal,
     torus_sites,
 )
 from zrp.rates import exp_rate, power_rate, table_rate
@@ -45,14 +42,14 @@ def test_measure_normalization_squares():
     m = fugacity_measure(power_rate(2.0), 1.0)
     assert math.exp(m.log_z) == pytest.approx(Z_SQUARES_PHI1, rel=1e-12)
     assert m.pmf.sum() == pytest.approx(1.0, abs=1e-12)
-    assert density(m) == pytest.approx(R_SQUARES_PHI1, abs=1e-12)
+    assert m.density() == pytest.approx(R_SQUARES_PHI1, abs=1e-12)
 
 
 def test_fugacity_identity_is_phi():
     for rate, phi in ((power_rate(2.0), 1.0), (power_rate(1.0), 3.0),
                       (exp_rate(1.0, 0.4), 2.0)):
         m = fugacity_measure(rate, phi)
-        assert fugacity_identity(m) == pytest.approx(phi, rel=1e-10)
+        assert m.mean_rate() == pytest.approx(phi, rel=1e-10)
 
 
 def test_linear_rate_is_poisson():
@@ -64,12 +61,12 @@ def test_linear_rate_is_poisson():
     # frozen: Poisson(1) cdf at 0..3
     assert m.cdf[:4] == pytest.approx(
         [0.367879441171, 0.735758882343, 0.919698602929, 0.981011843124], abs=1e-12)
-    assert density(m) == pytest.approx(phi, rel=1e-12)
+    assert m.density() == pytest.approx(phi, rel=1e-12)
 
 
 def test_linear_rate_density_equals_phi():
     m = fugacity_measure(power_rate(1.0), 2.0, tol=1e-30)
-    assert density(m) == pytest.approx(2.0, rel=1e-12)
+    assert m.density() == pytest.approx(2.0, rel=1e-12)
 
 
 def test_capped_mean_against_frozen_value():
@@ -80,18 +77,18 @@ def test_capped_mean_against_frozen_value():
 
 def test_sample_marginal_is_quantile_transform():
     m = fugacity_measure(power_rate(1.0), 1.0)
-    assert sample_marginal(m, 0.0) == 0
-    assert sample_marginal(m, 0.5) == 1    # cdf(0) = e^-1 < 0.5 < cdf(1)
-    assert sample_marginal(m, 0.9) == 2    # frozen quantile
-    assert sample_marginal(m, 1.0 - 1e-15) <= m.K
+    assert m.sample_marginal(0.0) == 0
+    assert m.sample_marginal(0.5) == 1    # cdf(0) = e^-1 < 0.5 < cdf(1)
+    assert m.sample_marginal(0.9) == 2    # frozen quantile
+    assert m.sample_marginal(1.0 - 1e-15) <= m.K
 
 
 def test_sample_marginal_statistics():
     m = fugacity_measure(power_rate(2.0), 1.0)
     rng = np.random.default_rng(11)
-    draws = np.array([sample_marginal(m, float(u)) for u in rng.random(40_000)])
-    sd = math.sqrt(float(np.dot((np.arange(m.K + 1) - density(m)) ** 2, m.pmf)))
-    assert abs(draws.mean() - density(m)) < 4 * sd / math.sqrt(draws.size)
+    draws = np.array([m.sample_marginal(float(u)) for u in rng.random(40_000)])
+    sd = math.sqrt(float(np.dot((np.arange(m.K + 1) - m.density()) ** 2, m.pmf)))
+    assert abs(draws.mean() - m.density()) < 4 * sd / math.sqrt(draws.size)
 
 
 def test_divergent_fugacity_rejected():

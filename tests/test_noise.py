@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, kstest, poisson
 
-from zrp.noise import HarrisNoise, band_bounds, band_ceiling, bands_for
+from zrp.noise import (_BATCH_MIN, HarrisNoise, band_bounds, band_ceiling,
+                       bands_for)
 from zrp.parallel import derived_rng, replica_map, resolve_threads, seed_path
 
 
@@ -155,6 +156,39 @@ def test_window_does_not_depend_on_request_order():
     order = np.random.default_rng(0).permutation(len(keys))
     backward = {keys[i]: n2.window(*keys[i]) for i in order[::-1]}
     assert forward == backward
+
+
+def _scalar_slab(noise, sites, counts, slab):
+    atoms = [(t, x, y, u) for x, m in zip(sites, counts) for b in range(m)
+             for t, y, u in zip(*noise.window(x, b, slab))]
+    return sorted(atoms)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+# at slab 2^40 times are multiples of 2^-12, so atoms tie in t and the sort
+# must fall back to tuple order
+@pytest.mark.parametrize("slab", [0, 999_983, 2 ** 40])
+@pytest.mark.parametrize("n_sites", [0, 3, 120])
+def test_slab_atoms_equal_window(d, slab, n_sites):
+    rng = np.random.default_rng(d * 1000 + n_sites)
+    coords = {tuple(int(c) for c in rng.integers(-40, 40, d)) for _ in range(n_sites)}
+    sites = [c[0] if d == 1 else c for c in sorted(coords)]
+    counts = [int(m) for m in rng.integers(0, 14, len(sites))]   # bands 0-12
+    # 3 sites stay below the batch cutoff, 120 sites go far above it
+    assert (sum(counts) >= _BATCH_MIN) == (n_sites == 120)
+    noise = HarrisNoise(48, (d, 2))
+    got = noise.slab_atoms(sites, counts, slab)
+    assert got == _scalar_slab(noise, sites, counts, slab)
+    assert all(type(v) is float for a in got for v in (a[0], a[2], a[3]))
+
+
+@pytest.mark.parametrize("wide", [-2 ** 63, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 70])
+def test_slab_atoms_at_and_past_int64(wide):
+    # int64 coordinates batch exactly; wider ones must not differ silently
+    sites = [wide] + list(range(_BATCH_MIN))
+    noise = HarrisNoise(49)
+    assert noise.slab_atoms(sites, [2] * len(sites), 5) == \
+        _scalar_slab(noise, sites, [2] * len(sites), 5)
 
 
 def test_derived_rng_streams():
