@@ -1,3 +1,4 @@
+import hashlib
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -181,3 +182,48 @@ def test_point_initial_mode(tmp_path):
     assert code == 0
     summ = json.loads((out / "summary.json").read_text())
     assert len(summ) == 2
+
+
+PINNED = {
+    "kernel": {"d": 1, "support": [{"z": [1], "p": 1.0}]},
+    "rate": {"family": "power", "a": 2.0},
+    "policy": {"kind": "periodic", "n": 3},
+    "T": 0.5,
+    "replicas": 40,
+    "seed": 5,
+    "initial": {"mode": "product", "phi": 1.0, "n": 3},
+    "diagnostics": ["replay", "rate-growth", "stationarity", "flux", "mass",
+                    "martingale"],
+}
+
+PINNED_SHA256 = {
+    "events_r0.csv":
+        "a0ffc64eaaa0d2192567be2a50d5b98438ea947edfe07c8145b7489d1d7b1873",
+    "report_replay.json":
+        "c980b245fe873e67af8b1eb5ebfdf3391dd53c3cc6a32929355d71875d9ef00a",
+    "report_rate-growth.json":
+        "10c26055c64376c897191ab5bc27a25750205c728a1efd801ff4415eb8f6ce01",
+    "report_stationarity_statistical.json":
+        "e90fc3a8c681b1a657bbb0fa2c18f3135a46719b4614e71feb070f36b4c4234b",
+    "report_poisson_flux.json":
+        "f20f8df08b886724c970cd183e1b0aea16e677c74835339942cf2787d063927e",
+    "report_mass_conservation.json":
+        "7506f3a9944841ed5400594d9c85c35dc6f1cf2353173844c02c26972382f796",
+    "report_martingale_residual.json":
+        "dd46e152f8dea94579864f566351dd40dba018f80d6275539cb5f64074ebfbfe",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_every_diagnostic_report_is_pinned(tmp_path, threads):
+    """Every diagnostic the CLI offers, on one tiny torus config, writes the
+    same bytes: a refactor of the CLI or of the diagnostics must keep them."""
+    p = _write_cfg(tmp_path, PINNED)
+    out = tmp_path / "out"
+    code, text = _run(["run", "--config", str(p), "--out", str(out),
+                       "--threads", threads])
+    assert code == 0, text
+    assert sorted(q.name for q in out.glob("report_*.json")) == sorted(
+        name for name in PINNED_SHA256 if name.startswith("report_"))
+    for name, sha in PINNED_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, name
