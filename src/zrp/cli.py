@@ -22,8 +22,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .configuration import (Configuration, config_from_json, config_to_json,
-                            events_csv_string, replay, trajectory_summary)
+from .configuration import (Configuration, config_from_json, events_csv_string,
+                            replay, trajectory_summary)
 from .diagnostics import (martingale_residual, mass_conservation_check,
                           poisson_flux_check, stationarity_statistical)
 from .engine import OPEN, BoundaryPolicy, killed, periodic, simulate
@@ -35,9 +35,6 @@ from .noise import HarrisNoise
 from .parallel import TAG_SAMPLE, derived_rng, replica_map, resolve_threads
 from .rates import check_corollary_conditions, rate_from_json
 from .sites import site_from_coords
-
-_DIAGNOSTICS = ("replay", "rate-growth", "stationarity", "flux", "mass",
-                "martingale")
 
 
 def _field(cfg: dict, name: str, kind=None, required: bool = True, default=None):
@@ -67,7 +64,6 @@ class Experiment:
     """Validated experiment description: everything a run needs."""
 
     def __init__(self, cfg: dict):
-        self.raw = cfg
         self.kernel = kernel_from_json(_field(cfg, "kernel", dict))
         self.rate = rate_from_json(_field(cfg, "rate", dict))
         self.policy = _parse_policy(_field(cfg, "policy", dict))
@@ -78,13 +74,8 @@ class Experiment:
         if self.replicas < 1:
             raise ConfigError("config field 'replicas' must be >= 1")
         self.seed = _field(cfg, "seed", int, required=False, default=0)
-        self.diagnostics = tuple(_field(cfg, "diagnostics", list,
-                                        required=False, default=[]))
-        for name in self.diagnostics:
-            if name not in _DIAGNOSTICS:
-                raise ConfigError(
-                    f"config field 'diagnostics': unknown entry {name!r} "
-                    f"(choose from {', '.join(_DIAGNOSTICS)})")
+        if isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError("config field 'seed' must be a non-negative integer")
         init = _field(cfg, "initial", dict)
         self.init_mode = _field(init, "mode", str)
         if self.init_mode == "explicit":
@@ -95,8 +86,8 @@ class Experiment:
         elif self.init_mode == "product":
             self.init_phi = float(_field(init, "phi", (int, float)))
             self.init_n = int(_field(init, "n", int))
-            # fail early if the marginal cannot be certified
-            fugacity_measure(self.rate, self.init_phi)
+            # certified once here, so a bad marginal fails before any run
+            self.init_measure = fugacity_measure(self.rate, self.init_phi)
         elif self.init_mode == "point":
             self.init_nparticles = int(_field(init, "n_particles", int))
             site = _field(init, "site", list, required=False,
@@ -105,6 +96,17 @@ class Experiment:
         else:
             raise ConfigError(
                 f"config field 'initial.mode': unknown mode {self.init_mode!r}")
+        self.diagnostics = tuple(_field(cfg, "diagnostics", list,
+                                        required=False, default=[]))
+        for name in self.diagnostics:
+            if name not in DIAGNOSTICS:
+                raise ConfigError(
+                    f"config field 'diagnostics': unknown entry {name!r} "
+                    f"(choose from {', '.join(DIAGNOSTICS)})")
+            prerequisite = DIAGNOSTICS[name][0]
+            need = prerequisite and prerequisite(self)
+            if need:
+                raise ConfigError(f"diagnostic {name!r} needs {need}")
 
     def initial_for(self, r: int) -> Configuration:
         if self.init_mode == "explicit":
@@ -112,17 +114,15 @@ class Experiment:
         if self.init_mode == "point":
             return Configuration(self.kernel.d,
                                  {self.init_site: self.init_nparticles})
-        measure = fugacity_measure(self.rate, self.init_phi)
         rng = derived_rng(self.seed, TAG_SAMPLE, r)
-        return sample_box_config(measure, self.init_n, self.kernel.d, rng)
+        return sample_box_config(self.init_measure, self.init_n, self.kernel.d,
+                                 rng)
 
 
-def _run_worker(r, cfg_dict, seed):
-    exp = Experiment(cfg_dict)
-    exp.seed = seed
-    eta0 = exp.initial_for(r)
-    noise = HarrisNoise(seed, (r,))
-    return simulate(eta0, exp.rate, exp.kernel, exp.policy, exp.T, noise)
+def _run_worker(r, exp: Experiment):
+    noise = HarrisNoise(exp.seed, (r,))
+    return simulate(exp.initial_for(r), exp.rate, exp.kernel, exp.policy,
+                    exp.T, noise)
 
 
 def _events_json_string(traj) -> str:
@@ -132,54 +132,67 @@ def _events_json_string(traj) -> str:
     return json.dumps({"events": evs}, sort_keys=True, indent=1) + "\n"
 
 
-def _diagnostic_reports(exp: Experiment, trajectories, threads: int) -> list:
-    reports = []
-    for name in exp.diagnostics:
-        if name == "replay":
-            for traj in trajectories:
-                replay(traj)  # raises InvariantViolation on any mismatch
-            reports.append({"test": "replay", "pass": True,
-                            "statistic": 0.0, "threshold": 0.0,
-                            "n_replicas": len(trajectories)})
-        elif name == "rate-growth":
-            rep = check_corollary_conditions(exp.rate, exp.kernel)
-            out = rep.to_json()
-            out.update({"test": "rate-growth", "pass": True,
-                        "advisory": True})
-            reports.append(out)
-        elif name == "stationarity":
-            if exp.policy.kind != "periodic" or exp.init_mode != "product":
-                raise ConfigError("diagnostic 'stationarity' needs a periodic "
-                                  "policy and a product initial condition")
-            rep = stationarity_statistical(
-                exp.rate, exp.kernel, exp.init_phi, exp.policy.n, exp.T,
-                exp.replicas, exp.seed, threads=threads)
-            reports.append(rep.to_json())
-        elif name == "flux":
-            if (exp.policy.kind != "periodic" or exp.init_mode != "product"
-                    or is_nearest_neighbour_1d(exp.kernel) != (1.0, 0.0)):
-                raise ConfigError("diagnostic 'flux' needs a periodic policy, "
-                                  "a product initial condition, and the "
-                                  "totally asymmetric d=1 kernel")
-            rep = poisson_flux_check(exp.rate, exp.init_phi, exp.policy.n,
-                                     exp.T, exp.replicas, exp.seed,
-                                     threads=threads)
-            reports.append(rep.to_json())
-        elif name == "mass":
-            if exp.policy.kind != "periodic" or exp.init_mode != "product":
-                raise ConfigError("diagnostic 'mass' needs a periodic policy "
-                                  "and a product initial condition")
-            rep = mass_conservation_check(exp.rate, exp.kernel, exp.init_phi,
-                                          exp.policy.n, exp.T, exp.replicas,
-                                          exp.seed, threads=threads)
-            reports.append(rep.to_json())
-        elif name == "martingale":
-            f = capped_occupancy(0 if exp.kernel.d == 1 else (0,) * exp.kernel.d, 10)
-            rep = martingale_residual(f, exp.initial_for(0), exp.rate,
-                                      exp.kernel, exp.policy, exp.T,
-                                      exp.replicas, exp.seed, threads=threads)
-            reports.append(rep.to_json())
-    return reports
+def _torus_product(exp: Experiment) -> str | None:
+    if exp.policy.kind != "periodic" or exp.init_mode != "product":
+        return "a periodic policy and a product initial condition"
+    return None
+
+
+def _asymmetric_torus_product(exp: Experiment) -> str | None:
+    if is_nearest_neighbour_1d(exp.kernel) != (1.0, 0.0):
+        return "the totally asymmetric d=1 kernel"
+    return _torus_product(exp)
+
+
+def _replay_all(exp: Experiment, trajectories, threads: int) -> dict:
+    for traj in trajectories:
+        replay(traj)  # raises InvariantViolation on any mismatch
+    return {"test": "replay", "pass": True, "statistic": 0.0,
+            "threshold": 0.0, "n_replicas": len(trajectories)}
+
+
+def _rate_growth(exp: Experiment, trajectories, threads: int) -> dict:
+    out = check_corollary_conditions(exp.rate, exp.kernel).to_json()
+    out.update({"test": "rate-growth", "pass": True, "advisory": True})
+    return out
+
+
+def _stationarity(exp: Experiment, trajectories, threads: int) -> dict:
+    return stationarity_statistical(
+        exp.rate, exp.kernel, exp.init_phi, exp.policy.n, exp.T, exp.replicas,
+        exp.seed, threads=threads).to_json()
+
+
+def _flux(exp: Experiment, trajectories, threads: int) -> dict:
+    return poisson_flux_check(exp.rate, exp.init_phi, exp.policy.n, exp.T,
+                              exp.replicas, exp.seed, threads=threads).to_json()
+
+
+def _mass(exp: Experiment, trajectories, threads: int) -> dict:
+    return mass_conservation_check(
+        exp.rate, exp.kernel, exp.init_phi, exp.policy.n, exp.T, exp.replicas,
+        exp.seed, threads=threads).to_json()
+
+
+def _martingale(exp: Experiment, trajectories, threads: int) -> dict:
+    f = capped_occupancy(0 if exp.kernel.d == 1 else (0,) * exp.kernel.d, 10)
+    return martingale_residual(f, exp.initial_for(0), exp.rate, exp.kernel,
+                               exp.policy, exp.T, exp.replicas, exp.seed,
+                               threads=threads).to_json()
+
+
+# name -> (prerequisite, runner). A prerequisite returns what the experiment
+# lacks, or None; Experiment checks them before any replica runs. A runner
+# returns the report's JSON; it looks its diagnostic up in this module's
+# globals when called, so a test or a tracer can replace it here.
+DIAGNOSTICS = {
+    "replay": (None, _replay_all),
+    "rate-growth": (None, _rate_growth),
+    "stationarity": (_torus_product, _stationarity),
+    "flux": (_asymmetric_torus_product, _flux),
+    "mass": (_torus_product, _mass),
+    "martingale": (None, _martingale),
+}
 
 
 def _cmd_run(args) -> int:
@@ -199,8 +212,9 @@ def _cmd_run(args) -> int:
 
     t0 = time.monotonic()
     trajectories = replica_map(_run_worker, exp.replicas, threads=threads,
-                               args=(cfg, exp.seed))
-    reports = _diagnostic_reports(exp, trajectories, threads)
+                               args=(exp,))
+    reports = [DIAGNOSTICS[name][1](exp, trajectories, threads)
+               for name in exp.diagnostics]
     wall = time.monotonic() - t0
 
     for r, traj in enumerate(trajectories):

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import chi2 as chi2_dist, norm
 
-from .configuration import Configuration, intervals, snapshots
+from .configuration import Configuration, intervals, truncate
 from .engine import OPEN, BoundaryPolicy, periodic, route, simulate
 from .errors import ConfigError, InvariantViolation
 from .kernel import Kernel, is_nearest_neighbour_1d, nn_kernel_1d
 from .localfn import LocalFunction
-from .measures import FugacityMeasure, canonical_torus_measure, fugacity_measure
+from .measures import canonical_torus_measure, fugacity_measure, sample_box_config
 from .noise import HarrisNoise
 from .parallel import TAG_GILLESPIE, TAG_SAMPLE, derived_rng, replica_map
 from .rates import RateFn
@@ -316,31 +316,31 @@ def stationarity_exact(rate: RateFn, kernel: Kernel, sites_per_dim: int,
                           "sites": sites_per_dim ** d, "N": N})
 
 
-# -------------------------------------------------- statistical stationarity
+# ------------------------------------------------ product start on a torus
 
-def _stationarity_worker(r, measure, rate, kernel, torus_n, T, seed, start, N):
+def _torus_worker(r, measure, rate, kernel, torus_n, T, seed, start, N):
+    """One torus replica from a product start ("grand") or from a pile of N
+    particles at the origin ("point"). Audits exact mass and zero kills, and
+    returns (origin count at 0, origin count at T, -1 -> 0 crossings)."""
     d = kernel.d
-    rng = derived_rng(seed, TAG_SAMPLE, r)
     origin: Site = 0 if d == 1 else (0,) * d
     if start == "grand":
-        from .measures import sample_box_config
-        eta0 = sample_box_config(measure, torus_n, d, rng)
-    elif start == "canonical":
-        from .measures import sample_box_config
-        for _ in range(100_000):
-            eta0 = sample_box_config(measure, torus_n, d, rng)
-            if eta0.total() == N:
-                break
-        else:
-            raise ConfigError("canonical rejection sampling failed; N too unlikely")
-    elif start == "point":
-        eta0 = Configuration(d, {origin: N})
+        eta0 = sample_box_config(measure, torus_n, d,
+                                 derived_rng(seed, TAG_SAMPLE, r))
     else:
-        raise ConfigError(f"unknown start {start!r}")
+        eta0 = Configuration(d, {origin: N})
     noise = HarrisNoise(seed, (r,))
     traj = simulate(eta0, rate, kernel, periodic(torus_n), T, noise)
-    return eta0.count(origin), traj.final.count(origin)
+    if traj.kill_count() != 0:
+        raise InvariantViolation("kill event on a torus")
+    if traj.final.total() != eta0.total():
+        raise InvariantViolation(
+            f"mass not conserved on torus: {eta0.total()} -> {traj.final.total()}")
+    crossings = sum(1 for ev in traj.events if ev[1] == -1 and ev[2] == 0)
+    return eta0.count(origin), traj.final.count(origin), crossings
 
+
+# -------------------------------------------------- statistical stationarity
 
 def _chi2_one_sample(counts: np.ndarray, probs: np.ndarray):
     """Merge the right tail so every expected cell count is >= 5."""
@@ -356,52 +356,29 @@ def _chi2_one_sample(counts: np.ndarray, probs: np.ndarray):
     return stat, dof, float(chi2_dist.sf(stat, dof))
 
 
-def _chi2_two_sample(c1: np.ndarray, c2: np.ndarray):
-    pooled = c1 + c2
-    hi = len(pooled)
-    while hi > 2 and pooled[hi - 1:].sum() < 10.0:
-        hi -= 1
-
-    def squash(c):
-        return np.concatenate([c[:hi - 1], [c[hi - 1:].sum()]])
-
-    o1, o2 = squash(c1).astype(float), squash(c2).astype(float)
-    n1, n2 = o1.sum(), o2.sum()
-    pool = (o1 + o2) / (n1 + n2)
-    e1, e2 = pool * n1, pool * n2
-    mask = pool > 0
-    stat = float(np.sum((o1[mask] - e1[mask]) ** 2 / e1[mask])
-                 + np.sum((o2[mask] - e2[mask]) ** 2 / e2[mask]))
-    dof = int(mask.sum()) - 1
-    return stat, dof, float(chi2_dist.sf(stat, dof))
-
-
 def stationarity_statistical(rate: RateFn, kernel: Kernel, phi: float,
                              torus_n: int, T: float, replicas: int, seed: int,
                              start: str = "grand", alpha: float = 0.01,
                              threads: int = 1, tol: float = 1e-12) -> Report:
-    """Simulate the torus from a stationary (or deliberately non-stationary)
-    start and chi-square the time-T origin occupancy against the invariant
-    marginal (one-sample for product starts, two-sample vs. the initial
-    histogram for canonical starts)."""
+    """Simulate the torus from the product start ("grand") or from the same
+    mass piled on the origin ("point", a negative control), and chi-square
+    the time-T origin occupancy against the invariant marginal."""
+    if start not in ("grand", "point"):
+        raise ConfigError(f"unknown start {start!r} (choose 'grand' or 'point')")
     d = kernel.d
     measure = fugacity_measure(rate, phi, tol)
     M = (2 * torus_n + 1) ** d
     N = int(round(measure.density() * M))
-    rows = replica_map(_stationarity_worker, replicas, threads=threads,
-                       args=(measure, rate, kernel, torus_n, T, seed, start, N))
-    k0 = np.array([a for a, _ in rows])
-    kT = np.array([b for _, b in rows])
+    rows = np.array(replica_map(_torus_worker, replicas, threads=threads,
+                                args=(measure, rate, kernel, torus_n, T, seed,
+                                      start, N)))
+    k0, kT = rows[:, 0], rows[:, 1]
     kmax = int(max(kT.max(), k0.max(), measure.K))
     countsT = np.bincount(kT, minlength=kmax + 1)
-    if start == "canonical":
-        counts0 = np.bincount(k0, minlength=kmax + 1)
-        stat, dof, p = _chi2_two_sample(counts0, countsT)
-    else:
-        probs = np.zeros(kmax + 1)
-        probs[:measure.K + 1] = measure.pmf
-        probs[-1] += max(0.0, 1.0 - probs.sum())
-        stat, dof, p = _chi2_one_sample(countsT, probs)
+    probs = np.zeros(kmax + 1)
+    probs[:measure.K + 1] = measure.pmf
+    probs[-1] += max(0.0, 1.0 - probs.sum())
+    stat, dof, p = _chi2_one_sample(countsT, probs)
     return Report(test="stationarity_statistical", passed=bool(p >= alpha),
                   statistic=stat, threshold=alpha, seed=seed,
                   n_replicas=replicas,
@@ -567,24 +544,9 @@ def _chi2_two_sided_z(stat: float, dof: int) -> float:
     return float(norm.isf(min(chi2_dist.cdf(stat, dof), chi2_dist.sf(stat, dof))))
 
 
-def _flux_worker(r, measure, rate, torus_n, T, seed, start, N):
-    rng = derived_rng(seed, TAG_SAMPLE, r)
-    if start == "grand":
-        from .measures import sample_box_config
-        eta0 = sample_box_config(measure, torus_n, 1, rng)
-    elif start == "point":
-        eta0 = Configuration(1, {0: N})
-    else:
-        raise ConfigError(f"unknown start {start!r}")
-    noise = HarrisNoise(seed, (r,))
-    kernel = nn_kernel_1d(1.0)
-    traj = simulate(eta0, rate, kernel, periodic(torus_n), T, noise)
-    return sum(1 for ev in traj.events if ev[1] == -1)
-
-
 def poisson_flux_check(rate: RateFn, phi: float, torus_n: int, T: float,
-                       replicas: int, seed: int, start: str = "grand",
-                       threads: int = 1, tol: float = 1e-12) -> Report:
+                       replicas: int, seed: int, threads: int = 1,
+                       tol: float = 1e-12) -> Report:
     """Under the stationary product start and totally asymmetric d=1 jumps,
     the count of -1 -> 0 crossings in [0, T] should be Poisson with mean
     phi*T: the mean inside a 4*SE band, and the index of dispersion D
@@ -593,11 +555,10 @@ def poisson_flux_check(rate: RateFn, phi: float, torus_n: int, T: float,
     if torus_n < 1:
         raise ConfigError("need torus radius >= 1")
     measure = fugacity_measure(rate, phi, tol)
-    M = 2 * torus_n + 1
-    N = int(round(measure.density() * M))
-    counts = np.array(replica_map(_flux_worker, replicas, threads=threads,
-                                  args=(measure, rate, torus_n, T, seed, start, N)),
-                      dtype=float)
+    rows = replica_map(_torus_worker, replicas, threads=threads,
+                       args=(measure, rate, nn_kernel_1d(1.0), torus_n, T, seed,
+                             "grand", 0))
+    counts = np.array([row[2] for row in rows], dtype=float)
     mean, se = _mean_se(counts)
     target = phi * T
     z_mean = abs(mean - target) / se if se > 0 else math.inf
@@ -611,31 +572,14 @@ def poisson_flux_check(rate: RateFn, phi: float, torus_n: int, T: float,
                   threshold=4.0, seed=seed, n_replicas=replicas,
                   extras={"mean": mean, "target_mean": target,
                           "dispersion": dispersion, "z_mean": z_mean,
-                          "z_dispersion": z_disp, "start": start,
+                          "z_dispersion": z_disp, "start": "grand",
                           "torus_n": torus_n, "T": T, "phi": phi})
 
 
 # -------------------------------------------------------- mass conservation
 
-def _mass_torus_worker(r, measure, rate, kernel, torus_n, T, seed):
-    rng = derived_rng(seed, TAG_SAMPLE, r)
-    from .measures import sample_box_config
-    eta0 = sample_box_config(measure, torus_n, kernel.d, rng)
-    noise = HarrisNoise(seed, (r,))
-    traj = simulate(eta0, rate, kernel, periodic(torus_n), T, noise)
-    if traj.kill_count() != 0:
-        raise InvariantViolation("kill event on a torus")
-    if traj.final.total() != eta0.total():
-        raise InvariantViolation(
-            f"mass not conserved on torus: {eta0.total()} -> {traj.final.total()}")
-    origin: Site = 0 if kernel.d == 1 else (0,) * kernel.d
-    return traj.final.count(origin)
-
-
 def _mass_schedule_worker(r, measure, rate, kernel, schedule, T, seed):
     rng = derived_rng(seed, TAG_SAMPLE, r)
-    from .configuration import truncate
-    from .measures import sample_box_config
     base = sample_box_config(measure, schedule[-1], kernel.d, rng)
     noise = HarrisNoise(seed, (r,))
     origin: Site = 0 if kernel.d == 1 else (0,) * kernel.d
@@ -664,9 +608,9 @@ def mass_conservation_check(rate: RateFn, kernel: Kernel, phi: float,
     density from below within 4 SE."""
     measure = fugacity_measure(rate, phi, tol)
     rho = measure.density()
-    vals = np.array(replica_map(_mass_torus_worker, replicas, threads=threads,
-                                args=(measure, rate, kernel, torus_n, T, seed)),
-                    dtype=float)
+    rows = replica_map(_torus_worker, replicas, threads=threads,
+                       args=(measure, rate, kernel, torus_n, T, seed, "grand", 0))
+    vals = np.array([row[1] for row in rows], dtype=float)
     mean = float(np.mean(vals))
     var = float(np.dot((np.arange(measure.K + 1) - rho) ** 2, measure.pmf))
     se = math.sqrt(var / replicas)

@@ -16,6 +16,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
+
 # stream tags: keep distinct consumers on distinct subtrees of the seed space
 TAG_HARRIS = 1
 TAG_GILLESPIE = 2
@@ -46,16 +48,16 @@ def resolve_threads(requested: int | None = None) -> int:
     """--threads flag wins, then ZRP_THREADS, then CPU count."""
     if requested is not None:
         if requested < 1:
-            raise ValueError("threads must be >= 1")
+            raise ConfigError("threads must be >= 1")
         return requested
     env = os.environ.get("ZRP_THREADS")
     if env:
         try:
             n = int(env)
         except ValueError:
-            raise ValueError(f"ZRP_THREADS={env!r} is not an integer") from None
+            raise ConfigError(f"ZRP_THREADS={env!r} is not an integer") from None
         if n < 1:
-            raise ValueError("ZRP_THREADS must be >= 1")
+            raise ConfigError("ZRP_THREADS must be >= 1")
         return n
     return os.cpu_count() or 1
 

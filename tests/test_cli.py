@@ -142,6 +142,52 @@ def test_diagnostic_prerequisites_enforced(tmp_path):
     assert "stationarity" in text
 
 
+TORUS = dict(BASE, policy={"kind": "periodic", "n": 2},
+             initial={"mode": "product", "phi": 1.0, "n": 2})
+
+
+@pytest.mark.parametrize("name,cfg", [
+    ("stationarity", BASE),  # open policy, explicit start
+    ("mass", dict(TORUS, initial=BASE["initial"])),
+    ("flux", TORUS),  # the kernel also jumps left
+])
+def test_prerequisites_fail_before_any_replica(tmp_path, monkeypatch, name, cfg):
+    def no_replicas(*args, **kwargs):
+        raise AssertionError("a replica ran before the config was checked")
+    monkeypatch.setattr(cli, "replica_map", no_replicas)
+    p = _write_cfg(tmp_path, dict(cfg, diagnostics=["replay", name]))
+    out = tmp_path / "out"
+    code, text = _run(["run", "--config", str(p), "--out", str(out)])
+    assert code == 1
+    assert f"config error: diagnostic '{name}' needs" in text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config", "bool"])
+def test_negative_or_boolean_seed_is_config_error(tmp_path, how):
+    seed = {"flag": 11, "config": -1, "bool": True}[how]
+    p = _write_cfg(tmp_path, dict(BASE, seed=seed))
+    args = ["run", "--config", str(p), "--out", str(tmp_path / "out"),
+            "--threads", "2"]
+    code, text = _run(args + (["--seed", "-1"] if how == "flag" else []))
+    assert code == 1
+    assert "config error: config field 'seed'" in text
+    assert "Traceback" not in text
+
+
+@pytest.mark.parametrize("flag,env", [("0", None), (None, "zero"), (None, "0")])
+def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("ZRP_THREADS", env)
+    p = _write_cfg(tmp_path, BASE)
+    args = ["run", "--config", str(p), "--out", str(tmp_path / "out")]
+    code, text = _run(args + (["--threads", flag] if flag else []))
+    assert code == 1
+    assert "config error:" in text
+    assert "threads" in text.lower()
+    assert not (tmp_path / "out").exists()
+
+
 def test_failing_diagnostic_exits_two(tmp_path, monkeypatch):
     """Exit-code 2 path. Every diagnostic the CLI offers checks a true law, so
     the stationarity diagnostic is replaced by one that reports a failure;

@@ -186,9 +186,23 @@ def test_poisson_flux_small_run():
     assert abs(rep.extras["z_mean"]) <= 4.0
 
 
-def test_flux_needs_drift_one_kernel():
+def _no_replicas(*args, **kwargs):
+    raise AssertionError("a bad argument must be rejected before any replica")
+
+
+def test_flux_needs_positive_torus_radius(monkeypatch):
+    monkeypatch.setattr(diagnostics, "replica_map", _no_replicas)
     with pytest.raises(ConfigError):
-        poisson_flux_check(SQ, 1.0, 7, 1.0, 100, 1, start="canonical")
+        poisson_flux_check(SQ, 1.0, 0, 1.0, 100, 1)
+
+
+def test_stationarity_rejects_canonical_start(monkeypatch):
+    # only product ("grand") and point starts exist; AC3 checks the
+    # canonical measure exactly
+    monkeypatch.setattr(diagnostics, "replica_map", _no_replicas)
+    with pytest.raises(ConfigError, match="canonical"):
+        stationarity_statistical(SQ, nn_kernel_1d(0.5), 1.0, 5, 1.0, 100, 1,
+                                 start="canonical")
 
 
 def test_dispersion_z_at_the_4se_tail():
@@ -204,9 +218,10 @@ def test_dispersion_z_at_the_4se_tail():
 
 def test_mass_conservation_equal_counts_have_finite_z(monkeypatch):
     # every replica ends with 4 at the origin; g(k) = k at phi = 3 makes the
-    # marginal Poisson(3), so the exact SE is sqrt(3 / 5)
+    # marginal Poisson(3), so the exact SE is sqrt(3 / 5). A torus replica
+    # returns (origin at 0, origin at T, crossings).
     monkeypatch.setattr(diagnostics, "replica_map",
-                        lambda fn, n, threads, args: [4] * n)
+                        lambda fn, n, threads, args: [(4, 4, 0)] * n)
     rep = mass_conservation_check(power_rate(1.0), nn_kernel_1d(0.5), 3.0, 5,
                                   1.0, 5, 19)
     assert rep.statistic == pytest.approx(1.0 / math.sqrt(0.6), rel=1e-9)
