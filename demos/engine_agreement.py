@@ -45,7 +45,7 @@ def hist(r, seed):
     cells = {}
     for rr in range(800):
         t = simulate(eta0, r, kernel, OPEN, 0.75, HarrisNoise(seed, (rr,)))
-        key = tuple(sorted(t.final.as_dict().items()))
+        key = tuple(sorted(t.final.occ.items()))
         cells[key] = cells.get(key, 0) + 1
     return cells
 

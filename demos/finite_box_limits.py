@@ -12,14 +12,16 @@ Run:  python demos/finite_box_limits.py
 
 import numpy as np
 
-from zrp import HarrisNoise, constant_rule, nn_kernel_1d, power_rate
+from zrp import Configuration, HarrisNoise, nn_kernel_1d, power_rate
 from zrp import simulate_truncation_schedule
+from zrp.sites import box_sites
 
-rule = constant_rule(2)          # two particles everywhere inside the box
 schedule = (2, 4, 8, 16, 32)
 times = (0.25, 0.5, 1.0, 2.0)
+# two particles on every site of the largest box; each level truncates it
+base = Configuration(1, {x: 2 for x in box_sites(schedule[-1], 1)})
 
-res = simulate_truncation_schedule(rule, schedule, power_rate(2.0),
+res = simulate_truncation_schedule(base, schedule, power_rate(2.0),
                                    nn_kernel_1d(0.5), T=2.0,
                                    noise=HarrisNoise(11, ()),
                                    snapshot_times=times)

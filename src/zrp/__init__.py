@@ -32,12 +32,8 @@ from .diagnostics import (
 from .engine import (
     OPEN,
     BoundaryPolicy,
-    ConfigRule,
-    constant_rule,
     killed,
     periodic,
-    point_rule,
-    profile_rule,
     simulate,
     simulate_gillespie,
     simulate_pq_family,

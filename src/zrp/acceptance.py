@@ -19,21 +19,21 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 from pathlib import Path
 
-import numpy as np
-
 from .configuration import Configuration
 from .diagnostics import (engine_agreement_check, j_inequality_check,
                           martingale_residual, poisson_flux_check,
                           stationarity_exact, stationarity_statistical)
-from .engine import (OPEN, constant_rule, killed, periodic,
-                     simulate_pq_family, simulate_truncation_schedule)
+from .engine import (OPEN, killed, periodic, simulate_pq_family,
+                     simulate_truncation_schedule)
 from .errors import InvariantViolation
 from .hitting import estimate_F, exact_F_small, exp_moment_check
 from .kernel import nn_kernel_1d, symmetric_nn_kernel
 from .localfn import capped_occupancy, occupancy_indicator, product_local
 from .measures import fugacity_measure
 from .noise import HarrisNoise
+from .parallel import replica_map
 from .rates import exp_rate, power_rate, table_rate
+from .sites import box_sites
 
 DEFAULT_SEED = 20260818
 
@@ -144,31 +144,35 @@ def criterion_statistical_stationarity(seed: int, threads: int = 1,
 
 # 5 ------------------------------------------------------------------------
 
+def _truncation_worker(r, ri, rate, base, schedule, seed):
+    """Whether the origin stabilized, or None for a monotonicity violation."""
+    try:
+        res = simulate_truncation_schedule(base, schedule, rate,
+                                           nn_kernel_1d(0.5), 1.0,
+                                           HarrisNoise(seed, (ri, r)))
+    except InvariantViolation:
+        return None
+    return res.origin_stabilized
+
+
 def criterion_truncation_monotone(seed: int, threads: int = 1,
                                   smoke: bool = False) -> CriterionResult:
     """Growing the box never lowers any occupancy under shared noise."""
     R = _n(1_000, smoke, 50)
     rates = (power_rate(1), power_rate(2), exp_rate(1.0, 0.4))
     schedule = (5, 10, 20, 40)
-    violations = 0
-    stabilized = 0
-    total = 0
+    base = Configuration(1, {x: 1 for x in box_sites(schedule[-1], 1)})
+    rows = []
     for ri, rate in enumerate(rates):
-        for r in range(R):
-            total += 1
-            try:
-                res = simulate_truncation_schedule(
-                    constant_rule(1), schedule, rate, nn_kernel_1d(0.5),
-                    1.0, HarrisNoise(seed, (ri, r)))
-            except InvariantViolation:
-                violations += 1
-                continue
-            stabilized += res.origin_stabilized
+        rows += replica_map(_truncation_worker, R, threads=threads,
+                            args=(ri, rate, base, schedule, seed))
+    violations = rows.count(None)
     return CriterionResult("AC5", "truncation monotonicity",
                            violations == 0, float(violations), 0.0,
                            {"replicas_per_rate": R, "schedule": list(schedule),
                             "violations": violations,
-                            "origin_stabilized_fraction": stabilized / total})
+                            "origin_stabilized_fraction":
+                                rows.count(True) / len(rows)})
 
 
 # 6 ------------------------------------------------------------------------
@@ -270,17 +274,20 @@ def criterion_j_inequality(seed: int, threads: int = 1,
 
 # 9 ------------------------------------------------------------------------
 
+def _pq_worker(r, eta0, pq, seed):
+    return len(simulate_pq_family(eta0, power_rate(2), 1.5,
+                                  HarrisNoise(seed, (r,)), pq,
+                                  strict=False).violations)
+
+
 def criterion_pq_sandwich(seed: int, threads: int = 1,
                           smoke: bool = False) -> CriterionResult:
     """Labelled positions stay between the two extreme drifts."""
     R = _n(1_000, smoke, 100)
     eta0 = Configuration(1, {-2: 1, 0: 1, 1: 1})
     pq = [(1.0, 0.0), (0.7, 0.3), (0.5, 0.5), (0.0, 1.0)]
-    total = 0
-    for r in range(R):
-        res = simulate_pq_family(eta0, power_rate(2), 1.5,
-                                 HarrisNoise(seed, (r,)), pq, strict=False)
-        total += len(res.violations)
+    total = sum(replica_map(_pq_worker, R, threads=threads,
+                            args=(eta0, pq, seed)))
     return CriterionResult("AC9", "drift family sandwich", total == 0,
                            float(total), 0.0,
                            {"replicas": R, "pq": pq, "violations": total})

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -27,14 +28,14 @@ from .configuration import (Configuration, config_from_json, events_csv_string,
 from .diagnostics import (martingale_residual, mass_conservation_check,
                           poisson_flux_check, stationarity_statistical)
 from .engine import OPEN, BoundaryPolicy, killed, periodic, simulate
-from .errors import ConfigError, InvariantViolation, ZRPError
+from .errors import CertificationError, ConfigError, InvariantViolation, ZRPError
 from .kernel import is_nearest_neighbour_1d, kernel_from_json
 from .localfn import capped_occupancy
 from .measures import fugacity_measure, sample_box_config
 from .noise import HarrisNoise
 from .parallel import TAG_SAMPLE, derived_rng, replica_map, resolve_threads
 from .rates import check_corollary_conditions, rate_from_json
-from .sites import site_from_coords
+from .sites import in_box, site_from_coords
 
 
 def _field(cfg: dict, name: str, kind=None, required: bool = True, default=None):
@@ -68,34 +69,50 @@ class Experiment:
         self.rate = rate_from_json(_field(cfg, "rate", dict))
         self.policy = _parse_policy(_field(cfg, "policy", dict))
         self.T = float(_field(cfg, "T", (int, float)))
-        if not (self.T > 0):
-            raise ConfigError("config field 'T' must be positive")
+        if not (self.T > 0) or not math.isfinite(self.T):
+            raise ConfigError("config field 'T' must be positive and finite")
         self.replicas = int(_field(cfg, "replicas", int, required=False, default=1))
         if self.replicas < 1:
             raise ConfigError("config field 'replicas' must be >= 1")
         self.seed = _field(cfg, "seed", int, required=False, default=0)
         if isinstance(self.seed, bool) or self.seed < 0:
             raise ConfigError("config field 'seed' must be a non-negative integer")
+        d = self.kernel.d
+        box = math.inf if self.policy.kind == "open" else self.policy.n
         init = _field(cfg, "initial", dict)
         self.init_mode = _field(init, "mode", str)
         if self.init_mode == "explicit":
+            where = "initial.config"
             self.init_config = config_from_json(_field(init, "config", dict))
-            if self.init_config.d != self.kernel.d:
-                raise ConfigError("config field 'initial.config': dimension "
+            if self.init_config.d != d:
+                raise ConfigError(f"config field '{where}': dimension "
                                   "does not match the kernel")
+        elif self.init_mode == "point":
+            where = "initial.site"
+            count = _field(init, "n_particles", int)
+            if count < 0:
+                raise ConfigError("config field 'initial.n_particles' must be >= 0")
+            site = _field(init, "site", list, required=False, default=[0] * d)
+            self.init_config = Configuration(d, {site_from_coords(site, d): count})
         elif self.init_mode == "product":
             self.init_phi = float(_field(init, "phi", (int, float)))
             self.init_n = int(_field(init, "n", int))
+            if not 0 <= self.init_n <= box:
+                raise ConfigError(f"config field 'initial.n' must lie in [0, {box}] "
+                                  f"under the {self.policy.describe()} policy")
             # certified once here, so a bad marginal fails before any run
-            self.init_measure = fugacity_measure(self.rate, self.init_phi)
-        elif self.init_mode == "point":
-            self.init_nparticles = int(_field(init, "n_particles", int))
-            site = _field(init, "site", list, required=False,
-                          default=[0] * self.kernel.d)
-            self.init_site = site_from_coords(site, self.kernel.d)
+            try:
+                self.init_measure = fugacity_measure(self.rate, self.init_phi)
+            except (CertificationError, ConfigError) as e:
+                raise ConfigError(f"config field 'initial.phi': {e}") from None
         else:
             raise ConfigError(
                 f"config field 'initial.mode': unknown mode {self.init_mode!r}")
+        if self.init_mode != "product":
+            for x in self.init_config.sites():
+                if not in_box(x, box):
+                    raise ConfigError(f"config field '{where}': site {x!r} lies "
+                                      f"outside the {self.policy.describe()} box")
         self.diagnostics = tuple(_field(cfg, "diagnostics", list,
                                         required=False, default=[]))
         for name in self.diagnostics:
@@ -109,11 +126,8 @@ class Experiment:
                 raise ConfigError(f"diagnostic {name!r} needs {need}")
 
     def initial_for(self, r: int) -> Configuration:
-        if self.init_mode == "explicit":
+        if self.init_mode != "product":
             return self.init_config
-        if self.init_mode == "point":
-            return Configuration(self.kernel.d,
-                                 {self.init_site: self.init_nparticles})
         rng = derived_rng(self.seed, TAG_SAMPLE, r)
         return sample_box_config(self.init_measure, self.init_n, self.kernel.d,
                                  rng)
@@ -259,6 +273,8 @@ def _cmd_suite(args) -> int:
     from .acceptance import run_suite
     if args.which not in ("acceptance", "smoke"):
         raise ConfigError("no tests selected: choose 'acceptance' or 'smoke'")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be a non-negative integer")
     threads = resolve_threads(args.threads)
     results = run_suite(args.which, seed=args.seed, threads=threads)
     rows = []

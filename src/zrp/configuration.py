@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .sites import (Site, max_norm, site_add, site_coords, site_from_coords,
-                    site_sub, validate_site)
+from .sites import (Site, max_norm, site_coords, site_from_coords, site_sub,
+                    validate_site)
 
 EVENT_KINDS = ("jump", "kill", "periodic-wrap")
 
@@ -57,34 +56,8 @@ class Configuration:
     def total(self) -> int:
         return sum(self.occ.values())
 
-    def as_dict(self) -> dict[Site, int]:
-        return dict(self.occ)
-
     def __eq__(self, other):
         return isinstance(other, Configuration) and self.d == other.d and self.occ == other.occ
-
-
-def move(cfg: Configuration, x: Site, y: Site) -> Configuration:
-    """One particle from x to y. Requires occupancy at x and x != y."""
-    if x == y:
-        raise ConfigError("move requires distinct sites")
-    k = cfg.count(x)
-    if k < 1:
-        raise ConfigError(f"no particle to move at {x!r}")
-    occ = dict(cfg.occ)
-    occ[x] = k - 1
-    occ[y] = occ.get(y, 0) + 1
-    return Configuration(cfg.d, occ)
-
-
-def remove(cfg: Configuration, x: Site) -> Configuration:
-    """One particle deleted at x (used by the killed boundary)."""
-    k = cfg.count(x)
-    if k < 1:
-        raise ConfigError(f"no particle to remove at {x!r}")
-    occ = dict(cfg.occ)
-    occ[x] = k - 1
-    return Configuration(cfg.d, occ)
 
 
 def truncate(cfg: Configuration, n: int) -> Configuration:
@@ -99,11 +72,6 @@ def leq(a: Configuration, b: Configuration) -> bool:
     if a.d != b.d:
         raise ConfigError("configurations live in different dimensions")
     return all(k <= b.count(x) for x, k in a.occ.items())
-
-
-def translate(cfg: Configuration, v: Site) -> Configuration:
-    v = validate_site(v, cfg.d)
-    return Configuration(cfg.d, {site_add(x, v): k for x, k in cfg.occ.items()})
 
 
 def cesaro_profile(cfg: Configuration, n_max: int):
@@ -299,7 +267,3 @@ def trajectory_summary(traj: Trajectory) -> dict:
         "policy": traj.policy,
         "seed": traj.seed_desc,
     }
-
-
-def summary_json(traj: Trajectory) -> str:
-    return json.dumps(trajectory_summary(traj), sort_keys=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import chi2 as chi2_dist, norm
 
-from .configuration import Configuration, intervals, truncate
+from .configuration import Configuration, intervals
 from .engine import OPEN, BoundaryPolicy, periodic, route, simulate
 from .errors import ConfigError, InvariantViolation
 from .kernel import Kernel, is_nearest_neighbour_1d, nn_kernel_1d
@@ -22,7 +22,7 @@ from .measures import canonical_torus_measure, fugacity_measure, sample_box_conf
 from .noise import HarrisNoise
 from .parallel import TAG_GILLESPIE, TAG_SAMPLE, derived_rng, replica_map
 from .rates import RateFn
-from .sites import Site, fold_into_box, site_add, site_sub
+from .sites import Site, box_sites, fold_into_box, site_add, site_sub
 
 # --------------------------------------------------------------- generator
 
@@ -170,19 +170,16 @@ def _martingale_worker(r, f, eta0, rate, kernel, policy, T, seed, grid):
 
 def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
                         kernel: Kernel, policy: BoundaryPolicy, T: float,
-                        replicas: int, seed: int, grid=None,
+                        replicas: int, seed: int,
                         threads: int = 1) -> Report:
-    """E[M_T] for M_t = f(eta_t) - f(eta_0) - int_0^t (Lf)(eta_s) ds.
+    """E[M_t] for M_t = f(eta_t) - f(eta_0) - int_0^t (Lf)(eta_s) ds, on the
+    grid t = T/8, 2T/8, ..., T.
 
     Passes when |mean| <= 4 SE at the horizon and the empirical variance of
     M_T respects the optional-quadratic-variation bound
     8 B^2 E[int sum_{x in Abar} g(eta_s(x)) ds] (within its own 4 SE band).
     """
-    if grid is None:
-        grid = np.linspace(T / 8, T, 8)
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid < 0) or np.any(grid > T) or np.any(np.diff(grid) <= 0):
-        raise ConfigError("grid must be increasing inside [0, T]")
+    grid = np.linspace(T / 8, T, 8)
     rows = replica_map(_martingale_worker, replicas, threads=threads,
                        args=(f, eta0, rate, kernel, policy, T, seed, grid))
     M = np.stack([row[0] for row in rows])
@@ -220,17 +217,14 @@ def _forward_worker(r, f, eta0, rate, kernel, policy, T, seed, grid):
 
 def forward_equation_check(f: LocalFunction, eta0: Configuration, rate: RateFn,
                            kernel: Kernel, policy: BoundaryPolicy, T: float,
-                           replicas: int, seed: int, grid=None,
+                           replicas: int, seed: int,
                            threads: int = 1) -> Report:
-    """Windowed forward equation: for interior grid windows,
-    E[f(eta_{t+}) - f(eta_{t-})] = E[int Lf ds] exactly; the report also
-    carries the central-difference dE[f]/dt against E[Lf] as curves.
+    """Windowed forward equation on the grid t = 0, T/8, ..., T: for interior
+    grid windows, E[f(eta_{t+}) - f(eta_{t-})] = E[int Lf ds] exactly; the
+    report also carries the central-difference dE[f]/dt against E[Lf] as
+    curves.
     """
-    if grid is None:
-        grid = np.linspace(0.0, T, 9)
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < 3:
-        raise ConfigError("need at least 3 grid points")
+    grid = np.linspace(0.0, T, 9)
     rows = replica_map(_forward_worker, replicas, threads=threads,
                        args=(f, eta0, rate, kernel, policy, T, seed, grid))
     F = np.stack([row[0] for row in rows])
@@ -359,14 +353,14 @@ def _chi2_one_sample(counts: np.ndarray, probs: np.ndarray):
 def stationarity_statistical(rate: RateFn, kernel: Kernel, phi: float,
                              torus_n: int, T: float, replicas: int, seed: int,
                              start: str = "grand", alpha: float = 0.01,
-                             threads: int = 1, tol: float = 1e-12) -> Report:
+                             threads: int = 1) -> Report:
     """Simulate the torus from the product start ("grand") or from the same
     mass piled on the origin ("point", a negative control), and chi-square
     the time-T origin occupancy against the invariant marginal."""
     if start not in ("grand", "point"):
         raise ConfigError(f"unknown start {start!r} (choose 'grand' or 'point')")
     d = kernel.d
-    measure = fugacity_measure(rate, phi, tol)
+    measure = fugacity_measure(rate, phi)
     M = (2 * torus_n + 1) ** d
     N = int(round(measure.density() * M))
     rows = np.array(replica_map(_torus_worker, replicas, threads=threads,
@@ -389,19 +383,21 @@ def stationarity_statistical(rate: RateFn, kernel: Kernel, phi: float,
 
 # ----------------------------------------------------- engine cross-check
 
-def chi2_joint_two_sample(cells_a: dict, cells_b: dict,
-                          min_pooled: float = 10.0):
+_MIN_POOLED = 10.0
+
+
+def chi2_joint_two_sample(cells_a: dict, cells_b: dict):
     """Homogeneity chi-square over categorical cells (dict key -> count).
-    Rare cells (pooled count < min_pooled) are merged into one."""
+    Rare cells (pooled count < _MIN_POOLED) are merged into one."""
     keys = sorted(set(cells_a) | set(cells_b),
                   key=lambda k: (-(cells_a.get(k, 0) + cells_b.get(k, 0)), str(k)))
     kept = [k for k in keys
-            if cells_a.get(k, 0) + cells_b.get(k, 0) >= min_pooled]
+            if cells_a.get(k, 0) + cells_b.get(k, 0) >= _MIN_POOLED]
     rest = [k for k in keys if k not in set(kept)]
     if rest or len(kept) < 2:
         # merge the sparse remainder; drop one kept cell into it if needed
         while len(kept) >= 2 and sum(cells_a.get(k, 0) + cells_b.get(k, 0)
-                                     for k in rest) < min_pooled:
+                                     for k in rest) < _MIN_POOLED:
             rest.append(kept.pop())
         o1 = np.array([cells_a.get(k, 0) for k in kept]
                       + [sum(cells_a.get(k, 0) for k in rest)], dtype=float)
@@ -433,15 +429,13 @@ def _engine_pair_worker(r, eta0, rate, kernel, policy, T, seed, window):
 
 def engine_agreement_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
                            policy: BoundaryPolicy, T: float, replicas: int,
-                           seed: int, window=None, alpha: float = 0.001,
+                           seed: int, alpha: float = 0.001,
                            threads: int = 1) -> Report:
     """Two-sample chi-square between the thinning construction and the
-    total-rate clock sampler on the joint time-T occupancy of a site window.
-    The two engines share nothing but the model, so agreement here checks
-    the thinning logic end to end."""
-    if window is None:
-        from .sites import box_sites
-        window = box_sites(1, kernel.d)
+    total-rate clock sampler on the joint time-T occupancy of the window
+    [-1, 1]^d. The two engines share nothing but the model, so agreement
+    here checks the thinning logic end to end."""
+    window = box_sites(1, kernel.d)
     rows = replica_map(_engine_pair_worker, replicas, threads=threads,
                        args=(eta0, rate, kernel, policy, T, seed, tuple(window)))
     cells_h: dict = {}
@@ -545,8 +539,7 @@ def _chi2_two_sided_z(stat: float, dof: int) -> float:
 
 
 def poisson_flux_check(rate: RateFn, phi: float, torus_n: int, T: float,
-                       replicas: int, seed: int, threads: int = 1,
-                       tol: float = 1e-12) -> Report:
+                       replicas: int, seed: int, threads: int = 1) -> Report:
     """Under the stationary product start and totally asymmetric d=1 jumps,
     the count of -1 -> 0 crossings in [0, T] should be Poisson with mean
     phi*T: the mean inside a 4*SE band, and the index of dispersion D
@@ -554,7 +547,7 @@ def poisson_flux_check(rate: RateFn, phi: float, torus_n: int, T: float,
     tail area of a 4*SE normal band."""
     if torus_n < 1:
         raise ConfigError("need torus radius >= 1")
-    measure = fugacity_measure(rate, phi, tol)
+    measure = fugacity_measure(rate, phi)
     rows = replica_map(_torus_worker, replicas, threads=threads,
                        args=(measure, rate, nn_kernel_1d(1.0), torus_n, T, seed,
                              "grand", 0))
@@ -578,35 +571,14 @@ def poisson_flux_check(rate: RateFn, phi: float, torus_n: int, T: float,
 
 # -------------------------------------------------------- mass conservation
 
-def _mass_schedule_worker(r, measure, rate, kernel, schedule, T, seed):
-    rng = derived_rng(seed, TAG_SAMPLE, r)
-    base = sample_box_config(measure, schedule[-1], kernel.d, rng)
-    noise = HarrisNoise(seed, (r,))
-    origin: Site = 0 if kernel.d == 1 else (0,) * kernel.d
-    outs = []
-    for n in schedule:
-        traj = simulate(truncate(base, n), rate, kernel, OPEN, T, noise,
-                        tag=f"n={n}")
-        outs.append(traj.final.count(origin))
-    for a, b in zip(outs, outs[1:]):
-        if a > b:
-            raise InvariantViolation(
-                f"origin occupancy decreased when the box grew: {outs}")
-    return tuple(outs)
-
-
 def mass_conservation_check(rate: RateFn, kernel: Kernel, phi: float,
                             torus_n: int, T: float, replicas: int, seed: int,
-                            schedule=None, threads: int = 1,
-                            tol: float = 1e-12) -> Report:
+                            threads: int = 1) -> Report:
     """Torus runs conserve total mass exactly (audited per replica) and keep
     E[eta_T(origin)] at the invariant density, within 4 SE. The product start
     is stationary on the torus, so eta_T(origin) has the fugacity marginal
-    and the SE is exact: sqrt(Var/replicas) with Var = sum (k - rho)^2 pmf(k).
-    With a schedule of open boxes, the per-replica origin occupancies are
-    nested (shared noise, exact) and the largest-box mean must reach the
-    density from below within 4 SE."""
-    measure = fugacity_measure(rate, phi, tol)
+    and the SE is exact: sqrt(Var/replicas) with Var = sum (k - rho)^2 pmf(k)."""
+    measure = fugacity_measure(rate, phi)
     rho = measure.density()
     rows = replica_map(_torus_worker, replicas, threads=threads,
                        args=(measure, rate, kernel, torus_n, T, seed, "grand", 0))
@@ -615,22 +587,7 @@ def mass_conservation_check(rate: RateFn, kernel: Kernel, phi: float,
     var = float(np.dot((np.arange(measure.K + 1) - rho) ** 2, measure.pmf))
     se = math.sqrt(var / replicas)
     z = abs(mean - rho) / se if se > 0 else (0.0 if mean == rho else math.inf)
-    extras = {"torus_mean": mean, "density": rho, "se": se, "z": z, "phi": phi}
-    passed = z <= 4.0
-    if schedule is not None:
-        schedule = tuple(int(n) for n in schedule)
-        if any(b <= a for a, b in zip(schedule, schedule[1:])):
-            raise ConfigError("schedule must be strictly increasing")
-        rows = np.array(replica_map(_mass_schedule_worker, replicas,
-                                    threads=threads,
-                                    args=(measure, rate, kernel, schedule, T, seed)),
-                        dtype=float)
-        means = rows.mean(axis=0)
-        se_last = float(np.std(rows[:, -1], ddof=1) / math.sqrt(len(rows)))
-        gap = rho - float(means[-1])
-        extras.update({"schedule": list(schedule),
-                       "schedule_means": means.tolist(),
-                       "gap_to_density": gap, "se_last": se_last})
-        passed = passed and gap <= 4.0 * se_last
-    return Report(test="mass_conservation", passed=bool(passed), statistic=z,
-                  threshold=4.0, seed=seed, n_replicas=replicas, extras=extras)
+    return Report(test="mass_conservation", passed=bool(z <= 4.0), statistic=z,
+                  threshold=4.0, seed=seed, n_replicas=replicas,
+                  extras={"torus_mean": mean, "density": rho, "se": se, "z": z,
+                          "phi": phi})

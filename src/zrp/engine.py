@@ -14,8 +14,10 @@ simulate_gillespie() is the independent distributional cross-check: identical
 law, completely different use of randomness (global exponential clocks).
 
 simulate_truncation_schedule() and simulate_pq_family() run several coupled
-copies off one shared noise field; the first checks the monotone-in-box
-property, the second the labelled-particle ordering across drift parameters.
+copies off one shared noise field. The first runs the truncations of one
+start on the largest box to each smaller box and checks that occupancies are
+monotone in the box; the second checks the labelled-particle ordering across
+drift parameters.
 """
 from __future__ import annotations
 
@@ -30,11 +32,11 @@ import numpy as np
 from .configuration import (Configuration, Trajectory, enumerate_particles,
                             snapshots, truncate)
 from .errors import ConfigError, InvariantViolation
-from .kernel import Kernel, is_nearest_neighbour_1d, sample_jump
+from .kernel import Kernel, sample_jump
 from .noise import HarrisNoise, TIME_SLAB, bands_for
 from .parallel import TAG_GILLESPIE, derived_rng
 from .rates import RateFn
-from .sites import Site, fold_into_box, in_box, site_add, validate_site
+from .sites import Site, box_sites, fold_into_box, in_box, site_add
 
 
 @dataclass(frozen=True)
@@ -214,50 +216,6 @@ def simulate_gillespie(eta0: Configuration, rate: RateFn, kernel: Kernel,
                       policy=policy.describe(), seed_desc="gillespie")
 
 
-# ------------------------------------------------------- initial-state rules
-
-@dataclass(frozen=True)
-class ConfigRule:
-    kind: str                 # "constant" | "point" | "profile"
-    value: int = 0
-    site: Site = 0
-    fn: object = None
-
-    def config_on_box(self, n: int, d: int) -> Configuration:
-        from .sites import box_sites
-        if self.kind == "constant":
-            return Configuration(d, {x: self.value for x in box_sites(n, d)})
-        if self.kind == "point":
-            x = validate_site(self.site, d)
-            return truncate(Configuration(d, {x: self.value}), n)
-        if self.kind == "profile":
-            occ = {}
-            for x in box_sites(n, d):
-                k = int(self.fn(x))
-                if k < 0:
-                    raise ConfigError(f"profile rule returned {k} at {x!r}")
-                if k:
-                    occ[x] = k
-            return Configuration(d, occ)
-        raise ConfigError(f"unknown rule kind {self.kind!r}")
-
-
-def constant_rule(value: int) -> ConfigRule:
-    if value < 0:
-        raise ConfigError("density must be >= 0")
-    return ConfigRule("constant", value=value)
-
-
-def point_rule(count: int, site: Site = 0) -> ConfigRule:
-    if count < 0:
-        raise ConfigError("count must be >= 0")
-    return ConfigRule("point", value=count, site=site)
-
-
-def profile_rule(fn) -> ConfigRule:
-    return ConfigRule("profile", fn=fn)
-
-
 # ---------------------------------------------- coupled runs: box truncations
 
 def check_domination(snaps_small: list[Configuration],
@@ -281,20 +239,17 @@ class TruncationScheduleResult:
     origin_stabilized: bool      # levels agree at every snapshot time
 
 
-def simulate_truncation_schedule(rule, schedule, rate: RateFn, kernel: Kernel,
-                                 T: float, noise: HarrisNoise,
+def simulate_truncation_schedule(base: Configuration, schedule, rate: RateFn,
+                                 kernel: Kernel, T: float, noise: HarrisNoise,
                                  snapshot_times=None) -> TruncationScheduleResult:
-    """Run the open process from nested box truncations of one configuration
-    rule, all levels reading the same noise field. The levels must be
-    pathwise non-decreasing in the box; any violation is a hard failure."""
+    """Run the open process from the truncations of base to each box
+    [-n, n]^d of the schedule, all levels reading the same noise field; base
+    is the start on the largest box. The levels must be pathwise
+    non-decreasing in the box; any violation is a hard failure."""
     schedule = tuple(int(n) for n in schedule)
     if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("schedule must be strictly increasing with >= 2 levels")
     d = kernel.d
-    if isinstance(rule, Configuration):
-        base = rule
-    else:
-        base = rule.config_on_box(schedule[-1], d)
     if snapshot_times is None:
         snapshot_times = tuple((i + 1) * T / 10.0 for i in range(10))
     snapshot_times = tuple(float(t) for t in snapshot_times)
@@ -314,7 +269,6 @@ def simulate_truncation_schedule(rule, schedule, rate: RateFn, kernel: Kernel,
                 f"box monotonicity violated: level n={schedule[lo]} exceeds "
                 f"n={schedule[lo + 1]} at t={snapshot_times[i]}, site {x!r}")
 
-    from .sites import box_sites
     window = box_sites(schedule[0], d)
     a, b = snaps[-2], snaps[-1]
     stable = sum(1 for x in window

@@ -161,8 +161,8 @@ class HittingCurve:
                 "upper": list(map(float, self.upper)), **self.meta}
 
 
-def estimate_F(z: Site, times, kernel: Kernel, n_walks: int, seed: int,
-               threads: int = 1) -> HittingCurve:
+def estimate_F(z: Site, times, kernel: Kernel, n_walks: int,
+               seed: int) -> HittingCurve:
     """Monte Carlo curve of F_z over a time grid with 4-sigma Wilson bands."""
     times = np.asarray(sorted(float(t) for t in times))
     if len(times) == 0 or times[0] < 0:
@@ -258,14 +258,14 @@ def calibrate_doob_constant(kernel: Kernel, p: float, seed: int,
 
 def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
          K: int | None = None, tail_method: str = "exp-sum",
-         exact_radius: int | None = None, tol: float = 1e-12,
          doob_p: float = 4.0, doob_constant: float | None = None,
          seed: int = 0) -> MbarReport:
     """Sum of F_{x_i - z}(h(i) t) over particles enumerated outward from z.
 
     The first K terms are bracketed exactly; the rest are dominated by a
     closed-form tail (per-term Gamma bound "exp-sum", heuristic "doob", or
-    "none" when K covers everything).
+    "none" when K covers everything). By default K counts the particles
+    within max-norm distance 30 of z (8 when d > 1).
     """
     if eta.d != kernel.d:
         raise ConfigError("configuration and kernel dimensions differ")
@@ -274,8 +274,7 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
     parts = enumerate_particles(eta, z)
     n = len(parts)
     dists = [max_norm(site_sub(x, z)) for x in parts]
-    if exact_radius is None:
-        exact_radius = 30 if kernel.d == 1 else 8
+    exact_radius = 30 if kernel.d == 1 else 8
     if K is None:
         if tail_method == "none":
             K = n
@@ -297,7 +296,7 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
         try:
             s = rate.h(i + 1) * t
             lo, hi = exact_F_small(site_sub(parts[i], z), s, kernel,
-                                   max(exact_radius, dists[i] + 2), tol)
+                                   max(exact_radius, dists[i] + 2))
         except RateRangeError:
             lo, hi = 0.0, 1.0
             flags.append("rate-overflow-term")
@@ -353,19 +352,17 @@ def _exp_moment_worker(r, eta0, rate, kernel, T, seed, grid, z):
 
 def exp_moment_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
                      z: Site, theta: float, T: float, replicas: int,
-                     seed: int, grid=None, threads: int = 1,
-                     n_boot: int = 200) -> Report:
-    """Verify log E[exp(theta eta_s(z))] <= (e^theta - 1) * mbar(s) on a grid.
+                     seed: int, threads: int = 1) -> Report:
+    """Verify log E[exp(theta eta_s(z))] <= (e^theta - 1) * mbar(s) on the
+    grid s = T/4, T/2, 3T/4, T.
 
-    The empirical log-MGF gets a bootstrap (99th percentile) upper limit per
-    grid point; the bound uses the certified upper bracket of mbar. The first
-    moment is checked against mbar directly as well.
+    The empirical log-MGF gets a bootstrap (200 resamples, 99th percentile)
+    upper limit per grid point; the bound uses the certified upper bracket of
+    mbar. The first moment is checked against mbar directly as well.
     """
     if theta <= 0:
         raise ConfigError("need theta > 0")
-    if grid is None:
-        grid = np.linspace(T / 4, T, 4)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(T / 4, T, 4)
     rows = replica_map(_exp_moment_worker, replicas, threads=threads,
                        args=(eta0, rate, kernel, T, seed, grid, z))
     vals = np.stack(rows).astype(float)  # (R, G)
@@ -384,8 +381,8 @@ def exp_moment_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
     for j in range(len(grid)):
         x = theta * vals[:, j]
         logmgf[j] = float(logsumexp(x)) - math.log(R)
-        bs = np.empty(n_boot)
-        for b in range(n_boot):
+        bs = np.empty(200)
+        for b in range(len(bs)):
             pick = rng.integers(0, R, size=R)
             bs[b] = float(logsumexp(x[pick])) - math.log(R)
         logmgf_hi[j] = float(np.quantile(bs, 0.99))

@@ -12,17 +12,14 @@ tolerance.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .configuration import Configuration, truncate
+from .configuration import Configuration
 from .errors import CertificationError, ConfigError, RateRangeError
-from .kernel import Kernel
 from .parallel import TAG_SAMPLE, derived_rng
 from .rates import RateFn, rate_to_json
 from .sites import Site, box_sites
@@ -92,21 +89,9 @@ class FugacityMeasure:
         gv = np.array([self.rate.g(k) for k in range(self.K + 1)])
         return float(np.dot(gv, self.pmf))
 
-    def sample_marginal(self, u: float) -> int:
-        """Inverse CDF; u in [0, 1)."""
-        return int(min(np.searchsorted(self.cdf, u, side="right"), self.K))
-
     def to_json(self) -> dict:
         return {"rate": rate_to_json(self.rate), "phi": self.phi, "tol": self.tol,
                 "K": self.K, "log_z": self.log_z, "tail_bound": self.tail_bound}
-
-    def pmf_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["k", "p_k"])
-        for k in range(self.K + 1):
-            w.writerow([k, repr(float(self.pmf[k]))])
-        return buf.getvalue()
 
 
 def fugacity_measure(rate: RateFn, phi: float, tol: float = 1e-12) -> FugacityMeasure:
@@ -122,7 +107,9 @@ def fugacity_measure(rate: RateFn, phi: float, tol: float = 1e-12) -> FugacityMe
 
 
 def sample_box_config(measure: FugacityMeasure, n: int, d: int, rng_or_seed) -> Configuration:
-    """i.i.d. marginals on [-n, n]^d, zero outside."""
+    """i.i.d. marginals on [-n, n]^d, zero outside: the i-th site of
+    box_sites(n, d) takes the inverse CDF of the i-th of len(sites) uniforms
+    drawn by rng.random."""
     if n < 0:
         raise ConfigError("box radius must be >= 0")
     rng = (derived_rng(rng_or_seed, TAG_SAMPLE)
@@ -132,17 +119,6 @@ def sample_box_config(measure: FugacityMeasure, n: int, d: int, rng_or_seed) -> 
     ks = np.minimum(np.searchsorted(measure.cdf, u, side="right"), measure.K)
     occ = {x: int(k) for x, k in zip(sites, ks) if k > 0}
     return Configuration(d, occ)
-
-
-def restrict_measure(config_sampler, n: int):
-    """Wrap a Configuration sampler so everything outside [-n, n]^d is dropped."""
-    if n < 0:
-        raise ConfigError("box radius must be >= 0")
-
-    def sampler(rng) -> Configuration:
-        return truncate(config_sampler(rng), n)
-
-    return sampler
 
 
 # ------------------------------------------------------- canonical (fixed N)

@@ -78,10 +78,6 @@ def bands_for(cap: float) -> int:
     return 1 + math.ceil(math.log2(cap))
 
 
-def band_ceiling(m: int) -> float:
-    return 0.0 if m == 0 else float(2 ** (m - 1))
-
-
 def _fold(h, word):
     """mix64((h + GAMMA) ^ word), mix64 being the SplitMix64 finaliser; on
     Python ints or elementwise on np.uint64 arrays."""

@@ -218,6 +218,74 @@ def test_suite_unknown_selection(tmp_path):
     assert code == 1
 
 
+def test_suite_negative_seed_is_config_error(monkeypatch):
+    from zrp import acceptance
+    monkeypatch.setattr(acceptance, "CRITERIA", ())  # nothing may run
+    code, text = _run(["suite", "smoke", "--seed", "-5000", "--threads", "1"])
+    assert code == 1
+    assert "config error: --seed" in text
+    assert "Traceback" not in text
+
+
+@pytest.mark.parametrize("cid,fn", [
+    ("AC5", "criterion_truncation_monotone"),
+    ("AC9", "criterion_pq_sandwich"),
+])
+def test_suite_criteria_honour_threads(monkeypatch, cid, fn):
+    from zrp import acceptance
+    calls = []
+    real = acceptance.replica_map
+
+    def counting(*args, threads=1, **kwargs):
+        calls.append(threads)
+        return real(*args, threads=threads, **kwargs)
+    monkeypatch.setattr(acceptance, "replica_map", counting)
+    crit = getattr(acceptance, fn)
+    one, two = (crit(acceptance.DEFAULT_SEED, threads=t, smoke=True).to_json()
+                for t in (1, 2))
+    assert one["cid"] == cid and one["pass"]
+    assert set(calls) == {1, 2}
+    one.pop("seconds")
+    two.pop("seconds")
+    assert one == two
+
+
+def test_uncertifiable_product_start_is_config_error(tmp_path):
+    cfg = dict(TORUS, rate={"family": "table", "values": [0, 1, 3, 4]},
+               initial={"mode": "product", "phi": 0.8, "n": 2})
+    p = _write_cfg(tmp_path, cfg)
+    code, text = _run(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "config error: config field 'initial.phi':" in text
+    assert not (tmp_path / "out").exists()
+
+
+KILLED = dict(BASE, policy={"kind": "killed", "n": 2})
+
+
+@pytest.mark.parametrize("field,cfg", [
+    ("initial.n", dict(TORUS, initial={"mode": "product", "phi": 1.0, "n": -1})),
+    ("initial.n_particles",
+     dict(BASE, initial={"mode": "point", "n_particles": -2})),
+    ("initial.site", dict(KILLED, initial={"mode": "point", "n_particles": 2,
+                                           "site": [3]})),
+    ("initial.site", dict(TORUS, initial={"mode": "point", "n_particles": 2,
+                                          "site": [-5]})),
+    ("initial.config", KILLED | {"initial": {
+        "mode": "explicit", "config": {"d": 1, "sites": [{"x": [4], "n": 1}]}}}),
+    ("initial.n", dict(KILLED, initial={"mode": "product", "phi": 1.0, "n": 3})),
+    ("initial.n", dict(TORUS, initial={"mode": "product", "phi": 1.0, "n": 3})),
+    ("T", dict(BASE, T=float("inf"))),
+])
+def test_config_the_engine_rejects_fails_before_output(tmp_path, field, cfg):
+    p = _write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    code, text = _run(["run", "--config", str(p), "--out", str(out)])
+    assert code == 1
+    assert f"config error: config field '{field}'" in text
+    assert not out.exists()
+
+
 def test_point_initial_mode(tmp_path):
     cfg = dict(BASE)
     cfg["initial"] = {"mode": "point", "n_particles": 3, "site": [0]}

@@ -154,7 +154,7 @@ def test_different_dynamics_are_distinguishable():
         for r in range(800):
             t = simulate(eta0, rate, nn_kernel_1d(0.5), OPEN, 0.75,
                          HarrisNoise(seed, (r,)))
-            key = tuple(sorted(t.final.as_dict().items()))
+            key = tuple(sorted(t.final.occ.items()))
             cells[key] = cells.get(key, 0) + 1
         return cells
     _, _, p_same = chi2_joint_two_sample(hist(SQ, 50), hist(SQ, 51))

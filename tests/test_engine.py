@@ -6,11 +6,8 @@ from zrp.configuration import Configuration, leq, replay, snapshots, truncate
 from zrp.engine import (
     OPEN,
     check_domination,
-    constant_rule,
     killed,
     periodic,
-    point_rule,
-    profile_rule,
     simulate,
     simulate_gillespie,
     simulate_pq_family,
@@ -20,9 +17,15 @@ from zrp.errors import ConfigError, InvariantViolation
 from zrp.kernel import make_kernel, nn_kernel_1d, symmetric_nn_kernel
 from zrp.noise import HarrisNoise
 from zrp.rates import power_rate
+from zrp.sites import box_sites
 
 RATE = power_rate(2.0)
 NN = nn_kernel_1d(0.5)
+
+
+def _ones(n):
+    """One particle on every site of [-n, n]."""
+    return Configuration(1, {x: 1 for x in box_sites(n, 1)})
 
 
 def test_open_run_conserves_mass():
@@ -140,8 +143,8 @@ def test_check_domination_reports_breaches():
 
 
 def test_truncation_schedule_monotone():
-    res = simulate_truncation_schedule(constant_rule(1), (2, 4, 8), RATE, NN,
-                                       1.0, HarrisNoise(33))
+    res = simulate_truncation_schedule(_ones(8), (2, 4, 8), RATE, NN, 1.0,
+                                       HarrisNoise(33))
     assert res.schedule == (2, 4, 8)
     assert len(res.trajectories) == 3
     assert 0.0 <= res.stabilized_fraction <= 1.0
@@ -152,20 +155,11 @@ def test_truncation_schedule_monotone():
 
 def test_truncation_schedule_rejects_bad_schedule():
     with pytest.raises(ConfigError):
-        simulate_truncation_schedule(constant_rule(1), (4, 4), RATE, NN, 1.0,
+        simulate_truncation_schedule(_ones(4), (4, 4), RATE, NN, 1.0,
                                      HarrisNoise(0))
     with pytest.raises(ConfigError):
-        simulate_truncation_schedule(constant_rule(1), (4,), RATE, NN, 1.0,
+        simulate_truncation_schedule(_ones(4), (4,), RATE, NN, 1.0,
                                      HarrisNoise(0))
-
-
-def test_config_rules():
-    assert constant_rule(2).config_on_box(1, 1) == Configuration(1, {-1: 2, 0: 2, 1: 2})
-    assert point_rule(5).config_on_box(3, 1) == Configuration(1, {0: 5})
-    rule = profile_rule(lambda x: abs(x))
-    assert rule.config_on_box(2, 1) == Configuration(1, {-2: 2, -1: 1, 1: 1, 2: 2})
-    with pytest.raises(ConfigError):
-        profile_rule(lambda x: -1).config_on_box(1, 1)
 
 
 def test_pq_family_sandwich_and_sorted_labels():
@@ -222,7 +216,7 @@ def test_pq_family_mark_convention():
 
 @pytest.mark.parametrize("policy", [OPEN, killed(30), periodic(30)])
 def test_batched_slab_starts_leave_events_unchanged(policy, monkeypatch):
-    eta0 = constant_rule(1).config_on_box(30, 1)
+    eta0 = _ones(30)
     runs = []
     for cutoff in (1, 10 ** 9):   # every slab start batched, none batched
         monkeypatch.setattr(noise_module, "_BATCH_MIN", cutoff)
@@ -242,4 +236,4 @@ def test_pq_extremes_follow_single_marginal():
     occ_fam = {}
     for lab, x in enumerate(fam.positions[(1.0, 0.0)][-1]):
         occ_fam[int(x)] = occ_fam.get(int(x), 0) + 1
-    assert occ_fam == snapshots(solo, [fam.snapshot_times[-1]])[0].as_dict()
+    assert occ_fam == snapshots(solo, [fam.snapshot_times[-1]])[0].occ

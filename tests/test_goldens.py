@@ -15,13 +15,14 @@ import pytest
 
 from zrp.configuration import Configuration, events_csv_string
 from zrp.diagnostics import engine_agreement_check, forward_equation_check
-from zrp.engine import (OPEN, constant_rule, killed, periodic, simulate,
-                        simulate_pq_family, simulate_truncation_schedule)
+from zrp.engine import (OPEN, killed, periodic, simulate, simulate_pq_family,
+                        simulate_truncation_schedule)
 from zrp.hitting import exp_moment_check, mbar
 from zrp.kernel import nn_kernel_1d, symmetric_nn_kernel
 from zrp.localfn import capped_occupancy
 from zrp.noise import HarrisNoise
 from zrp.rates import exp_rate, power_rate
+from zrp.sites import box_sites
 
 
 def _sha(trajs) -> str:
@@ -55,7 +56,8 @@ CASES = {
         Configuration(2, {(0, 0): 2, (2, -1): 1, (-2, 2): 2}), power_rate(2),
         symmetric_nn_kernel(2), periodic(2), 3.0, 106),
     "truncation-schedule": lambda: simulate_truncation_schedule(
-        constant_rule(1), (2, 4), power_rate(2), nn_kernel_1d(0.5), 2.0,
+        Configuration(1, {x: 1 for x in box_sites(4, 1)}), (2, 4), power_rate(2),
+        nn_kernel_1d(0.5), 2.0,
         HarrisNoise(107, (0,))).trajectories,
     "pq-family": lambda: list(simulate_pq_family(
         Configuration(1, {-1: 1, 0: 2, 2: 1}), power_rate(2), 2.5,

@@ -16,7 +16,6 @@ from zrp.measures import (
     compositions,
     fugacity_measure,
     partition_function,
-    restrict_measure,
     sample_box_config,
     torus_sites,
 )
@@ -75,18 +74,36 @@ def test_capped_mean_against_frozen_value():
     assert capped == pytest.approx(E_MIN_POIS1_10, abs=1e-14)
 
 
+class _Uniforms:
+    """An rng whose random(n) returns the first n of the given uniforms."""
+
+    def __init__(self, us):
+        self.us = np.asarray(us, dtype=float)
+
+    def random(self, n):
+        return self.us[:n]
+
+
+def _marginal_draws(m, us):
+    """sample_box_config on d=1 boxes, one site per uniform, in site order."""
+    n = (len(us) - 1) // 2
+    cfg = sample_box_config(m, n, 1, _Uniforms(us))
+    return [cfg.count(x) for x in range(-n, n + 1)]
+
+
 def test_sample_marginal_is_quantile_transform():
     m = fugacity_measure(power_rate(1.0), 1.0)
-    assert m.sample_marginal(0.0) == 0
-    assert m.sample_marginal(0.5) == 1    # cdf(0) = e^-1 < 0.5 < cdf(1)
-    assert m.sample_marginal(0.9) == 2    # frozen quantile
-    assert m.sample_marginal(1.0 - 1e-15) <= m.K
+    # cdf(0) = e^-1 < 0.5 < cdf(1); 0.9 lands on the frozen quantile 2
+    draws = _marginal_draws(m, [0.0, 0.5, 0.9, 1.0 - 1e-15, float(m.cdf[0])])
+    assert draws[:3] == [0, 1, 2]
+    assert draws[3] <= m.K
+    assert draws[4] == 1                  # side="right": u = cdf(k) gives k + 1
 
 
 def test_sample_marginal_statistics():
     m = fugacity_measure(power_rate(2.0), 1.0)
     rng = np.random.default_rng(11)
-    draws = np.array([m.sample_marginal(float(u)) for u in rng.random(40_000)])
+    draws = np.array(_marginal_draws(m, rng.random(40_001)))
     sd = math.sqrt(float(np.dot((np.arange(m.K + 1) - m.density()) ** 2, m.pmf)))
     assert abs(draws.mean() - m.density()) < 4 * sd / math.sqrt(draws.size)
 
@@ -159,18 +176,8 @@ def test_canonical_sample_respects_count():
         assert all(-1 <= x <= 1 for x in cfg.occ)
 
 
-def test_restrict_measure_truncates_support():
-    m = fugacity_measure(power_rate(2.0), 1.0)
-    sampler = restrict_measure(lambda rng: sample_box_config(m, 5, 1, rng), 2)
-    cfg = sampler(np.random.default_rng(5))
-    assert all(-2 <= x <= 2 for x in cfg.occ)
-
-
-def test_measure_json_and_csv_forms():
+def test_measure_json_form():
     m = fugacity_measure(power_rate(2.0), 1.0)
     obj = m.to_json()
     assert obj["phi"] == 1.0
     assert obj["rate"]["family"] == "power"
-    lines = m.pmf_csv().strip().splitlines()
-    assert lines[0] == "k,p_k"
-    assert len(lines) == m.K + 2

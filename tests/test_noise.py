@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, kstest, poisson
 
-from zrp.noise import (_BATCH_MIN, HarrisNoise, band_bounds, band_ceiling,
-                       bands_for)
+from zrp.noise import _BATCH_MIN, HarrisNoise, band_bounds, bands_for
 from zrp.parallel import derived_rng, replica_map, resolve_threads, seed_path
 
 
@@ -20,10 +19,9 @@ def test_band_layout():
     assert band_bounds(0) == (0.0, 1.0)
     assert band_bounds(1) == (1.0, 2.0)
     assert band_bounds(3) == (4.0, 8.0)
-    # ceilings stack: band m-1 tops out at 2^(m-1)
-    assert band_ceiling(0) == 0.0
-    assert band_ceiling(1) == 1.0
-    assert band_ceiling(4) == 8.0
+    # ceilings stack: m bands top out at 2^(m-1)
+    assert band_bounds(0)[1] == 1.0
+    assert band_bounds(3)[1] == 8.0
 
 
 def test_bands_for_covers_cap():
@@ -33,7 +31,7 @@ def test_bands_for_covers_cap():
     assert bands_for(1.5) == 2
     for cap in (0.5, 1.0, 7.0, 9.0, 100.0):
         m = bands_for(cap)
-        assert band_ceiling(m) >= cap or m == 1
+        assert band_bounds(m - 1)[1] >= cap
 
 
 def test_band_intervals_tile_the_halfline():
