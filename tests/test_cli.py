@@ -325,6 +325,13 @@ PINNED_SHA256 = {
         "7506f3a9944841ed5400594d9c85c35dc6f1cf2353173844c02c26972382f796",
     "report_martingale_residual.json":
         "dd46e152f8dea94579864f566351dd40dba018f80d6275539cb5f64074ebfbfe",
+    "summary.json":
+        "993b60dd5c76a8defc4ed854b157bde4bd43ea9e688f09fd39aa5cf54e861b41",
+}
+
+PINNED_EVENTS_SHA256 = {
+    "csv": "e549076d7539c39cb25f8f3fc2985278edd2768c7ac5cb945a6d4fda6204c089",
+    "json": "6a1bed0a38f01ff33ebd749c07d1d377ce4c7de15e236f4399f0af3db7b8122d",
 }
 
 
@@ -341,3 +348,26 @@ def test_every_diagnostic_report_is_pinned(tmp_path, threads):
         name for name in PINNED_SHA256 if name.startswith("report_"))
     for name, sha in PINNED_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, name
+    assert _events_sha256(out, "csv") == PINNED_EVENTS_SHA256["csv"]
+
+
+def _events_sha256(out, fmt):
+    """One sha256 over the events_r* files of every replica, in replica order."""
+    h = hashlib.sha256()
+    for r in range(PINNED["replicas"]):
+        h.update((out / f"events_r{r}.{fmt}").read_bytes())
+    assert not (out / f"events_r{PINNED['replicas']}.{fmt}").exists()
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_json_event_files_are_pinned(tmp_path, threads):
+    p = _write_cfg(tmp_path, PINNED)
+    out = tmp_path / "out"
+    code, text = _run(["run", "--config", str(p), "--out", str(out),
+                       "--threads", threads, "--format", "json"])
+    assert code == 0, text
+    assert _events_sha256(out, "json") == PINNED_EVENTS_SHA256["json"]
+    assert not list(out.glob("events_r*.csv"))
+    assert (hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
+            == PINNED_SHA256["summary.json"])
