@@ -4,10 +4,16 @@
             [--format csv|json]
     zrp suite {acceptance,smoke} [--seed N] [--threads N] [--out DIR]
 
+`zrp run` simulates each replica once, in a worker that replays it when
+asked, writes its events_r{r} file and returns its summary and, on a filled
+torus, its torus row; the stationarity, flux and mass diagnostics reduce
+those rows, so the parent holds O(replicas) small rows and no trajectory.
+
 Exit codes: 0 pass, 1 config error, 2 diagnostic failure, 3 internal
-invariant violation. Every output file is a pure function of
-(config, seed, package version); wall-clock timing lives only in the
-manifest, which is the one file excluded from byte-level reproducibility.
+invariant violation (the events files of finished replicas may remain).
+Every output file is a pure function of (config, seed, package version);
+wall-clock timing lives only in the manifest, which is the one file
+excluded from byte-level reproducibility.
 """
 from __future__ import annotations
 
@@ -25,9 +31,9 @@ import scipy
 from . import __version__
 from .configuration import (Configuration, config_from_json, events_csv_string,
                             replay, trajectory_summary)
-from .diagnostics import (martingale_residual, mass_conservation_check,
-                          poisson_flux_check, stationarity_statistical)
-from .engine import OPEN, BoundaryPolicy, killed, periodic, simulate
+from .diagnostics import (flux_report, martingale_residual, mass_report,
+                          stationarity_report, torus_row)
+from .engine import OPEN, BoundaryPolicy, simulate
 from .errors import CertificationError, ConfigError, InvariantViolation, ZRPError
 from .kernel import is_nearest_neighbour_1d, kernel_from_json
 from .localfn import capped_occupancy
@@ -38,35 +44,44 @@ from .rates import check_corollary_conditions, rate_from_json
 from .sites import in_box, site_from_coords
 
 
-def _field(cfg: dict, name: str, kind=None, required: bool = True, default=None):
+def _field(cfg: dict, path: str, kind=None, required: bool = True, default=None):
+    """cfg's entry under the last key of the dotted path, which names the
+    field in errors."""
+    name = path.rpartition(".")[2]
     if name not in cfg:
         if required:
-            raise ConfigError(f"config field '{name}' is missing")
+            raise ConfigError(f"config field '{path}' is missing")
         return default
     v = cfg[name]
-    if kind is not None and not isinstance(v, kind):
-        raise ConfigError(f"config field '{name}' has the wrong type")
+    # bool is a subclass of int, but a JSON true is not a number
+    if kind is not None and (not isinstance(v, kind) or isinstance(v, bool)):
+        raise ConfigError(f"config field '{path}' has the wrong type")
     return v
 
 
+def _load(path: str, loader, *args):
+    """loader(*args), naming the config field in any error it raises."""
+    try:
+        return loader(*args)
+    except (CertificationError, ConfigError) as e:
+        raise ConfigError(f"config field '{path}': {e}") from None
+
+
 def _parse_policy(obj) -> BoundaryPolicy:
-    kind = _field(obj, "kind", str)
+    kind = _field(obj, "policy.kind", str)
     if kind == "open":
         return OPEN
-    n = _field(obj, "n", int)
-    if kind == "killed":
-        return killed(n)
-    if kind == "periodic":
-        return periodic(n)
-    raise ConfigError(f"config field 'policy.kind': unknown kind {kind!r}")
+    if kind not in ("killed", "periodic"):
+        raise ConfigError(f"config field 'policy.kind': unknown kind {kind!r}")
+    return _load("policy", BoundaryPolicy, kind, _field(obj, "policy.n", int))
 
 
 class Experiment:
     """Validated experiment description: everything a run needs."""
 
     def __init__(self, cfg: dict):
-        self.kernel = kernel_from_json(_field(cfg, "kernel", dict))
-        self.rate = rate_from_json(_field(cfg, "rate", dict))
+        self.kernel = _load("kernel", kernel_from_json, _field(cfg, "kernel", dict))
+        self.rate = _load("rate", rate_from_json, _field(cfg, "rate", dict))
         self.policy = _parse_policy(_field(cfg, "policy", dict))
         self.T = float(_field(cfg, "T", (int, float)))
         if not (self.T > 0) or not math.isfinite(self.T):
@@ -75,36 +90,36 @@ class Experiment:
         if self.replicas < 1:
             raise ConfigError("config field 'replicas' must be >= 1")
         self.seed = _field(cfg, "seed", int, required=False, default=0)
-        if isinstance(self.seed, bool) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError("config field 'seed' must be a non-negative integer")
         d = self.kernel.d
         box = math.inf if self.policy.kind == "open" else self.policy.n
         init = _field(cfg, "initial", dict)
-        self.init_mode = _field(init, "mode", str)
+        self.init_mode = _field(init, "initial.mode", str)
         if self.init_mode == "explicit":
             where = "initial.config"
-            self.init_config = config_from_json(_field(init, "config", dict))
+            self.init_config = _load(where, config_from_json,
+                                     _field(init, where, dict))
             if self.init_config.d != d:
                 raise ConfigError(f"config field '{where}': dimension "
                                   "does not match the kernel")
         elif self.init_mode == "point":
             where = "initial.site"
-            count = _field(init, "n_particles", int)
+            count = _field(init, "initial.n_particles", int)
             if count < 0:
                 raise ConfigError("config field 'initial.n_particles' must be >= 0")
-            site = _field(init, "site", list, required=False, default=[0] * d)
-            self.init_config = Configuration(d, {site_from_coords(site, d): count})
+            site = _field(init, where, list, required=False, default=[0] * d)
+            self.init_config = Configuration(
+                d, {_load(where, site_from_coords, site, d): count})
         elif self.init_mode == "product":
-            self.init_phi = float(_field(init, "phi", (int, float)))
-            self.init_n = int(_field(init, "n", int))
+            self.init_phi = float(_field(init, "initial.phi", (int, float)))
+            self.init_n = int(_field(init, "initial.n", int))
             if not 0 <= self.init_n <= box:
                 raise ConfigError(f"config field 'initial.n' must lie in [0, {box}] "
                                   f"under the {self.policy.describe()} policy")
             # certified once here, so a bad marginal fails before any run
-            try:
-                self.init_measure = fugacity_measure(self.rate, self.init_phi)
-            except (CertificationError, ConfigError) as e:
-                raise ConfigError(f"config field 'initial.phi': {e}") from None
+            self.init_measure = _load("initial.phi", fugacity_measure,
+                                      self.rate, self.init_phi)
         else:
             raise ConfigError(
                 f"config field 'initial.mode': unknown mode {self.init_mode!r}")
@@ -133,10 +148,20 @@ class Experiment:
                                  rng)
 
 
-def _run_worker(r, exp: Experiment):
-    noise = HarrisNoise(exp.seed, (r,))
-    return simulate(exp.initial_for(r), exp.rate, exp.kernel, exp.policy,
-                    exp.T, noise)
+def _run_worker(r, exp: Experiment, out_dir: Path, fmt: str):
+    """Simulate replica r, audit it, write its events_r{r} file and return
+    its summary with its torus row (None off a filled torus)."""
+    eta0 = exp.initial_for(r)
+    traj = simulate(eta0, exp.rate, exp.kernel, exp.policy, exp.T,
+                    HarrisNoise(exp.seed, (r,)))
+    if "replay" in exp.diagnostics:
+        replay(traj)  # raises InvariantViolation on any mismatch
+    row = torus_row(eta0, traj) if _torus_product(exp) is None else None
+    if fmt == "json":
+        (out_dir / f"events_r{r}.json").write_text(_events_json_string(traj))
+    else:
+        (out_dir / f"events_r{r}.csv").write_text(events_csv_string(traj))
+    return trajectory_summary(traj), row
 
 
 def _events_json_string(traj) -> str:
@@ -147,48 +172,50 @@ def _events_json_string(traj) -> str:
 
 
 def _torus_product(exp: Experiment) -> str | None:
-    if exp.policy.kind != "periodic" or exp.init_mode != "product":
-        return "a periodic policy and a product initial condition"
+    # the run's own replicas are the diagnostics' replicas, so the product
+    # start must fill the torus to be stationary there
+    if (exp.policy.kind != "periodic" or exp.init_mode != "product"
+            or exp.init_n != exp.policy.n):
+        return ("a periodic policy and a product initial condition with "
+                "initial.n == policy.n")
     return None
 
 
 def _asymmetric_torus_product(exp: Experiment) -> str | None:
     if is_nearest_neighbour_1d(exp.kernel) != (1.0, 0.0):
         return "the totally asymmetric d=1 kernel"
-    return _torus_product(exp)
+    return _torus_product(exp) or (
+        None if exp.policy.n >= 1 else "a torus radius policy.n >= 1")
 
 
-def _replay_all(exp: Experiment, trajectories, threads: int) -> dict:
-    for traj in trajectories:
-        replay(traj)  # raises InvariantViolation on any mismatch
+def _replay_all(exp: Experiment, rows, threads: int) -> dict:
+    # every worker replayed its trajectory; a mismatch raised there
     return {"test": "replay", "pass": True, "statistic": 0.0,
-            "threshold": 0.0, "n_replicas": len(trajectories)}
+            "threshold": 0.0, "n_replicas": len(rows)}
 
 
-def _rate_growth(exp: Experiment, trajectories, threads: int) -> dict:
+def _rate_growth(exp: Experiment, rows, threads: int) -> dict:
     out = check_corollary_conditions(exp.rate, exp.kernel).to_json()
     out.update({"test": "rate-growth", "pass": True, "advisory": True})
     return out
 
 
-def _stationarity(exp: Experiment, trajectories, threads: int) -> dict:
-    return stationarity_statistical(
-        exp.rate, exp.kernel, exp.init_phi, exp.policy.n, exp.T, exp.replicas,
-        exp.seed, threads=threads).to_json()
+def _stationarity(exp: Experiment, rows, threads: int) -> dict:
+    return stationarity_report(rows, exp.init_measure, exp.init_phi,
+                               exp.policy.n, exp.T, exp.seed).to_json()
 
 
-def _flux(exp: Experiment, trajectories, threads: int) -> dict:
-    return poisson_flux_check(exp.rate, exp.init_phi, exp.policy.n, exp.T,
-                              exp.replicas, exp.seed, threads=threads).to_json()
+def _flux(exp: Experiment, rows, threads: int) -> dict:
+    return flux_report(rows, exp.init_phi, exp.policy.n, exp.T,
+                       exp.seed).to_json()
 
 
-def _mass(exp: Experiment, trajectories, threads: int) -> dict:
-    return mass_conservation_check(
-        exp.rate, exp.kernel, exp.init_phi, exp.policy.n, exp.T, exp.replicas,
-        exp.seed, threads=threads).to_json()
+def _mass(exp: Experiment, rows, threads: int) -> dict:
+    return mass_report(rows, exp.init_measure, exp.init_phi,
+                       exp.seed).to_json()
 
 
-def _martingale(exp: Experiment, trajectories, threads: int) -> dict:
+def _martingale(exp: Experiment, rows, threads: int) -> dict:
     f = capped_occupancy(0 if exp.kernel.d == 1 else (0,) * exp.kernel.d, 10)
     return martingale_residual(f, exp.initial_for(0), exp.rate, exp.kernel,
                                exp.policy, exp.T, exp.replicas, exp.seed,
@@ -197,6 +224,7 @@ def _martingale(exp: Experiment, trajectories, threads: int) -> dict:
 
 # name -> (prerequisite, runner). A prerequisite returns what the experiment
 # lacks, or None; Experiment checks them before any replica runs. A runner
+# takes the run's per-replica torus rows (None off a filled torus) and
 # returns the report's JSON; it looks its diagnostic up in this module's
 # globals when called, so a test or a tracer can replace it here.
 DIAGNOSTICS = {
@@ -225,18 +253,14 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.monotonic()
-    trajectories = replica_map(_run_worker, exp.replicas, threads=threads,
-                               args=(exp,))
-    reports = [DIAGNOSTICS[name][1](exp, trajectories, threads)
+    results = replica_map(_run_worker, exp.replicas, threads=threads,
+                          args=(exp, out_dir, args.format))
+    summary = [s for s, _row in results]
+    rows = [row for _s, row in results]
+    reports = [DIAGNOSTICS[name][1](exp, rows, threads)
                for name in exp.diagnostics]
     wall = time.monotonic() - t0
 
-    for r, traj in enumerate(trajectories):
-        if args.format == "json":
-            (out_dir / f"events_r{r}.json").write_text(_events_json_string(traj))
-        else:
-            (out_dir / f"events_r{r}.csv").write_text(events_csv_string(traj))
-    summary = [trajectory_summary(t) for t in trajectories]
     (out_dir / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=1) + "\n")
     for rep in reports:
@@ -265,7 +289,7 @@ def _cmd_run(args) -> int:
                 else f"statistic={rep.get('statistic', 0.0):.6g}")
         print(f"{rep['test']}: {status} ({note})")
     print(f"wrote {out_dir}/ ({exp.replicas} replicas, "
-          f"{sum(t.event_count() for t in trajectories)} events)")
+          f"{sum(s['event_count'] for s in summary)} events)")
     return 2 if failed else 0
 
 

@@ -312,26 +312,32 @@ def stationarity_exact(rate: RateFn, kernel: Kernel, sites_per_dim: int,
 
 # ------------------------------------------------ product start on a torus
 
-def _torus_worker(r, measure, rate, kernel, torus_n, T, seed, start, N):
-    """One torus replica from a product start ("grand") or from a pile of N
-    particles at the origin ("point"). Audits exact mass and zero kills, and
-    returns (origin count at 0, origin count at T, -1 -> 0 crossings)."""
-    d = kernel.d
-    origin: Site = 0 if d == 1 else (0,) * d
-    if start == "grand":
-        eta0 = sample_box_config(measure, torus_n, d,
-                                 derived_rng(seed, TAG_SAMPLE, r))
-    else:
-        eta0 = Configuration(d, {origin: N})
-    noise = HarrisNoise(seed, (r,))
-    traj = simulate(eta0, rate, kernel, periodic(torus_n), T, noise)
+def torus_row(eta0: Configuration, traj) -> tuple[int, int, int]:
+    """Audit one torus run for exact mass and zero kills, and return what the
+    torus diagnostics reduce: (origin count at 0, origin count at T,
+    -1 -> 0 crossings)."""
     if traj.kill_count() != 0:
         raise InvariantViolation("kill event on a torus")
     if traj.final.total() != eta0.total():
         raise InvariantViolation(
             f"mass not conserved on torus: {eta0.total()} -> {traj.final.total()}")
+    origin: Site = 0 if eta0.d == 1 else (0,) * eta0.d
     crossings = sum(1 for ev in traj.events if ev[1] == -1 and ev[2] == 0)
     return eta0.count(origin), traj.final.count(origin), crossings
+
+
+def _torus_worker(r, measure, rate, kernel, torus_n, T, seed, start, N):
+    """torus_row of one torus replica from a product start ("grand") or from
+    a pile of N particles at the origin ("point")."""
+    d = kernel.d
+    if start == "grand":
+        eta0 = sample_box_config(measure, torus_n, d,
+                                 derived_rng(seed, TAG_SAMPLE, r))
+    else:
+        eta0 = Configuration(d, {(0 if d == 1 else (0,) * d): N})
+    noise = HarrisNoise(seed, (r,))
+    traj = simulate(eta0, rate, kernel, periodic(torus_n), T, noise)
+    return torus_row(eta0, traj)
 
 
 # -------------------------------------------------- statistical stationarity
@@ -363,9 +369,18 @@ def stationarity_statistical(rate: RateFn, kernel: Kernel, phi: float,
     measure = fugacity_measure(rate, phi)
     M = (2 * torus_n + 1) ** d
     N = int(round(measure.density() * M))
-    rows = np.array(replica_map(_torus_worker, replicas, threads=threads,
-                                args=(measure, rate, kernel, torus_n, T, seed,
-                                      start, N)))
+    rows = replica_map(_torus_worker, replicas, threads=threads,
+                       args=(measure, rate, kernel, torus_n, T, seed, start, N))
+    return stationarity_report(rows, measure, phi, torus_n, T, seed, start,
+                               alpha)
+
+
+def stationarity_report(rows, measure, phi: float, torus_n: int, T: float,
+                        seed: int, start: str = "grand",
+                        alpha: float = 0.01) -> Report:
+    """Chi-square of the time-T origin occupancy in torus_row rows against
+    the fugacity marginal."""
+    rows = np.array(rows)
     k0, kT = rows[:, 0], rows[:, 1]
     kmax = int(max(kT.max(), k0.max(), measure.K))
     countsT = np.bincount(kT, minlength=kmax + 1)
@@ -375,7 +390,7 @@ def stationarity_statistical(rate: RateFn, kernel: Kernel, phi: float,
     stat, dof, p = _chi2_one_sample(countsT, probs)
     return Report(test="stationarity_statistical", passed=bool(p >= alpha),
                   statistic=stat, threshold=alpha, seed=seed,
-                  n_replicas=replicas,
+                  n_replicas=len(rows),
                   extras={"p_value": p, "dof": dof, "start": start,
                           "alpha": alpha, "torus_n": torus_n, "T": T,
                           "phi": phi, "histogram": countsT.tolist()})
@@ -551,6 +566,12 @@ def poisson_flux_check(rate: RateFn, phi: float, torus_n: int, T: float,
     rows = replica_map(_torus_worker, replicas, threads=threads,
                        args=(measure, rate, nn_kernel_1d(1.0), torus_n, T, seed,
                              "grand", 0))
+    return flux_report(rows, phi, torus_n, T, seed)
+
+
+def flux_report(rows, phi: float, torus_n: int, T: float, seed: int) -> Report:
+    """Poisson mean and dispersion tests on the crossings of torus_row rows."""
+    replicas = len(rows)
     counts = np.array([row[2] for row in rows], dtype=float)
     mean, se = _mean_se(counts)
     target = phi * T
@@ -579,9 +600,16 @@ def mass_conservation_check(rate: RateFn, kernel: Kernel, phi: float,
     is stationary on the torus, so eta_T(origin) has the fugacity marginal
     and the SE is exact: sqrt(Var/replicas) with Var = sum (k - rho)^2 pmf(k)."""
     measure = fugacity_measure(rate, phi)
-    rho = measure.density()
     rows = replica_map(_torus_worker, replicas, threads=threads,
                        args=(measure, rate, kernel, torus_n, T, seed, "grand", 0))
+    return mass_report(rows, measure, phi, seed)
+
+
+def mass_report(rows, measure, phi: float, seed: int) -> Report:
+    """Mean time-T origin occupancy of torus_row rows against the density,
+    with the exact SE of the fugacity marginal."""
+    replicas = len(rows)
+    rho = measure.density()
     vals = np.array([row[1] for row in rows], dtype=float)
     mean = float(np.mean(vals))
     var = float(np.dot((np.arange(measure.K + 1) - rho) ** 2, measure.pmf))

@@ -144,12 +144,18 @@ def test_diagnostic_prerequisites_enforced(tmp_path):
 
 TORUS = dict(BASE, policy={"kind": "periodic", "n": 2},
              initial={"mode": "product", "phi": 1.0, "n": 2})
+TASEP = {"d": 1, "support": [{"z": [1], "p": 1.0}]}
 
 
 @pytest.mark.parametrize("name,cfg", [
     ("stationarity", BASE),  # open policy, explicit start
     ("mass", dict(TORUS, initial=BASE["initial"])),
     ("flux", TORUS),  # the kernel also jumps left
+    # the product start must fill the torus: the run's replicas are the
+    # diagnostic's replicas
+    ("mass", dict(TORUS, initial={"mode": "product", "phi": 1.0, "n": 1})),
+    ("flux", dict(TORUS, kernel=TASEP, policy={"kind": "periodic", "n": 0},
+                  initial={"mode": "product", "phi": 1.0, "n": 0})),
 ])
 def test_prerequisites_fail_before_any_replica(tmp_path, monkeypatch, name, cfg):
     def no_replicas(*args, **kwargs):
@@ -160,7 +166,42 @@ def test_prerequisites_fail_before_any_replica(tmp_path, monkeypatch, name, cfg)
     code, text = _run(["run", "--config", str(p), "--out", str(out)])
     assert code == 1
     assert f"config error: diagnostic '{name}' needs" in text
+    if cfg["initial"].get("n", 0) < cfg["policy"].get("n", 0):
+        assert "initial.n" in text
     assert not out.exists()
+
+
+def test_torus_diagnostics_reduce_the_run_replicas(tmp_path, monkeypatch):
+    """stationarity, flux and mass read the rows of the run's own replicas:
+    one replica_map call, one simulation per replica, and no Trajectory
+    sent back to the parent."""
+    from zrp import diagnostics
+    from zrp.configuration import Trajectory
+    results, simulated = [], []
+    real_map, real_simulate = cli.replica_map, cli.simulate
+
+    def recording_map(*args, **kwargs):
+        results.append(real_map(*args, **kwargs))
+        return results[-1]
+
+    def counting_simulate(*args, **kwargs):
+        simulated.append(1)
+        return real_simulate(*args, **kwargs)
+
+    def no_second_pass(*args, **kwargs):
+        raise AssertionError("a diagnostic simulated its own replicas")
+    monkeypatch.setattr(cli, "replica_map", recording_map)
+    monkeypatch.setattr(cli, "simulate", counting_simulate)
+    monkeypatch.setattr(diagnostics, "replica_map", no_second_pass)
+    cfg = dict(PINNED, diagnostics=["stationarity", "flux", "mass"])
+    p = _write_cfg(tmp_path, cfg)
+    code, text = _run(["run", "--config", str(p), "--out",
+                       str(tmp_path / "out"), "--threads", "1"])
+    assert code == 0, text
+    assert len(results) == 1
+    assert len(simulated) == PINNED["replicas"]
+    assert not any(isinstance(part, Trajectory)
+                   for result in results[0] for part in result)
 
 
 @pytest.mark.parametrize("how", ["flag", "config", "bool"])
@@ -192,11 +233,11 @@ def test_failing_diagnostic_exits_two(tmp_path, monkeypatch):
     """Exit-code 2 path. Every diagnostic the CLI offers checks a true law, so
     the stationarity diagnostic is replaced by one that reports a failure;
     the CLI must print FAIL and exit 2 whatever the random stream."""
-    def failing(rate, kernel, phi, torus_n, T, replicas, seed, threads=1):
+    def failing(rows, measure, phi, torus_n, T, seed):
         return Report(test="stationarity_statistical", passed=False,
                       statistic=1e-9, threshold=0.01, seed=seed,
-                      n_replicas=replicas)
-    monkeypatch.setattr(cli, "stationarity_statistical", failing)
+                      n_replicas=len(rows))
+    monkeypatch.setattr(cli, "stationarity_report", failing)
     cfg = {
         "kernel": {"d": 1, "support": [{"z": [1], "p": 0.5}, {"z": [-1], "p": 0.5}]},
         "rate": {"family": "power", "a": 2.0},
@@ -276,6 +317,14 @@ KILLED = dict(BASE, policy={"kind": "killed", "n": 2})
     ("initial.n", dict(KILLED, initial={"mode": "product", "phi": 1.0, "n": 3})),
     ("initial.n", dict(TORUS, initial={"mode": "product", "phi": 1.0, "n": 3})),
     ("T", dict(BASE, T=float("inf"))),
+    # a JSON true is not a number
+    ("replicas", dict(BASE, replicas=True)),
+    ("T", dict(BASE, T=True)),
+    ("policy.n", dict(BASE, policy={"kind": "killed", "n": True})),
+    ("initial.n", dict(TORUS, initial={"mode": "product", "phi": 1.0, "n": True})),
+    ("initial.n_particles",
+     dict(BASE, initial={"mode": "point", "n_particles": True})),
+    ("initial.phi", dict(TORUS, initial={"mode": "product", "phi": True, "n": 2})),
 ])
 def test_config_the_engine_rejects_fails_before_output(tmp_path, field, cfg):
     p = _write_cfg(tmp_path, cfg)
@@ -283,6 +332,29 @@ def test_config_the_engine_rejects_fails_before_output(tmp_path, field, cfg):
     code, text = _run(["run", "--config", str(p), "--out", str(out)])
     assert code == 1
     assert f"config error: config field '{field}'" in text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg,message", [
+    (dict(BASE, initial={"mode": "explicit", "config": {
+        "d": 1, "sites": [{"x": [0], "n": -1}]}}),
+     "config field 'initial.config': occupancy at 0 is negative"),
+    (dict(BASE, kernel={"d": 1, "support": [{"z": [1], "p": 0.5}]}),
+     "config field 'kernel': kernel probabilities sum to 0.5, not 1"),
+    (dict(BASE, policy={"kind": "killed", "n": -1}),
+     "config field 'policy': killed boundary needs a box radius n >= 0"),
+    (dict(BASE, initial={"mode": "point", "n_particles": 1.5}),
+     "config field 'initial.n_particles' has the wrong type"),
+    (dict(BASE, rate={"family": "power", "a": -1.0}),
+     "config field 'rate': bad rate spec {'family': 'power', 'a': -1.0}: "
+     "power rate needs exponent a > 0"),
+])
+def test_loader_errors_name_the_field(tmp_path, cfg, message):
+    p = _write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    code, text = _run(["run", "--config", str(p), "--out", str(out)])
+    assert code == 1
+    assert f"config error: {message}\n" in text
     assert not out.exists()
 
 
