@@ -5,9 +5,10 @@
     zrp suite {acceptance,smoke} [--seed N] [--threads N] [--out DIR]
 
 `zrp run` simulates each replica once, in a worker that replays it when
-asked, writes its events_r{r} file and returns its summary and, on a filled
-torus, its torus row; the stationarity, flux and mass diagnostics reduce
-those rows, so the parent holds O(replicas) small rows and no trajectory.
+asked, writes its events_r{r} file and returns its summary.json entry and,
+on a filled torus, its torus row; the stationarity, flux and mass
+diagnostics reduce those rows, so the parent holds O(replicas) small rows
+and no trajectory.
 
 Exit codes: 0 pass, 1 config error, 2 diagnostic failure, 3 internal
 invariant violation (the events files of finished replicas may remain).
@@ -150,7 +151,8 @@ class Experiment:
 
 def _run_worker(r, exp: Experiment, out_dir: Path, fmt: str):
     """Simulate replica r, audit it, write its events_r{r} file and return
-    its summary with its torus row (None off a filled torus)."""
+    (its summary.json entry, its event count, its torus row or None off a
+    filled torus)."""
     eta0 = exp.initial_for(r)
     traj = simulate(eta0, exp.rate, exp.kernel, exp.policy, exp.T,
                     HarrisNoise(exp.seed, (r,)))
@@ -161,7 +163,10 @@ def _run_worker(r, exp: Experiment, out_dir: Path, fmt: str):
         (out_dir / f"events_r{r}.json").write_text(_events_json_string(traj))
     else:
         (out_dir / f"events_r{r}.csv").write_text(events_csv_string(traj))
-    return trajectory_summary(traj), row
+    # indented as json.dumps(list, indent=1) indents a list item, so the
+    # parent joins the entries and holds no per-replica dict
+    entry = json.dumps(trajectory_summary(traj), sort_keys=True, indent=1)
+    return entry.replace("\n", "\n "), traj.event_count(), row
 
 
 def _events_json_string(traj) -> str:
@@ -255,14 +260,13 @@ def _cmd_run(args) -> int:
     t0 = time.monotonic()
     results = replica_map(_run_worker, exp.replicas, threads=threads,
                           args=(exp, out_dir, args.format))
-    summary = [s for s, _row in results]
-    rows = [row for _s, row in results]
+    entries, event_counts, rows = zip(*results)
     reports = [DIAGNOSTICS[name][1](exp, rows, threads)
                for name in exp.diagnostics]
     wall = time.monotonic() - t0
 
     (out_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=1) + "\n")
+        "[\n " + ",\n ".join(entries) + "\n]\n")
     for rep in reports:
         (out_dir / f"report_{rep['test']}.json").write_text(
             json.dumps(rep, sort_keys=True, indent=1) + "\n")
@@ -289,7 +293,7 @@ def _cmd_run(args) -> int:
                 else f"statistic={rep.get('statistic', 0.0):.6g}")
         print(f"{rep['test']}: {status} ({note})")
     print(f"wrote {out_dir}/ ({exp.replicas} replicas, "
-          f"{sum(s['event_count'] for s in summary)} events)")
+          f"{sum(event_counts)} events)")
     return 2 if failed else 0
 
 
