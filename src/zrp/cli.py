@@ -189,8 +189,10 @@ def _torus_product(exp: Experiment) -> str | None:
 def _asymmetric_torus_product(exp: Experiment) -> str | None:
     if is_nearest_neighbour_1d(exp.kernel) != (1.0, 0.0):
         return "the totally asymmetric d=1 kernel"
-    return _torus_product(exp) or (
-        None if exp.policy.n >= 1 else "a torus radius policy.n >= 1")
+    need = _torus_product(exp)
+    if need is None and exp.policy.n < 1:
+        need = "a torus radius policy.n >= 1"
+    return need
 
 
 def _replay_all(exp: Experiment, rows, threads: int) -> dict:
