@@ -60,6 +60,15 @@ def _field(cfg: dict, path: str, kind=None, required: bool = True, default=None)
     return v
 
 
+def _known_keys(obj: dict, prefix: str, known) -> None:
+    """Reject a key of obj outside known, so a misspelled optional key fails
+    instead of being ignored; prefix is obj's dotted path plus '.'."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"config field '{prefix}{key}' is unknown "
+                              f"(expected {', '.join(known)})")
+
+
 def _load(path: str, loader, *args):
     """loader(*args), naming the config field in any error it raises."""
     try:
@@ -71,16 +80,26 @@ def _load(path: str, loader, *args):
 def _parse_policy(obj) -> BoundaryPolicy:
     kind = _field(obj, "policy.kind", str)
     if kind == "open":
+        _known_keys(obj, "policy.", ("kind",))
         return OPEN
     if kind not in ("killed", "periodic"):
         raise ConfigError(f"config field 'policy.kind': unknown kind {kind!r}")
+    _known_keys(obj, "policy.", ("kind", "n"))
     return _load("policy", BoundaryPolicy, kind, _field(obj, "policy.n", int))
+
+
+# the keys of initial under each mode; a key of another mode is unknown
+_INITIAL_KEYS = {"explicit": ("mode", "config"),
+                "point": ("mode", "n_particles", "site"),
+                "product": ("mode", "phi", "n")}
 
 
 class Experiment:
     """Validated experiment description: everything a run needs."""
 
     def __init__(self, cfg: dict):
+        _known_keys(cfg, "", ("kernel", "rate", "policy", "T", "replicas",
+                              "seed", "initial", "diagnostics"))
         self.kernel = _load("kernel", kernel_from_json, _field(cfg, "kernel", dict))
         self.rate = _load("rate", rate_from_json, _field(cfg, "rate", dict))
         self.policy = _parse_policy(_field(cfg, "policy", dict))
@@ -97,6 +116,10 @@ class Experiment:
         box = math.inf if self.policy.kind == "open" else self.policy.n
         init = _field(cfg, "initial", dict)
         self.init_mode = _field(init, "initial.mode", str)
+        if self.init_mode not in _INITIAL_KEYS:
+            raise ConfigError(
+                f"config field 'initial.mode': unknown mode {self.init_mode!r}")
+        _known_keys(init, "initial.", _INITIAL_KEYS[self.init_mode])
         if self.init_mode == "explicit":
             where = "initial.config"
             self.init_config = _load(where, config_from_json,
@@ -112,7 +135,7 @@ class Experiment:
             site = _field(init, where, list, required=False, default=[0] * d)
             self.init_config = Configuration(
                 d, {_load(where, site_from_coords, site, d): count})
-        elif self.init_mode == "product":
+        else:
             self.init_phi = float(_field(init, "initial.phi", (int, float)))
             self.init_n = int(_field(init, "initial.n", int))
             if not 0 <= self.init_n <= box:
@@ -121,9 +144,6 @@ class Experiment:
             # certified once here, so a bad marginal fails before any run
             self.init_measure = _load("initial.phi", fugacity_measure,
                                       self.rate, self.init_phi)
-        else:
-            raise ConfigError(
-                f"config field 'initial.mode': unknown mode {self.init_mode!r}")
         if self.init_mode != "product":
             for x in self.init_config.sites():
                 if not in_box(x, box):
@@ -132,7 +152,7 @@ class Experiment:
         self.diagnostics = tuple(_field(cfg, "diagnostics", list,
                                         required=False, default=[]))
         for name in self.diagnostics:
-            if name not in DIAGNOSTICS:
+            if not isinstance(name, str) or name not in DIAGNOSTICS:
                 raise ConfigError(
                     f"config field 'diagnostics': unknown entry {name!r} "
                     f"(choose from {', '.join(DIAGNOSTICS)})")
@@ -192,7 +212,12 @@ def _asymmetric_torus_product(exp: Experiment) -> str | None:
     need = _torus_product(exp)
     if need is None and exp.policy.n < 1:
         need = "a torus radius policy.n >= 1"
-    return need
+    return need or _two_replicas(exp)
+
+
+def _two_replicas(exp: Experiment) -> str | None:
+    # a sample variance of one replica is undefined
+    return "replicas >= 2" if exp.replicas < 2 else None
 
 
 def _replay_all(exp: Experiment, rows, threads: int) -> dict:
@@ -240,7 +265,7 @@ DIAGNOSTICS = {
     "stationarity": (_torus_product, _stationarity),
     "flux": (_asymmetric_torus_product, _flux),
     "mass": (_torus_product, _mass),
-    "martingale": (None, _martingale),
+    "martingale": (_two_replicas, _martingale),
 }
 
 
@@ -252,6 +277,8 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    if not isinstance(cfg, dict):
+        raise ConfigError("config is not a JSON object")
     if args.seed is not None:
         cfg["seed"] = args.seed
     exp = Experiment(cfg)

@@ -14,10 +14,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, json_number
 from .sites import (Site, max_norm, site_coords, site_from_coords, site_sub,
                     validate_site)
 
@@ -116,15 +117,17 @@ def config_to_json(cfg: Configuration) -> dict:
 
 def config_from_json(obj: dict) -> Configuration:
     try:
-        d = int(obj["d"])
-        entries = obj["sites"]
-    except (KeyError, TypeError, ValueError) as e:
+        d, entries = obj["d"], obj["sites"]
+    except (KeyError, TypeError) as e:
         raise ConfigError(f"configuration spec needs 'd' and 'sites': {e}") from None
+    d = int(json_number(d, "dimension", Integral))
+    if not isinstance(entries, list):
+        raise ConfigError(f"configuration sites {entries!r} are not a list")
     occ: dict[Site, int] = {}
     for ent in entries:
         try:
             x = site_from_coords(ent["x"], d)
-            n = int(ent["n"])
+            n = int(json_number(ent["n"], "occupancy", Integral))
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad site entry {ent!r}: {e}") from None
         if x in occ:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist, norm
 
 from .configuration import Configuration, intervals
 from .engine import OPEN, BoundaryPolicy, periodic, route, simulate
@@ -344,6 +343,7 @@ def _torus_worker(r, measure, rate, kernel, torus_n, T, seed, start, N):
 
 def _chi2_one_sample(counts: np.ndarray, probs: np.ndarray):
     """Merge the right tail so every expected cell count is >= 5."""
+    from scipy.stats import chi2
     R = counts.sum()
     exp = probs * R
     hi = len(exp)
@@ -353,7 +353,7 @@ def _chi2_one_sample(counts: np.ndarray, probs: np.ndarray):
     ex = np.concatenate([exp[:hi - 1], [exp[hi - 1:].sum()]])
     stat = float(np.sum((obs - ex) ** 2 / ex))
     dof = len(obs) - 1
-    return stat, dof, float(chi2_dist.sf(stat, dof))
+    return stat, dof, float(chi2.sf(stat, dof))
 
 
 def stationarity_statistical(rate: RateFn, kernel: Kernel, phi: float,
@@ -404,6 +404,7 @@ _MIN_POOLED = 10.0
 def chi2_joint_two_sample(cells_a: dict, cells_b: dict):
     """Homogeneity chi-square over categorical cells (dict key -> count).
     Rare cells (pooled count < _MIN_POOLED) are merged into one."""
+    from scipy.stats import chi2
     keys = sorted(set(cells_a) | set(cells_b),
                   key=lambda k: (-(cells_a.get(k, 0) + cells_b.get(k, 0)), str(k)))
     kept = [k for k in keys
@@ -428,7 +429,7 @@ def chi2_joint_two_sample(cells_a: dict, cells_b: dict):
     stat = float(np.sum((o1[mask] - e1[mask]) ** 2 / e1[mask])
                  + np.sum((o2[mask] - e2[mask]) ** 2 / e2[mask]))
     dof = int(mask.sum()) - 1
-    return stat, dof, float(chi2_dist.sf(stat, dof))
+    return stat, dof, float(chi2.sf(stat, dof))
 
 
 def _engine_pair_worker(r, eta0, rate, kernel, policy, T, seed, window):
@@ -550,7 +551,8 @@ def j_inequality_check(zeta0: Configuration, psi0: Configuration, rate: RateFn,
 def _chi2_two_sided_z(stat: float, dof: int) -> float:
     """The normal |z| whose two-sided tail area equals that of stat under
     chi2(dof)."""
-    return float(norm.isf(min(chi2_dist.cdf(stat, dof), chi2_dist.sf(stat, dof))))
+    from scipy.stats import chi2, norm
+    return float(norm.isf(min(chi2.cdf(stat, dof), chi2.sf(stat, dof))))
 
 
 def poisson_flux_check(rate: RateFn, phi: float, torus_n: int, T: float,

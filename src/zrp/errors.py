@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the number check the
+JSON loaders share.
 
 The CLI maps these to exit codes: ConfigError -> 1, diagnostic failures
 (reported, not raised) -> 2, InvariantViolation -> 3.
 """
+from numbers import Integral, Real
 
 
 class ZRPError(Exception):
@@ -23,3 +25,13 @@ class CertificationError(ZRPError, ValueError):
 
 class InvariantViolation(ZRPError, RuntimeError):
     """An internal exactness guarantee failed (replay mismatch, broken coupling order...)."""
+
+
+def json_number(value, what: str, kind: type = Real):
+    """value itself if it is a number of kind (Integral or Real), else a
+    ConfigError naming it as what. A JSON true is not a number and a string
+    is not converted; numpy numbers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        want = "an integer" if kind is Integral else "a number"
+        raise ConfigError(f"{what} {value!r} is not {want}")
+    return value

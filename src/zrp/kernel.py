@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, json_number
 from .sites import Site, site_coords, site_from_coords
 
 PROB_TOL = 1e-12
@@ -49,7 +50,7 @@ class Kernel:
             seen.add(z)
         if list(self.offsets) != sorted(self.offsets):
             raise ConfigError("offsets must be sorted lexicographically")
-        if any(p <= 0 for p in self.probs) or len(self.probs) != len(self.offsets):
+        if not all(p > 0 for p in self.probs) or len(self.probs) != len(self.offsets):
             raise ConfigError("each offset needs a probability > 0")
         s = float(sum(self.probs))
         if abs(s - 1.0) > PROB_TOL:
@@ -145,15 +146,17 @@ def kernel_to_json(kernel: Kernel) -> dict:
 
 def kernel_from_json(obj: dict) -> Kernel:
     try:
-        d = int(obj["d"])
-        raw = obj["support"]
-    except (KeyError, TypeError, ValueError) as e:
+        d, raw = obj["d"], obj["support"]
+    except (KeyError, TypeError) as e:
         raise ConfigError(f"kernel spec needs 'd' and 'support': {e}") from None
+    d = int(json_number(d, "kernel dimension", Integral))
+    if not isinstance(raw, list):
+        raise ConfigError(f"kernel support {raw!r} is not a list")
     items = []
     for ent in raw:
         try:
             z = site_coords(site_from_coords(ent["z"], d))
-            p = float(ent["p"])
+            p = float(json_number(ent["p"], "probability"))
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad kernel support entry {ent!r}: {e}") from None
         items.append((z, p))

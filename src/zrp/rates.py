@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, RateRangeError
+from .errors import ConfigError, RateRangeError, json_number
 from .kernel import Kernel, mean_drift
 
 MAX_RATE = 1e300  # beyond this, refuse rather than hand out inf
@@ -40,9 +40,12 @@ class RateFn:
         if self.family == "power":
             if self.a is None or not (self.a > 0):
                 raise ConfigError("power rate needs exponent a > 0")
+            if self.a == math.inf:
+                raise ConfigError("power rate needs a finite exponent a")
         elif self.family == "exp":
-            if self.c is None or self.theta is None or self.c <= 0 or self.theta <= 0:
-                raise ConfigError("exp rate needs scale c > 0 and base theta > 0")
+            if (self.c is None or self.theta is None
+                    or not (0 < self.c < math.inf and 0 < self.theta < math.inf)):
+                raise ConfigError("exp rate needs finite c > 0 and theta > 0")
         elif self.family == "table":
             if not self.table or len(self.table) < 2:
                 raise ConfigError("table rate needs at least [g(0), g(1)]")
@@ -140,11 +143,15 @@ def rate_from_json(obj: dict) -> RateFn:
         raise ConfigError("rate spec needs a 'family' field") from None
     try:
         if fam == "power":
-            return power_rate(float(obj["a"]))
+            return power_rate(json_number(obj["a"], "a"))
         if fam == "exp":
-            return exp_rate(float(obj["c"]), float(obj["theta"]))
+            return exp_rate(json_number(obj["c"], "c"),
+                            json_number(obj["theta"], "theta"))
         if fam == "table":
-            return table_rate(obj["values"])
+            values = obj["values"]
+            if not isinstance(values, list):
+                raise ConfigError(f"table values {values!r} are not a list")
+            return table_rate([json_number(v, "table value") for v in values])
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad rate spec {obj!r}: {e}") from None
     raise ConfigError(f"unknown rate family {fam!r}")

@@ -7,7 +7,9 @@ event loop's dict and heap operations cheap.
 """
 from __future__ import annotations
 
-from .errors import ConfigError
+from numbers import Integral
+
+from .errors import ConfigError, json_number
 
 Site = int | tuple[int, ...]
 
@@ -17,7 +19,7 @@ def site_coords(x: Site) -> tuple[int, ...]:
 
 
 def site_from_coords(coords, d: int) -> Site:
-    coords = tuple(int(c) for c in coords)
+    coords = tuple(int(json_number(c, "site coordinate", Integral)) for c in coords)
     if len(coords) != d:
         raise ConfigError(f"site {list(coords)} has {len(coords)} coordinates, expected d={d}")
     return coords[0] if d == 1 else coords

@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import random
+import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -9,6 +14,7 @@ import pytest
 from zrp import cli
 from zrp.cli import main
 from zrp.diagnostics import Report
+from zrp.errors import ConfigError
 
 BASE = {
     "kernel": {"d": 1, "support": [{"z": [1], "p": 0.7}, {"z": [-1], "p": 0.3}]},
@@ -104,6 +110,14 @@ def test_bad_json_is_config_error(tmp_path):
     assert "config is not valid JSON" in text
 
 
+def test_config_that_is_not_an_object_is_config_error(tmp_path):
+    p = _write_cfg(tmp_path, [BASE])
+    code, text = _run(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "config error: config is not a JSON object" in text
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_file_is_config_error(tmp_path):
     code, text = _run(["run", "--config", str(tmp_path / "nope.json")])
     assert code == 1
@@ -159,6 +173,9 @@ TASEP = {"d": 1, "support": [{"z": [1], "p": 1.0}]}
     ("mass", dict(TORUS, initial={"mode": "product", "phi": 1.0, "n": 1})),
     ("flux", dict(TORUS, kernel=TASEP, policy={"kind": "periodic", "n": 0},
                   initial={"mode": "product", "phi": 1.0, "n": 0})),
+    # one replica has no sample variance
+    ("flux", dict(TORUS, kernel=TASEP, replicas=1)),
+    ("martingale", dict(BASE, replicas=1)),
 ])
 def test_prerequisites_fail_before_any_replica(tmp_path, monkeypatch, name, cfg):
     def no_replicas(*args, **kwargs):
@@ -328,6 +345,20 @@ KILLED = dict(BASE, policy={"kind": "killed", "n": 2})
     ("initial.n_particles",
      dict(BASE, initial={"mode": "point", "n_particles": True})),
     ("initial.phi", dict(TORUS, initial={"mode": "product", "phi": True, "n": 2})),
+    # the loaders take numbers as they are: no truncation, no conversion
+    ("initial.site", dict(BASE, initial={"mode": "point", "n_particles": 2,
+                                         "site": [0.7]})),
+    ("initial.site", dict(BASE, initial={"mode": "point", "n_particles": 2,
+                                         "site": ["a"]})),
+    ("rate", dict(BASE, rate={"family": "power", "a": "2"})),
+    ("kernel", dict(BASE, kernel={"d": "1", "support": [{"z": [1], "p": True}]})),
+    ("initial.config", dict(BASE, initial={"mode": "explicit", "config": {
+        "d": 1, "sites": [{"x": [0], "n": 1.5}]}})),
+    # unknown keys, a key of another initial mode among them
+    ("diagnostic", dict(BASE, diagnostic=["mass"])),
+    ("policy.n", dict(BASE, policy={"kind": "open", "n": 2})),
+    ("initial.phi", dict(BASE, initial={"mode": "point", "n_particles": 1,
+                                        "phi": 1.0})),
 ])
 def test_config_the_engine_rejects_fails_before_output(tmp_path, field, cfg):
     p = _write_cfg(tmp_path, cfg)
@@ -446,3 +477,122 @@ def test_json_event_files_are_pinned(tmp_path, threads):
     assert not list(out.glob("events_r*.csv"))
     assert (hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
             == PINNED_SHA256["summary.json"])
+
+
+# the pinned config at one replica, with the diagnostics that one replica
+# can run; a mutant may add the others back
+FUZZ_BASE = dict(PINNED, replicas=1,
+                 diagnostics=["replay", "rate-growth", "stationarity", "mass"])
+FUZZ_VALUES = [True, False, None, "2", "a", -1, -0.5, float("nan"),
+               float("inf"), float("-inf"), [], {}, [0], [1, 2], {"a": 1}]
+FUZZ_WORDS = ["open", "killed", "periodic", "product", "point", "explicit",
+              "power", "exp", "table", "replay", "stationarity", "flux",
+              "mass", "martingale", "rate-growth"]
+FUZZ_KEYS = ["diagnostic", "seeds", "n", "phi", "site", "config", "mode",
+             "n_particles", "kind", "T"]
+FIELD_NAMED = re.compile(r"^(config field '[\w.-]+'|diagnostic '[\w-]+' needs)")
+
+
+def _fuzz_paths(obj, path=()):
+    yield path
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _fuzz_paths(value, path + (key,))
+
+
+def _near(v, rng):
+    """A small value of v's own type, or v."""
+    if isinstance(v, bool) or v is None:
+        return v
+    if isinstance(v, int):
+        return rng.randrange(4)
+    if isinstance(v, float):
+        return rng.choice((0.5, 1.0, 1.5, 2.0))
+    if isinstance(v, str):
+        return rng.choice(FUZZ_WORDS)
+    return v[:-1] if isinstance(v, list) else v
+
+
+def _mutant(rng):
+    cfg = json.loads(json.dumps(FUZZ_BASE))
+    for _ in range(rng.choice((1, 1, 2))):
+        path = rng.choice(list(_fuzz_paths(cfg))[1:])
+        *head, last = path
+        parent = cfg
+        for key in head:
+            parent = parent[key]
+        op = rng.choice(("value", "near", "near", "delete", "add", "nest"))
+        if path in (("replicas",), ("T",)) and op in ("value", "near"):
+            # these change type only, never size, so no mutant runs long
+            v = FUZZ_BASE[last]
+            parent[last] = rng.choice((str(v), True, None, [v], float(v)
+                                       if isinstance(v, int) else int(v) or 1))
+        elif op == "value":
+            parent[last] = rng.choice(FUZZ_VALUES)
+        elif op == "near":
+            parent[last] = _near(parent[last], rng)
+        elif op == "delete":
+            del parent[last]
+        elif op == "nest":
+            parent[last] = rng.choice(([parent[last]], {"v": parent[last]}))
+        else:
+            target = parent[last] if isinstance(parent[last], dict) else cfg
+            target[rng.choice(FUZZ_KEYS)] = rng.choice(FUZZ_VALUES + FUZZ_WORDS)
+    return cfg
+
+
+def test_config_fuzz(tmp_path):
+    """Seeded mutants of the pinned config: type swaps, booleans, negative
+    numbers, NaN, Infinity, missing and unknown keys, wrong nesting. Each is
+    accepted, or rejected with a config error that names its field; an
+    accepted one runs at one replica and passes. None exits 3 or raises."""
+    rng = random.Random(2020)
+    accepted = 0
+    for i in range(200):
+        cfg = _mutant(rng)
+        try:
+            cli.Experiment(json.loads(json.dumps(cfg)))
+            ok = True
+        except ConfigError as e:
+            assert FIELD_NAMED.match(str(e)), (cfg, str(e))
+            ok = False
+        p = _write_cfg(tmp_path, cfg, f"m{i}.json")
+        out = tmp_path / f"out{i}"
+        code, text = _run(["run", "--config", str(p), "--out", str(out),
+                           "--threads", "1"])
+        assert code == (0 if ok else 1), (cfg, text)
+        assert out.exists() == ok, cfg
+        accepted += ok
+    # the mutants must reach the run as well as the loader
+    assert 20 <= accepted <= 180
+
+
+def test_run_without_statistics_loads_no_scipy_stats(tmp_path):
+    """import zrp, and zrp run with replay and mass only, load neither
+    scipy.stats nor scipy.sparse: in a fresh process the two cost about 1 s
+    and 45 MB, and only a statistical check or the exact hitting bracket
+    uses them."""
+    p = _write_cfg(tmp_path, dict(PINNED, replicas=2,
+                                  diagnostics=["replay", "mass"]))
+    script = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[:2] in (['scipy', 'stats'],\n"
+        "                                          ['scipy', 'sparse']))\n"
+        "import zrp\n"
+        "print(loaded())\n"
+        "from zrp import cli\n"
+        f"code = cli.main(['run', '--config', {str(p)!r}, '--out',\n"
+        f"                 {str(tmp_path / 'out')!r}, '--threads', '1'])\n"
+        "print(code, loaded())\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"

@@ -96,6 +96,29 @@ def test_json_roundtrip():
         assert kernel_from_json(kernel_to_json(k)) == k
 
 
+@pytest.mark.parametrize("obj", [
+    {"d": "1", "support": [{"z": [1], "p": 1.0}]},
+    {"d": True, "support": [{"z": [1], "p": 1.0}]},
+    {"d": 1.0, "support": [{"z": [1], "p": 1.0}]},
+    {"d": 1, "support": [{"z": [1], "p": True}]},
+    {"d": 1, "support": [{"z": [1], "p": "1"}]},
+    {"d": 1, "support": [{"z": [1], "p": float("nan")}]},
+    {"d": 1, "support": [{"z": [0.7], "p": 1.0}]},
+    {"d": 1, "support": [{"z": [True], "p": 1.0}]},
+    {"d": 1, "support": [{"z": ["a"], "p": 1.0}]},
+    {"d": 1, "support": 1},
+])
+def test_json_takes_numbers_as_they_are(obj):
+    # a string, a boolean or a float coordinate is not converted
+    with pytest.raises(ConfigError):
+        kernel_from_json(obj)
+
+
+def test_json_accepts_numpy_integers():
+    obj = {"d": np.int64(1), "support": [{"z": [np.int32(1)], "p": 1.0}]}
+    assert kernel_from_json(obj) == nn_kernel_1d(1.0)
+
+
 def test_json_rejects_garbage():
     with pytest.raises(ConfigError):
         kernel_from_json({"support": [{"z": [1], "p": 1.0}]})

@@ -114,6 +114,21 @@ def test_json_rejects_custom_and_garbage():
         rate_from_json({"family": "power"})
 
 
+@pytest.mark.parametrize("obj", [
+    {"family": "power", "a": "2"},
+    {"family": "power", "a": True},
+    {"family": "power", "a": float("inf")},
+    {"family": "exp", "c": 1.0, "theta": "0.5"},
+    {"family": "exp", "c": float("nan"), "theta": 0.5},
+    {"family": "exp", "c": 1.0, "theta": float("inf")},
+    {"family": "table", "values": "0123"},
+    {"family": "table", "values": [0, True, 2]},
+])
+def test_json_takes_numbers_as_they_are(obj):
+    with pytest.raises(ConfigError):
+        rate_from_json(obj)
+
+
 def test_growth_conditions_quadratic_depends_on_dimension():
     # h(n) ~ 2n for g = n^2: slope ~ 1 clears the d=1 threshold 2/1 but not
     # the d=2 threshold 2/2; h(n)/n^(1/d) never decreases in either case
