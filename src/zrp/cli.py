@@ -32,8 +32,8 @@ import scipy
 from . import __version__
 from .configuration import (Configuration, config_from_json, events_csv_string,
                             replay, trajectory_summary)
-from .diagnostics import (flux_report, martingale_residual, mass_report,
-                          stationarity_report, torus_row)
+from .diagnostics import (chi2_replicas, flux_report, martingale_residual,
+                          mass_report, stationarity_report, torus_row)
 from .engine import OPEN, BoundaryPolicy, simulate
 from .errors import CertificationError, ConfigError, InvariantViolation, ZRPError
 from .kernel import is_nearest_neighbour_1d, kernel_from_json
@@ -215,6 +215,15 @@ def _asymmetric_torus_product(exp: Experiment) -> str | None:
     return need or _two_replicas(exp)
 
 
+def _chi2_torus_product(exp: Experiment) -> str | None:
+    # the chi-square p-value holds only if every cell expects >= 5 replicas
+    need = _torus_product(exp)
+    if need is None:
+        R = chi2_replicas(exp.init_measure.pmf, exp.replicas)
+        need = f"replicas >= {R}" if R > exp.replicas else None
+    return need
+
+
 def _two_replicas(exp: Experiment) -> str | None:
     # a sample variance of one replica is undefined
     return "replicas >= 2" if exp.replicas < 2 else None
@@ -262,7 +271,7 @@ def _martingale(exp: Experiment, rows, threads: int) -> dict:
 DIAGNOSTICS = {
     "replay": (None, _replay_all),
     "rate-growth": (None, _rate_growth),
-    "stationarity": (_torus_product, _stationarity),
+    "stationarity": (_chi2_torus_product, _stationarity),
     "flux": (_asymmetric_torus_product, _flux),
     "mass": (_torus_product, _mass),
     "martingale": (_two_replicas, _martingale),

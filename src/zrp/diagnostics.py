@@ -341,16 +341,32 @@ def _torus_worker(r, measure, rate, kernel, torus_n, T, seed, start, N):
 
 # -------------------------------------------------- statistical stationarity
 
-def _chi2_one_sample(counts: np.ndarray, probs: np.ndarray):
-    """Merge the right tail so every expected cell count is >= 5."""
-    from scipy.stats import chi2
-    R = counts.sum()
-    exp = probs * R
+def _tail_merge(exp: np.ndarray) -> tuple[int, float]:
+    """(hi, low): merging the right tail of expected counts exp from cell
+    hi - 1 on leaves it >= 5, or two cells; low is the least kept cell."""
     hi = len(exp)
     while hi > 2 and exp[hi - 1:].sum() < 5.0:
         hi -= 1
-    obs = np.concatenate([counts[:hi - 1], [counts[hi - 1:].sum()]])
-    ex = np.concatenate([exp[:hi - 1], [exp[hi - 1:].sum()]])
+    return hi, float(min(exp[:hi - 1].min(initial=np.inf), exp[hi - 1:].sum()))
+
+
+def chi2_replicas(probs: np.ndarray, replicas: int) -> int:
+    """Fewest replicas R >= replicas at which every cell _tail_merge keeps of
+    probs * R expects >= 5; 10**18 if a kept cell has probability 0."""
+    R = replicas
+    while (low := _tail_merge(probs * R)[1]) < 5.0 and R < 10 ** 18:
+        # below R * 5 / low replicas that cell, or a smaller one, stays under 5
+        R = max(R + 1, int(min(5.0 * R / low, 1e18))) if low else 10 ** 18
+    return R
+
+
+def _chi2_one_sample(counts: np.ndarray, probs: np.ndarray):
+    """Chi-square of counts against probs, the right tail merged by
+    _tail_merge; every cell expects >= 5 from chi2_replicas replicas on."""
+    from scipy.stats import chi2
+    exp = probs * counts.sum()
+    hi = _tail_merge(exp)[0]
+    obs, ex = (np.append(v[:hi - 1], v[hi - 1:].sum()) for v in (counts, exp))
     stat = float(np.sum((obs - ex) ** 2 / ex))
     dof = len(obs) - 1
     return stat, dof, float(chi2.sf(stat, dof))

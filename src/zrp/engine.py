@@ -7,8 +7,11 @@ the boundary policy. Atoms above g(k) are discarded. Height caps follow the
 occupancy one time slab at a time: at each slab start a site holding k
 particles draws bands_for(g(k)) bands, whose ceiling is 1 for g(k) <= 1 and
 lies in [g(k), 2 g(k)) above that, all sites in one HarrisNoise.slab_atoms
-batch; a rise within the slab draws the missing bands for the rest of it one
-window at a time, and a fall keeps what was drawn until the slab ends.
+batch; a rise within the slab draws the missing bands one window at a time,
+and a fall keeps what was drawn until the slab ends. Draws ask only for atoms
+in (t_now, T], and only the ceil(T) slabs that start before T are drawn: at an
+integer T that leaves out an atom at t = T, whose time word is exactly 0 in
+slab T (probability 2^-53 per atom).
 
 simulate_gillespie() is the independent distributional cross-check: identical
 law, completely different use of randomness (global exponential clocks).
@@ -22,10 +25,10 @@ drift parameters.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
-from operator import itemgetter
 
 import numpy as np
 
@@ -107,19 +110,16 @@ def _run_thinning(occ: dict, g, T: float, noise: HarrisNoise, step) -> None:
     bands for the rest of the slab. So every atom that can fire is in the
     heap before its time comes."""
     t_now = 0.0
+    cap = lru_cache(maxsize=None)(lambda k: bands_for(g(k)))
 
     def draw(site, b0: int, b1: int, slab: int) -> None:
         for b in range(b0, b1):
-            ts, ys, us = noise.window(site, b, slab)
-            for t, y, u in zip(ts, ys, us):
-                if t_now < t <= T:
-                    heappush(heap, (t, site, y, u))
+            for t, y, u in zip(*noise.window(site, b, slab, t_now, T)):
+                heappush(heap, (t, site, y, u))
 
-    for slab in range(int(math.floor(T / TIME_SLAB)) + 1):
-        bands = {x: bands_for(g(k)) for x, k in occ.items()}
-        atoms = noise.slab_atoms(list(bands), list(bands.values()), slab)
-        heap = atoms[bisect_right(atoms, t_now, key=itemgetter(0)):
-                     bisect_right(atoms, T, key=itemgetter(0))]
+    for slab in range(math.ceil(T / TIME_SLAB)):
+        bands = {x: cap(k) for x, k in occ.items()}
+        heap = noise.slab_atoms(list(bands), list(bands.values()), slab, t_now, T)
         while heap:
             t, x, y, u = heappop(heap)
             k = occ.get(x, 0)
@@ -128,7 +128,7 @@ def _run_thinning(occ: dict, g, T: float, noise: HarrisNoise, step) -> None:
             t_now = t
             dst = step(t, x, u, k)
             if dst is not None:
-                m = bands_for(g(occ[dst]))
+                m = cap(occ[dst])
                 have = bands.get(dst, 0)
                 if m > have:
                     bands[dst] = m

@@ -40,7 +40,8 @@ with searchsorted(side="right") as bisect_right does, and forms times and
 heights with the same float64 operations, so it returns bit-for-bit the atoms
 of window(). numpy pays a fixed cost of about 150 us per batch against
 8-17 us per scalar window, so batches of fewer than _BATCH_MIN windows
-(about three times the break-even of 20) loop over window() instead.
+(about three times the break-even of 20) loop over window() instead. Both
+take a time range (t_lo, t_hi]: an atom outside it costs its time word only.
 """
 from __future__ import annotations
 
@@ -124,11 +125,11 @@ class HarrisNoise:
         """Independent sub-field (e.g. one per replica)."""
         return HarrisNoise(self.master, self.path + tuple(int(p) for p in path))
 
-    def window(self, site: Site, band: int, slab: int):
-        """(times, heights, marks) of the atoms in one window, as lists.
-
-        Times are absolute (inside [slab, slab+1)), heights inside the band,
-        marks U[0,1). Recomputed from the key on every call.
+    def window(self, site: Site, band: int, slab: int, t_lo=-math.inf, t_hi=math.inf):
+        """(times, heights, marks) of the atoms t_lo < t <= t_hi of one window,
+        as lists. Times are absolute (inside [slab, slab+1)), heights inside
+        the band, marks U[0,1). Recomputed from the key on every call; the
+        height and mark words of an atom outside (t_lo, t_hi] are never hashed.
         """
         coords = (site,) if isinstance(site, int) else site
         h = self._key
@@ -136,30 +137,35 @@ class HarrisNoise:
             h = _fold(h, 2 * c if c >= 0 else -2 * c - 1)
         h = _fold(h, (slab << 16) | (band << 8) | len(coords))
         n = bisect_right(_poisson_cdf(band), _word(h, 1))
-        if not n:
-            return [], [], []
-        u = [_word(h, i) for i in range(2, 3 * n + 2)]
-        lo, hi = band_bounds(band)
         t0 = slab * TIME_SLAB
-        return ([t0 + v * TIME_SLAB for v in u[0::3]],
-                [lo + (hi - lo) * v for v in u[1::3]], u[2::3])
+        ts, kept = [], []
+        for i in range(2, 3 * n + 2, 3):  # time words
+            t = t0 + _word(h, i) * TIME_SLAB
+            if t_lo < t <= t_hi:
+                ts.append(t)
+                kept.append(i)
+        if not kept:
+            return ts, [], []
+        lo, hi = band_bounds(band)
+        return (ts, [lo + (hi - lo) * _word(h, i + 1) for i in kept],
+                [_word(h, i + 2) for i in kept])
 
-    def slab_atoms(self, sites, counts, slab: int) -> list:
-        """Atoms (t, site, y, u) of windows (sites[i], b, slab) for every i
-        and b < counts[i], sorted: the atoms window() gives, as tuples."""
+    def slab_atoms(self, sites, counts, slab: int, t_lo, t_hi) -> list:
+        """Atoms (t, site, y, u), t_lo < t <= t_hi, of windows (sites[i], b, slab)
+        for every i and b < counts[i], sorted: the atoms window() gives, as tuples."""
         if sum(counts) >= _BATCH_MIN:
             try:
                 coords = np.array(sites, dtype=np.int64).reshape(len(sites), -1)
             except OverflowError:  # a coordinate past int64: its word needs > 64 bits
                 pass
             else:
-                return self._slab_batch(coords, sites, counts, slab)
+                return self._slab_batch(coords, sites, counts, slab, t_lo, t_hi)
         atoms = [(t, x, y, u) for x, m in zip(sites, counts) for b in range(m)
-                 for t, y, u in zip(*self.window(x, b, slab))]
+                 for t, y, u in zip(*self.window(x, b, slab, t_lo, t_hi))]
         atoms.sort()
         return atoms
 
-    def _slab_batch(self, coords, sites, counts, slab: int) -> list:
+    def _slab_batch(self, coords, sites, counts, slab: int, t_lo, t_hi) -> list:
         """slab_atoms for int64 coordinates, hashed in np.uint64 arrays."""
         h = np.full(len(sites), self._key, dtype=np.uint64)
         for c in coords.T:
@@ -174,10 +180,12 @@ class HarrisNoise:
             sel = band == b
             num[sel] = np.searchsorted(_poisson_cdf(b), count_u[sel], side="right")
         win, j = _expand(num)
-        h, i, ab = h[win], (3 * j + 2).astype(np.uint64), band[win]
-        lo, hi = np.array([band_bounds(k) for k in range(n_bands)]).T
+        h, i = h[win], (3 * j + 2).astype(np.uint64)
         t = slab * TIME_SLAB + _word(h, i) * TIME_SLAB
-        y = lo[ab] + (hi - lo)[ab] * _word(h, i + 1)
+        keep = (t_lo < t) & (t <= t_hi)
+        t, win, h, i = t[keep], win[keep], h[keep], i[keep]
+        lo, hi = np.array([band_bounds(k) for k in range(n_bands)])[band[win]].T
+        y = lo + (hi - lo) * _word(h, i + 1)
         u = _word(h, i + 2)
         order = np.argsort(t, kind="stable")
         atoms = list(zip(t[order].tolist(), [sites[k] for k in site[win][order].tolist()],

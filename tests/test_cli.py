@@ -176,6 +176,8 @@ TASEP = {"d": 1, "support": [{"z": [1], "p": 1.0}]}
     # one replica has no sample variance
     ("flux", dict(TORUS, kernel=TASEP, replicas=1)),
     ("martingale", dict(BASE, replicas=1)),
+    # below 12 replicas a cell of the chi-square expects fewer than 5
+    ("stationarity", dict(TORUS, replicas=11)),
 ])
 def test_prerequisites_fail_before_any_replica(tmp_path, monkeypatch, name, cfg):
     def no_replicas(*args, **kwargs):
@@ -263,7 +265,7 @@ def test_failing_diagnostic_exits_two(tmp_path, monkeypatch):
         "rate": {"family": "power", "a": 2.0},
         "policy": {"kind": "periodic", "n": 2},
         "T": 0.2,
-        "replicas": 4,
+        "replicas": 12,
         "seed": 163,
         "initial": {"mode": "product", "phi": 1.0, "n": 2},
         "diagnostics": ["stationarity"],
@@ -481,8 +483,7 @@ def test_json_event_files_are_pinned(tmp_path, threads):
 
 # the pinned config at one replica, with the diagnostics that one replica
 # can run; a mutant may add the others back
-FUZZ_BASE = dict(PINNED, replicas=1,
-                 diagnostics=["replay", "rate-growth", "stationarity", "mass"])
+FUZZ_BASE = dict(PINNED, replicas=1, diagnostics=["replay", "rate-growth", "mass"])
 FUZZ_VALUES = [True, False, None, "2", "a", -1, -0.5, float("nan"),
                float("inf"), float("-inf"), [], {}, [0], [1, 2], {"a": 1}]
 FUZZ_WORDS = ["open", "killed", "periodic", "product", "point", "explicit",

@@ -15,6 +15,7 @@ from zrp.configuration import Configuration
 from zrp.diagnostics import (
     _chi2_two_sided_z,
     chi2_joint_two_sample,
+    chi2_replicas,
     engine_agreement_check,
     forward_equation_check,
     generator_apply,
@@ -30,6 +31,7 @@ from zrp.engine import OPEN, periodic, simulate
 from zrp.errors import ConfigError
 from zrp.kernel import make_kernel, nn_kernel_1d, symmetric_nn_kernel
 from zrp.localfn import capped_occupancy, occupancy_indicator
+from zrp.measures import fugacity_measure
 from zrp.noise import HarrisNoise
 from zrp.rates import power_rate
 
@@ -126,6 +128,26 @@ def test_engine_agreement_small_run():
                                  nn_kernel_1d(0.7), OPEN, 0.75, 1500, 11)
     assert rep.passed
     assert rep.extras["p_value"] >= rep.threshold
+
+
+def _least_kept_cell(exp):
+    """The one-sample chi-square's right-tail merge, written out."""
+    hi = len(exp)
+    while hi > 2 and exp[hi - 1:].sum() < 5.0:
+        hi -= 1
+    return min(list(exp[:hi - 1]) + [exp[hi - 1:].sum()])
+
+
+@pytest.mark.parametrize("a,phi", [(2.0, 1.0), (2.0, 0.3), (1.0, 1.0),
+                                   (1.0, 5.0), (2.0, 0.01), (3.0, 20.0)])
+def test_chi2_replicas_is_the_first_count_with_every_cell_at_five(a, phi):
+    pmf = fugacity_measure(power_rate(a), phi).pmf
+    for start in (1, 7, 200):
+        n = chi2_replicas(pmf, start)
+        assert n >= start and _least_kept_cell(pmf * n) >= 5.0
+        assert all(_least_kept_cell(pmf * r) < 5.0 for r in range(start, n))
+    # the pinned CLI torus (a=2, phi=1) needs 12: 0.4387 * 11 < 5 <= 0.4387 * 12
+    assert chi2_replicas(fugacity_measure(SQ, 1.0).pmf, 1) == 12
 
 
 def test_chi2_two_sample_helper():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -199,10 +201,11 @@ class _OneAtom:
     def __init__(self, u):
         self.u = u
 
-    def slab_atoms(self, sites, counts, slab):
-        return [(0.5, 0, 0.5, self.u)] if slab == 0 and 0 in sites else []
+    def slab_atoms(self, sites, counts, slab, t_lo, t_hi):
+        return ([(0.5, 0, 0.5, self.u)]
+                if slab == 0 and 0 in sites and t_lo < 0.5 <= t_hi else [])
 
-    def window(self, site, band, slab):
+    def window(self, site, band, slab, t_lo, t_hi):
         return [], [], []
 
 
@@ -224,6 +227,32 @@ def test_batched_slab_starts_leave_events_unchanged(policy, monkeypatch):
                              HarrisNoise(47, (1,))).events)
     assert len(runs[0]) > 100
     assert runs[0] == runs[1]
+
+
+class _SlabLog:
+    """Wraps a HarrisNoise and records the slab of every request."""
+
+    def __init__(self, noise):
+        self.noise, self.master, self.path = noise, noise.master, noise.path
+        self.slabs = set()
+
+    def slab_atoms(self, sites, counts, slab, t_lo, t_hi):
+        self.slabs.add(slab)
+        return self.noise.slab_atoms(sites, counts, slab, t_lo, t_hi)
+
+    def window(self, site, band, slab, t_lo, t_hi):
+        self.slabs.add(slab)
+        return self.noise.window(site, band, slab, t_lo, t_hi)
+
+
+@pytest.mark.parametrize("T", [0.3, 1.0, 2.0, 2.5])
+def test_no_slab_at_or_past_the_horizon_is_drawn(T):
+    # an integer T ends the run at a slab start, whose atoms all lie past T
+    # but for a time word of exactly 0
+    noise = _SlabLog(HarrisNoise(52))
+    traj = simulate(_ones(30), RATE, nn_kernel_1d(0.6), periodic(30), T, noise)
+    assert traj.event_count() > 0
+    assert noise.slabs == set(range(math.ceil(T)))
 
 
 def test_pq_extremes_follow_single_marginal():

@@ -156,6 +156,33 @@ def test_window_does_not_depend_on_request_order():
     assert forward == backward
 
 
+@pytest.mark.parametrize("site", [0, -3, (4, -7), (0, 0)])
+@pytest.mark.parametrize("band,slab", [(0, 0), (3, 2), (5, 999_983)])
+def test_window_time_range_filters_the_window(site, band, slab):
+    noise = HarrisNoise(50, (1,))
+    ts, ys, us = noise.window(site, band, slab)
+    atoms = list(zip(ts, ys, us))
+    # bounds outside the slab, inside it, and on each atom's time
+    cuts = [-math.inf, slab - 0.5, slab, slab + 0.375, slab + 1.0, slab + 2.5,
+            math.inf] + ts
+    for lo in cuts:
+        for hi in cuts:
+            got = noise.window(site, band, slab, lo, hi)
+            assert list(zip(*got)) == [a for a in atoms if lo < a[0] <= hi]
+            assert all(type(v) is list for v in got)
+    if ts:  # the lower bound is open, the upper closed
+        assert ts[0] not in noise.window(site, band, slab, ts[0], math.inf)[0]
+        assert ts[0] in noise.window(site, band, slab, -math.inf, ts[0])[0]
+
+
+def _time_ranges(atoms, slab):
+    """Bounds outside the slab, inside it and on atom times."""
+    mid = atoms[len(atoms) // 2][0] if atoms else slab + 0.5
+    return [(slab - 1.0, slab + 0.25), (slab + 0.25, slab + 0.75),
+            (mid, slab + 3.0), (slab - 2.0, mid), (mid, mid),
+            (slab + 1.0, math.inf)]
+
+
 def _scalar_slab(noise, sites, counts, slab):
     atoms = [(t, x, y, u) for x, m in zip(sites, counts) for b in range(m)
              for t, y, u in zip(*noise.window(x, b, slab))]
@@ -175,9 +202,12 @@ def test_slab_atoms_equal_window(d, slab, n_sites):
     # 3 sites stay below the batch cutoff, 120 sites go far above it
     assert (sum(counts) >= _BATCH_MIN) == (n_sites == 120)
     noise = HarrisNoise(48, (d, 2))
-    got = noise.slab_atoms(sites, counts, slab)
+    got = noise.slab_atoms(sites, counts, slab, -math.inf, math.inf)
     assert got == _scalar_slab(noise, sites, counts, slab)
     assert all(type(v) is float for a in got for v in (a[0], a[2], a[3]))
+    for lo, hi in _time_ranges(got, slab):
+        assert noise.slab_atoms(sites, counts, slab, lo, hi) == \
+            [a for a in got if lo < a[0] <= hi]
 
 
 @pytest.mark.parametrize("wide", [-2 ** 63, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 70])
@@ -185,8 +215,11 @@ def test_slab_atoms_at_and_past_int64(wide):
     # int64 coordinates batch exactly; wider ones must not differ silently
     sites = [wide] + list(range(_BATCH_MIN))
     noise = HarrisNoise(49)
-    assert noise.slab_atoms(sites, [2] * len(sites), 5) == \
-        _scalar_slab(noise, sites, [2] * len(sites), 5)
+    got = noise.slab_atoms(sites, [2] * len(sites), 5, -math.inf, math.inf)
+    assert got == _scalar_slab(noise, sites, [2] * len(sites), 5)
+    for lo, hi in _time_ranges(got, 5):
+        assert noise.slab_atoms(sites, [2] * len(sites), 5, lo, hi) == \
+            [a for a in got if lo < a[0] <= hi]
 
 
 def test_derived_rng_streams():
