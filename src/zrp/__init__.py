@@ -10,7 +10,6 @@ from .configuration import (
     config_to_json,
     enumerate_particles,
     events_csv_string,
-    events_to_csv,
     replay,
     snapshots,
     trajectory_summary,

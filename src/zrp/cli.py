@@ -218,7 +218,9 @@ def _asymmetric_torus_product(exp: Experiment) -> str | None:
 def _chi2_torus_product(exp: Experiment) -> str | None:
     # the chi-square p-value holds only if every cell expects >= 5 replicas
     need = _torus_product(exp)
-    if need is None:
+    if need is None and exp.init_measure.K == 0:
+        need = "an initial.phi whose fugacity marginal has two or more cells"
+    elif need is None:
         R = chi2_replicas(exp.init_measure.pmf, exp.replicas)
         need = f"replicas >= {R}" if R > exp.replicas else None
     return need

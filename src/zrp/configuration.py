@@ -155,26 +155,28 @@ class Trajectory:
         return sum(1 for e in self.events if e[3] == "kill")
 
 
+def move(occ: dict[Site, int], x: Site, dst: Site | None) -> None:
+    """Take one particle from the occupied site x and add one at dst; dst None
+    removes it. Every occupancy update of a run or a replay goes through here."""
+    k = occ[x]
+    if k == 1:
+        del occ[x]
+    else:
+        occ[x] = k - 1
+    if dst is not None:
+        occ[dst] = occ.get(dst, 0) + 1
+
+
 def _apply_event(occ: dict[Site, int], ev: Event) -> None:
     t, src, dst, kind, _tag = ev
-    k = occ.get(src, 0)
-    if k < 1:
+    if occ.get(src, 0) < 1:
         raise InvariantViolation(f"event at t={t}: source {src!r} is empty")
-    if kind == "kill":
-        if k == 1:
-            del occ[src]
-        else:
-            occ[src] = k - 1
-        return
-    if kind not in ("jump", "periodic-wrap"):
+    if kind not in EVENT_KINDS:
         raise InvariantViolation(f"unknown event kind {kind!r}")
-    if dst == src:  # a wrap can fold a jump back onto its source; net no-op
-        return
-    if k == 1:
-        del occ[src]
-    else:
-        occ[src] = k - 1
-    occ[dst] = occ.get(dst, 0) + 1
+    if kind == "kill":
+        move(occ, src, None)
+    elif dst != src:  # a wrap can fold a jump back onto its source; net no-op
+        move(occ, src, dst)
 
 
 def replay(traj: Trajectory) -> Configuration:
@@ -241,23 +243,13 @@ def _fmt_site(x: Site) -> str:
     return ";".join(str(c) for c in site_coords(x))
 
 
-def events_to_csv(traj: Trajectory, path_or_file) -> None:
-    """Columns: time, src, dst, kind, marginal. Deterministic byte-for-byte."""
-    own = isinstance(path_or_file, (str, bytes))
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["time", "src", "dst", "kind", "marginal"])
-        for t, src, dst, kind, tag in traj.events:
-            w.writerow([_fmt_time(t), _fmt_site(src), _fmt_site(dst), kind, tag])
-    finally:
-        if own:
-            fh.close()
-
-
 def events_csv_string(traj: Trajectory) -> str:
+    """Columns: time, src, dst, kind, marginal. Deterministic byte-for-byte."""
     buf = io.StringIO()
-    events_to_csv(traj, buf)
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["time", "src", "dst", "kind", "marginal"])
+    for t, src, dst, kind, tag in traj.events:
+        w.writerow([_fmt_time(t), _fmt_site(src), _fmt_site(dst), kind, tag])
     return buf.getvalue()
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configuration import Configuration, intervals
+from .configuration import Configuration, _apply_event, intervals, move
 from .engine import OPEN, BoundaryPolicy, periodic, route, simulate
 from .errors import ConfigError, InvariantViolation
 from .kernel import Kernel, is_nearest_neighbour_1d, nn_kernel_1d
@@ -39,20 +39,10 @@ def _candidate_sources(f: LocalFunction, kernel: Kernel, policy: BoundaryPolicy)
 
 def _perturbed_value(f: LocalFunction, occ: dict, x: Site, k: int, dst) -> float:
     """f after moving one particle x -> dst (dst None = removal), restoring occ."""
-    if k == 1:
-        del occ[x]
-    else:
-        occ[x] = k - 1
-    kd = None
-    if dst is not None:
-        kd = occ.get(dst, 0)
-        occ[dst] = kd + 1
+    move(occ, x, dst)
     v = f.value(occ)
     if dst is not None:
-        if kd == 0:
-            del occ[dst]
-        else:
-            occ[dst] = kd
+        move(occ, dst, None)
     occ[x] = k
     return v
 
@@ -383,6 +373,9 @@ def stationarity_statistical(rate: RateFn, kernel: Kernel, phi: float,
         raise ConfigError(f"unknown start {start!r} (choose 'grand' or 'point')")
     d = kernel.d
     measure = fugacity_measure(rate, phi)
+    if measure.K == 0:
+        raise ConfigError(f"the fugacity marginal at phi={phi} has one cell: "
+                          "a chi-square needs two or more")
     M = (2 * torus_n + 1) ** d
     N = int(round(measure.density() * M))
     rows = replica_map(_torus_worker, replicas, threads=threads,
@@ -526,7 +519,6 @@ def _j_worker(r, zeta0, psi0, rate, kernel, T, seed):
     iz = ip = 0
     n_off_origin = 0
     violations = 0
-    from .configuration import _apply_event
     while iz < len(ez) or ip < len(ep):
         tz_next = ez[iz][0] if iz < len(ez) else math.inf
         tp_next = ep[ip][0] if ip < len(ep) else math.inf

@@ -11,7 +11,8 @@ batch; a rise within the slab draws the missing bands one window at a time,
 and a fall keeps what was drawn until the slab ends. Draws ask only for atoms
 in (t_now, T], and only the ceil(T) slabs that start before T are drawn: at an
 integer T that leaves out an atom at t = T, whose time word is exactly 0 in
-slab T (probability 2^-53 per atom).
+slab T (probability 2^-53 per atom). Both simulators move a fired particle
+through _fire, the one place a run routes, moves and logs.
 
 simulate_gillespie() is the independent distributional cross-check: identical
 law, completely different use of randomness (global exponential clocks).
@@ -20,20 +21,21 @@ simulate_truncation_schedule() and simulate_pq_family() run several coupled
 copies off one shared noise field. The first runs the truncations of one
 start on the largest box to each smaller box and checks that occupancies are
 monotone in the box; the second checks the labelled-particle ordering across
-drift parameters.
+drift parameters. Each (p,q) member is simulate()'s thinning run, _harris_run,
+with the jump rule _pq_jump, and its labels are read back from its event log.
 """
 from __future__ import annotations
 
 import math
 from bisect import insort
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heappop, heappush
 
 import numpy as np
 
 from .configuration import (Configuration, Trajectory, enumerate_particles,
-                            snapshots, truncate)
+                            move, snapshots, truncate)
 from .errors import ConfigError, InvariantViolation
 from .kernel import Kernel, sample_jump
 from .noise import HarrisNoise, TIME_SLAB, bands_for
@@ -100,23 +102,41 @@ def _validate_run(eta0: Configuration, rate: RateFn, kernel: Kernel,
                     f"initial site {x!r} outside the {policy.describe()} box")
 
 
-def _run_thinning(occ: dict, g, T: float, noise: HarrisNoise, step) -> None:
-    """The lazy-window event loop of every Harris-noise run: calls
-    step(t, x, u, k) for each atom (t, y, u) at site x that fires (k = occ[x]
-    > 0 and y <= g(k)), in time order. step applies the move to occ and
-    returns the site it added a particle to, or None. At a slab start each
-    occupied site draws bands 0 .. bands_for(g(k)) - 1 of that slab, in one
-    sorted batch that becomes the (then empty) heap; a rise draws the missing
-    bands for the rest of the slab. So every atom that can fire is in the
-    heap before its time comes."""
+def _fire(occ: dict, events: list, policy: BoundaryPolicy, jump, t: float,
+          x: Site, u: float, tag: str) -> Site | None:
+    """Fire the particle at x with mark u: route the displacement jump(u),
+    move it, log the event and return the site it landed on (None for a
+    kill or for a wrap onto x, which is no event)."""
+    dst, kind = route(policy, x, jump(u))
+    if kind is None:
+        return None
+    events.append((t, x, dst, kind, tag))
+    if kind == "kill":
+        dst = None
+    move(occ, x, dst)
+    return dst
+
+
+def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
+             policy: BoundaryPolicy, T: float, noise: HarrisNoise,
+             tag: str = "") -> Trajectory:
+    """One path of the process under the shared-noise construction."""
+    _validate_run(eta0, rate, kernel, policy, T)
+    return _harris_run(eta0, rate.g, partial(sample_jump, kernel), policy, T,
+                       noise, tag)
+
+
+def _harris_run(eta0: Configuration, g, jump, policy: BoundaryPolicy,
+                T: float, noise: HarrisNoise, tag: str) -> Trajectory:
+    """The lazy-window event loop of every Harris-noise run; jump maps an
+    atom's mark u to the displacement. A slab's batch becomes the (then
+    empty) heap, and a landing that raises a site's cap pushes the missing
+    bands, so every atom that can fire is in the heap before its time
+    comes."""
+    occ: dict[Site, int] = dict(eta0.occ)
+    events = []
     t_now = 0.0
     cap = lru_cache(maxsize=None)(lambda k: bands_for(g(k)))
-
-    def draw(site, b0: int, b1: int, slab: int) -> None:
-        for b in range(b0, b1):
-            for t, y, u in zip(*noise.window(site, b, slab, t_now, T)):
-                heappush(heap, (t, site, y, u))
-
     for slab in range(math.ceil(T / TIME_SLAB)):
         bands = {x: cap(k) for x, k in occ.items()}
         heap = noise.slab_atoms(list(bands), list(bands.values()), slab, t_now, T)
@@ -126,43 +146,18 @@ def _run_thinning(occ: dict, g, T: float, noise: HarrisNoise, step) -> None:
             if k == 0 or y > g(k):
                 continue
             t_now = t
-            dst = step(t, x, u, k)
+            dst = _fire(occ, events, policy, jump, t, x, u, tag)
             if dst is not None:
                 m = cap(occ[dst])
                 have = bands.get(dst, 0)
                 if m > have:
                     bands[dst] = m
-                    draw(dst, have, m, slab)
+                    for b in range(have, m):
+                        for ta, ya, ua in zip(*noise.window(dst, b, slab, t, T)):
+                            heappush(heap, (ta, dst, ya, ua))
 
-
-def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
-             policy: BoundaryPolicy, T: float, noise: HarrisNoise,
-             tag: str = "") -> Trajectory:
-    """One path of the process under the shared-noise construction."""
-    _validate_run(eta0, rate, kernel, policy, T)
-    d = eta0.d
-    g = rate.g
-    occ: dict[Site, int] = dict(eta0.occ)
-    events = []
-
-    def step(t, x, u, k):
-        dst, kind = route(policy, x, sample_jump(kernel, u))
-        if kind is None:
-            return None
-        if k == 1:
-            del occ[x]
-        else:
-            occ[x] = k - 1
-        events.append((t, x, dst, kind, tag))
-        if kind == "kill":
-            return None
-        occ[dst] = occ.get(dst, 0) + 1
-        return dst
-
-    _run_thinning(occ, g, T, noise, step)
-
-    return Trajectory(d=d, initial=eta0, events=events,
-                      final=Configuration(d, occ), T=T,
+    return Trajectory(d=eta0.d, initial=eta0, events=events,
+                      final=Configuration(eta0.d, occ), T=T,
                       policy=policy.describe(),
                       seed_desc=f"harris:{noise.master}:{noise.path}")
 
@@ -173,8 +168,8 @@ def simulate_gillespie(eta0: Configuration, rate: RateFn, kernel: Kernel,
     """Same law as simulate(), via total-rate exponential clocks. Serves as
     the distributional oracle against the thinning construction."""
     _validate_run(eta0, rate, kernel, policy, T)
-    d = eta0.d
     g = rate.g
+    jump = partial(sample_jump, kernel)
     rng = (derived_rng(rng_or_seed, TAG_GILLESPIE)
            if isinstance(rng_or_seed, (int, np.integer)) else rng_or_seed)
     occ: dict[Site, int] = dict(eta0.occ)
@@ -199,20 +194,10 @@ def simulate_gillespie(eta0: Configuration, rate: RateFn, kernel: Kernel,
                 break
         if x is None:  # float edge: r landed on the top boundary
             x = site
-        dst, kind = route(policy, x, sample_jump(kernel, rng.random()))
-        if kind is None:
-            continue
-        k = occ[x]
-        if k == 1:
-            del occ[x]
-        else:
-            occ[x] = k - 1
-        if kind != "kill":
-            occ[dst] = occ.get(dst, 0) + 1
-        events.append((t, x, dst, kind, tag))
+        _fire(occ, events, policy, jump, t, x, rng.random(), tag)
 
-    return Trajectory(d=d, initial=eta0, events=events,
-                      final=Configuration(d, occ), T=T,
+    return Trajectory(d=eta0.d, initial=eta0, events=events,
+                      final=Configuration(eta0.d, occ), T=T,
                       policy=policy.describe(), seed_desc="gillespie")
 
 
@@ -293,58 +278,33 @@ class PQFamilyResult:
     violations: list                     # (pq, snap_idx, label) order breaches
 
 
-def _simulate_labeled_pq(eta0: Configuration, rate: RateFn, p: float, T: float,
-                         noise: HarrisNoise, snapshot_times, labels0,
-                         tag: str) -> tuple[Trajectory, np.ndarray]:
-    """d=1 nearest-neighbour run tracking labelled particles.
+def _pq_jump(p: float, u: float) -> int:
+    """The (p,q) family's jump rule: right iff u <= p."""
+    return 1 if u <= p else -1
 
-    Direction convention: the atom mark u sends the particle right iff u <= p.
-    On a right jump the highest label present leaves the site; on a left jump
-    the lowest. This is the convention that makes the family order-preserving.
-    """
-    g = rate.g
+
+def _label_positions(labels0, events, snapshot_times) -> np.ndarray:
+    """Positions [n_snaps, n_labels] of the labelled particles, replayed from
+    a (p,q) member's log: on a right jump the highest label at the site
+    leaves, on a left jump the lowest. A snapshot is taken when the first
+    event after its time arrives, and any left at the end take the final
+    positions."""
     site_labels: dict[int, list[int]] = {}
-    pos = np.empty(len(labels0), dtype=np.int64)
-    for lab, x in enumerate(labels0):
+    for lab, x in enumerate(labels0):  # labels0 is sorted, so each list is too
         site_labels.setdefault(x, []).append(lab)
-        pos[lab] = x
-    for labs in site_labels.values():
-        labs.sort()
-
-    occ = {x: len(labs) for x, labs in site_labels.items()}
+    pos = np.array(labels0, dtype=np.int64)
     out = np.empty((len(snapshot_times), len(labels0)), dtype=np.int64)
-    snap_i = 0
-    events = []
-
-    def step(t, x, u, k):
-        nonlocal snap_i
-        while snap_i < len(snapshot_times) and t > snapshot_times[snap_i]:
-            out[snap_i] = pos
-            snap_i += 1
+    i = 0
+    for t, x, dst, _kind, _tag in events:
+        while i < len(snapshot_times) and t > snapshot_times[i]:
+            out[i] = pos
+            i += 1
         labs = site_labels[x]
-        if u <= p:
-            dst, lab = x + 1, labs.pop()      # rightward: highest label leaves
-        else:
-            dst, lab = x - 1, labs.pop(0)     # leftward: lowest label leaves
-        if k == 1:
-            del occ[x]
-        else:
-            occ[x] = k - 1
+        lab = labs.pop() if dst > x else labs.pop(0)
         insort(site_labels.setdefault(dst, []), lab)
-        occ[dst] = occ.get(dst, 0) + 1
         pos[lab] = dst
-        events.append((t, x, dst, "jump", tag))
-        return dst
-
-    _run_thinning(occ, g, T, noise, step)
-    while snap_i < len(snapshot_times):
-        out[snap_i] = pos
-        snap_i += 1
-
-    traj = Trajectory(d=1, initial=eta0, events=events,
-                      final=Configuration(1, occ), T=T, policy="open",
-                      seed_desc=f"harris:{noise.master}:{noise.path}")
-    return traj, out
+    out[i:] = pos
+    return out
 
 
 def simulate_pq_family(eta0: Configuration, rate: RateFn, T: float,
@@ -382,10 +342,10 @@ def simulate_pq_family(eta0: Configuration, rate: RateFn, T: float,
     positions = {}
     trajectories = {}
     for p, q in pqs:
-        traj, posarr = _simulate_labeled_pq(eta0, rate, p, T, noise,
-                                            snapshot_times, labels0,
-                                            tag=f"p={p:g},q={q:g}")
-        positions[(p, q)] = posarr
+        traj = _harris_run(eta0, rate.g, partial(_pq_jump, p), OPEN, T, noise,
+                           f"p={p:g},q={q:g}")
+        positions[(p, q)] = _label_positions(labels0, traj.events,
+                                             snapshot_times)
         trajectories[(p, q)] = traj
 
     lo = positions[(0.0, 1.0)]

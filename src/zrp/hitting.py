@@ -9,7 +9,7 @@ inflated times h(i) * t; their sum bounds the occupancy tail at the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, logsumexp
@@ -146,19 +146,6 @@ class HittingCurve:
     upper: np.ndarray
     method: str
     n_walks: int | None = None
-    meta: dict = field(default_factory=dict)
-
-    def csv(self) -> str:
-        lines = ["t,lower,upper"]
-        for t, lo, hi in zip(self.times, self.lower, self.upper):
-            lines.append(f"{float(t)!r},{float(lo)!r},{float(hi)!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> dict:
-        return {"z": list(site_coords(self.z)), "method": self.method,
-                "n_walks": self.n_walks, "times": list(map(float, self.times)),
-                "lower": list(map(float, self.lower)),
-                "upper": list(map(float, self.upper)), **self.meta}
 
 
 def estimate_F(z: Site, times, kernel: Kernel, n_walks: int,
@@ -182,8 +169,7 @@ def estimate_F(z: Site, times, kernel: Kernel, n_walks: int,
         k = int(np.sum(tau <= t))
         lower[j], upper[j] = _wilson(k, len(tau))
     return HittingCurve(z=z, times=times, lower=lower, upper=upper,
-                        method="mc-wilson", n_walks=len(tau),
-                        meta={"seed": seed})
+                        method="mc-wilson", n_walks=len(tau))
 
 
 def exact_F_curve(z: Site, times, kernel: Kernel, radius: int | None = None,

@@ -6,9 +6,10 @@ must not contain the zero offset, and the weights must sum to 1.
 
 Two inverse-CDF conventions coexist:
   * sample_jump orders the support lexicographically (works in any d);
-  * the d=1 nearest-neighbour family construction instead maps u <= p to +1
-    (inlined in engine._simulate_labeled_pq), which is what makes the
-    simultaneous (p,q)-coupling order-preserving.
+  * the d=1 nearest-neighbour (p,q) family uses engine._pq_jump instead,
+    which maps u <= p to +1. Its right-jump sets {u <= p} are nested in p, so
+    an atom that sends a particle right under p does so under every larger
+    p, and that keeps the coupled family order-preserving.
 """
 from __future__ import annotations
 

@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 from .configuration import Configuration
 from .errors import CertificationError, ConfigError, RateRangeError
 from .parallel import TAG_SAMPLE, derived_rng
-from .rates import RateFn, rate_to_json
+from .rates import RateFn
 from .sites import Site, box_sites
 
 MAX_TRUNCATION = 100_000
@@ -71,11 +71,9 @@ def partition_function(rate: RateFn, phi: float, tol: float = 1e-12):
 class FugacityMeasure:
     rate: RateFn
     phi: float
-    tol: float
     K: int
     log_z: float
     tail_bound: float
-    log_w: np.ndarray   # log w(k), k = 0..K
     pmf: np.ndarray     # P(k), k = 0..K (sums to 1 - tail)
     cdf: np.ndarray
 
@@ -89,10 +87,6 @@ class FugacityMeasure:
         gv = np.array([self.rate.g(k) for k in range(self.K + 1)])
         return float(np.dot(gv, self.pmf))
 
-    def to_json(self) -> dict:
-        return {"rate": rate_to_json(self.rate), "phi": self.phi, "tol": self.tol,
-                "K": self.K, "log_z": self.log_z, "tail_bound": self.tail_bound}
-
 
 def fugacity_measure(rate: RateFn, phi: float, tol: float = 1e-12) -> FugacityMeasure:
     log_z, K, tail = partition_function(rate, phi, tol)
@@ -102,8 +96,8 @@ def fugacity_measure(rate: RateFn, phi: float, tol: float = 1e-12) -> FugacityMe
     log_terms = log_w + np.arange(K + 1) * math.log(phi)
     pmf = np.exp(log_terms - log_z)
     cdf = np.cumsum(pmf)
-    return FugacityMeasure(rate=rate, phi=phi, tol=tol, K=K, log_z=log_z,
-                           tail_bound=tail, log_w=log_w, pmf=pmf, cdf=cdf)
+    return FugacityMeasure(rate=rate, phi=phi, K=K, log_z=log_z,
+                           tail_bound=tail, pmf=pmf, cdf=cdf)
 
 
 def sample_box_config(measure: FugacityMeasure, n: int, d: int, rng_or_seed) -> Configuration:
@@ -157,19 +151,6 @@ class CanonicalTorusMeasure:
     sites: list[Site]
     states: list[tuple[int, ...]]
     probs: np.ndarray
-
-    def sample(self, rng) -> Configuration:
-        i = int(rng.choice(len(self.states), p=self.probs))
-        state = self.states[i]
-        return Configuration(self.d, {x: k for x, k in zip(self.sites, state) if k > 0})
-
-    def marginal(self, site: Site) -> np.ndarray:
-        """P(occupancy at site = k), k = 0..N."""
-        j = self.sites.index(site)
-        out = np.zeros(self.N + 1)
-        for state, p in zip(self.states, self.probs):
-            out[state[j]] += p
-        return out
 
 
 def canonical_torus_measure(rate: RateFn, sites_per_dim: int, d: int,

@@ -172,7 +172,7 @@ def check_exponential_bound(rate: RateFn, c: float, theta: float, n_max: int) ->
 
 @dataclass(frozen=True)
 class CorollaryReport:
-    a_estimate: float
+    a_estimate: float | None  # None: fewer than two points with h > 0 to fit
     condition_a: bool
     condition_b: bool
     drift: tuple[float, ...]
@@ -233,11 +233,11 @@ def check_corollary_conditions(rate: RateFn, kernel: Kernel, n_max: int = 10_000
     if mask.sum() >= 2:
         slope = float(np.polyfit(np.log(pts[mask]), np.log(hvals[mask]), 1)[0])
     else:
-        slope = float("nan")
+        slope = None
 
     drift = mean_drift(kernel)
     zero_drift = all(abs(c) <= 1e-12 for c in drift)
-    cond_a = bool(zero_drift and math.isfinite(slope) and slope < 2.0 / d - SLOPE_MARGIN)
+    cond_a = bool(zero_drift and slope is not None and slope < 2.0 / d - SLOPE_MARGIN)
 
     v = hvals * pts.astype(float) ** (-1.0 / d)
     decreasing = bool(np.all(v[1:] <= v[:-1] * (1 + 1e-9)))

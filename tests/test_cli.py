@@ -178,6 +178,8 @@ TASEP = {"d": 1, "support": [{"z": [1], "p": 1.0}]}
     ("martingale", dict(BASE, replicas=1)),
     # below 12 replicas a cell of the chi-square expects fewer than 5
     ("stationarity", dict(TORUS, replicas=11)),
+    # phi=1e-300 certifies the one cell k = 0: nothing to test
+    ("stationarity", dict(TORUS, initial=dict(TORUS["initial"], phi=1e-300))),
 ])
 def test_prerequisites_fail_before_any_replica(tmp_path, monkeypatch, name, cfg):
     def no_replicas(*args, **kwargs):
@@ -190,6 +192,8 @@ def test_prerequisites_fail_before_any_replica(tmp_path, monkeypatch, name, cfg)
     assert f"config error: diagnostic '{name}' needs" in text
     if cfg["initial"].get("n", 0) < cfg["policy"].get("n", 0):
         assert "initial.n" in text
+    if cfg["initial"].get("phi", 1.0) < 1e-200:
+        assert "initial.phi" in text
     assert not out.exists()
 
 

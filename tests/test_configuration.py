@@ -128,6 +128,26 @@ def test_replay_rejects_out_of_order_times():
             replay(bad)
 
 
+def _one_event_log(ev, initial=None):
+    initial = initial or Configuration(1, {0: 1, 2: 1})
+    return Trajectory(d=1, initial=initial, events=[ev], final=initial, T=1.0)
+
+
+def test_replay_rejects_an_event_from_an_empty_site():
+    with pytest.raises(InvariantViolation, match="empty"):
+        replay(_one_event_log((0.5, 1, 2, "jump", "")))
+
+
+def test_replay_rejects_an_unknown_kind():
+    with pytest.raises(InvariantViolation, match="unknown event kind"):
+        replay(_one_event_log((0.5, 0, 1, "teleport", "")))
+
+
+def test_replay_self_wrap_leaves_the_configuration_unchanged():
+    t = _one_event_log((0.5, 0, 0, "periodic-wrap", ""))
+    assert replay(t) == t.initial
+
+
 def test_snapshots_at_times():
     t = _traj(T=2.0)
     snaps = snapshots(t, [0.0, 1.0, 2.0])

@@ -227,6 +227,13 @@ def test_stationarity_rejects_canonical_start(monkeypatch):
                                  start="canonical")
 
 
+def test_stationarity_rejects_a_one_cell_marginal(monkeypatch):
+    # phi=1e-300 certifies the support {0}: a chi-square has nothing to test
+    monkeypatch.setattr(diagnostics, "replica_map", _no_replicas)
+    with pytest.raises(ConfigError, match="one cell"):
+        stationarity_statistical(SQ, nn_kernel_1d(0.5), 1e-300, 2, 1.0, 100, 1)
+
+
 def test_dispersion_z_at_the_4se_tail():
     # a 4 SE normal band fails with two-sided probability 6.3e-5; the
     # dispersion test's quantiles at that probability map back to z = 4

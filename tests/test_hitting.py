@@ -96,11 +96,8 @@ def test_estimate_F_d2_smoke():
 
 def test_curve_csv_is_plain_numbers():
     c = estimate_F(-1, [0.5], nn_kernel_1d(1.0), 500, 5)
-    lines = c.csv().strip().splitlines()
-    assert lines[0] == "t,lower,upper"
-    t, lo, hi = (float(v) for v in lines[1].split(","))
-    assert t == 0.5
-    assert 0.0 <= lo <= hi <= 1.0
+    assert c.times.tolist() == [0.5]
+    assert 0.0 <= c.lower[0] <= c.upper[0] <= 1.0
 
 
 def test_mbar_counts_particles_at_target():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -139,6 +140,14 @@ def test_growth_conditions_quadratic_depends_on_dimension():
     assert rep1.heuristic
     rep2 = check_corollary_conditions(power_rate(2.0), symmetric_nn_kernel(2), n_max=2000)
     assert not rep2.condition_a
+
+
+def test_growth_conditions_without_two_points_report_no_slope():
+    # a 3-entry table leaves one positive increment to fit: no slope, not NaN
+    rep = check_corollary_conditions(table_rate([0.0, 1.0, 3.0]), nn_kernel_1d(0.5))
+    assert rep.a_estimate is None
+    assert not rep.condition_a
+    assert "NaN" not in json.dumps(rep.to_json())
 
 
 def test_growth_conditions_flag_exponential_growth():
