@@ -18,7 +18,6 @@ from .configuration import (
 from .diagnostics import (
     Report,
     engine_agreement_check,
-    forward_equation_check,
     generator_apply,
     j_discrepancy,
     j_inequality_check,
@@ -48,7 +47,6 @@ from .errors import (
 from .hitting import (
     HittingCurve,
     MbarReport,
-    calibrate_doob_constant,
     estimate_F,
     exact_F_curve,
     exact_F_small,

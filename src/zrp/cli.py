@@ -216,7 +216,8 @@ def _asymmetric_torus_product(exp: Experiment) -> str | None:
 
 
 def _chi2_torus_product(exp: Experiment) -> str | None:
-    # the chi-square p-value holds only if every cell expects >= 5 replicas
+    # the chi-square p-value holds only if every cell left by the sparse-cell
+    # merge expects >= 5: the largest cell and the pooled rest each reach 5
     need = _torus_product(exp)
     if need is None and exp.init_measure.K == 0:
         need = "an initial.phi whose fugacity marginal has two or more cells"

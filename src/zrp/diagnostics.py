@@ -133,28 +133,17 @@ def _martingale_worker(r, f, eta0, rate, kernel, policy, T, seed, grid):
     rate_mass = 0.0  # integral of sum_{x in Abar} g(eta_s(x)) ds
     gi = 0
     m_grid = np.empty(len(grid))
-    lf_grid = np.empty(len(grid))
-    f_grid = np.empty(len(grid))
     for t0, t1, occ in intervals(traj):
         lf = _generator_apply_dict(f, occ, rate, kernel, policy, sources)
         while gi < len(grid) and t0 <= grid[gi] < t1:
-            fv = f.value(occ)
-            m_grid[gi] = fv - f0 - (integral + lf * (grid[gi] - t0))
-            lf_grid[gi] = lf
-            f_grid[gi] = fv
+            m_grid[gi] = f.value(occ) - f0 - (integral + lf * (grid[gi] - t0))
             gi += 1
         dt = t1 - t0
         integral += lf * dt
         rate_mass += dt * sum(g(occ.get(x, 0)) for x in sources)
-    occT = dict(traj.final.occ)
-    lfT = _generator_apply_dict(f, occT, rate, kernel, policy, sources)
-    while gi < len(grid):
-        fv = f.value(occT)
-        m_grid[gi] = fv - f0 - integral
-        lf_grid[gi] = lfT
-        f_grid[gi] = fv
-        gi += 1
-    return m_grid, rate_mass, f_grid, lf_grid
+    fT = f.value(traj.final.occ)
+    m_grid[gi:] = fT - f0 - integral
+    return m_grid, rate_mass, fT
 
 
 def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
@@ -167,7 +156,10 @@ def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
     Passes when |mean| <= 4 SE at the horizon and the empirical variance of
     M_T respects the optional-quadratic-variation bound
     8 B^2 E[int sum_{x in Abar} g(eta_s(x)) ds] (within its own 4 SE band).
+    The grid carries the mean path of M with its SEs.
     """
+    if replicas < 2:
+        raise ConfigError("the martingale residual needs replicas >= 2")
     grid = np.linspace(T / 8, T, 8)
     rows = replica_map(_martingale_worker, replicas, threads=threads,
                        args=(f, eta0, rate, kernel, policy, T, seed, grid))
@@ -191,52 +183,7 @@ def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
         extras={"mean": mean, "se": se, "grid": grid.tolist(),
                 "grid_mean": grid_mean.tolist(), "grid_se": grid_se.tolist(),
                 "var_MT": var, "qv_bound": qv_bound, "qv_ok": bool(qv_ok),
-                "f": f.label, "final_mean_f": float(np.mean([row[2][-1] for row in rows]))})
-
-
-def _forward_worker(r, f, eta0, rate, kernel, policy, T, seed, grid):
-    m_grid, _mass, f_grid, lf_grid = _martingale_worker(
-        r, f, eta0, rate, kernel, policy, T, seed, grid)
-    # integral of Lf up to each grid point recovers from M and f:
-    # I(tau) = f(tau) - f(0) - M(tau)
-    f0 = f.value(eta0.occ)
-    i_grid = f_grid - f0 - m_grid
-    return f_grid, lf_grid, i_grid
-
-
-def forward_equation_check(f: LocalFunction, eta0: Configuration, rate: RateFn,
-                           kernel: Kernel, policy: BoundaryPolicy, T: float,
-                           replicas: int, seed: int,
-                           threads: int = 1) -> Report:
-    """Windowed forward equation on the grid t = 0, T/8, ..., T: for interior
-    grid windows, E[f(eta_{t+}) - f(eta_{t-})] = E[int Lf ds] exactly; the
-    report also carries the central-difference dE[f]/dt against E[Lf] as
-    curves.
-    """
-    grid = np.linspace(0.0, T, 9)
-    rows = replica_map(_forward_worker, replicas, threads=threads,
-                       args=(f, eta0, rate, kernel, policy, T, seed, grid))
-    F = np.stack([row[0] for row in rows])
-    L = np.stack([row[1] for row in rows])
-    I = np.stack([row[2] for row in rows])
-
-    zs = []
-    for j in range(1, len(grid) - 1):
-        d_r = F[:, j + 1] - F[:, j - 1] - (I[:, j + 1] - I[:, j - 1])
-        m, se = _mean_se(d_r)
-        zs.append(abs(m) / se if se > 0 else (0.0 if m == 0 else math.inf))
-    zmax = max(zs)
-
-    ef = F.mean(axis=0)
-    elf = L.mean(axis=0)
-    deriv = np.full(len(grid), np.nan)
-    deriv[1:-1] = (ef[2:] - ef[:-2]) / (grid[2:] - grid[:-2])
-    return Report(
-        test="forward_equation", passed=bool(zmax <= 4.0), statistic=zmax,
-        threshold=4.0, seed=seed, n_replicas=replicas,
-        extras={"grid": grid.tolist(), "E_f": ef.tolist(),
-                "E_Lf": elf.tolist(), "dEf_dt_central": deriv.tolist(),
-                "window_z": zs, "f": f.label})
+                "f": f.label, "final_mean_f": float(np.mean([row[2] for row in rows]))})
 
 
 # ------------------------------------------------------ exact stationarity
@@ -331,32 +278,39 @@ def _torus_worker(r, measure, rate, kernel, torus_n, T, seed, start, N):
 
 # -------------------------------------------------- statistical stationarity
 
-def _tail_merge(exp: np.ndarray) -> tuple[int, float]:
-    """(hi, low): merging the right tail of expected counts exp from cell
-    hi - 1 on leaves it >= 5, or two cells; low is the least kept cell."""
-    hi = len(exp)
-    while hi > 2 and exp[hi - 1:].sum() < 5.0:
-        hi -= 1
-    return hi, float(min(exp[:hi - 1].min(initial=np.inf), exp[hi - 1:].sum()))
+def _sparse_merge(w: np.ndarray, floor: float) -> np.ndarray:
+    """Mask of the chi-square cells of weights w that stay on their own; the
+    others pool into one cell. Every cell w >= floor is kept; while the pool
+    totals under floor and two or more cells are kept, the least kept cell
+    (the last of equals, in the caller's order) joins the pool."""
+    keep = w >= floor
+    while (~keep).any() and w[~keep].sum() < floor and keep.sum() >= 2:
+        kept = np.flatnonzero(keep)[::-1]
+        keep[kept[np.argmin(w[kept])]] = False
+    return keep
+
+
+def _merged(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The kept cells of v in order, then the pool if a cell is pooled."""
+    return v[keep] if keep.all() else np.append(v[keep], v[~keep].sum())
 
 
 def chi2_replicas(probs: np.ndarray, replicas: int) -> int:
-    """Fewest replicas R >= replicas at which every cell _tail_merge keeps of
-    probs * R expects >= 5; 10**18 if a kept cell has probability 0."""
-    R = replicas
-    while (low := _tail_merge(probs * R)[1]) < 5.0 and R < 10 ** 18:
-        # below R * 5 / low replicas that cell, or a smaller one, stays under 5
-        R = max(R + 1, int(min(5.0 * R / low, 1e18))) if low else 10 ** 18
-    return R
+    """Fewest replicas R >= replicas at which every cell that _sparse_merge
+    leaves of probs * R expects >= 5. That holds exactly when the largest
+    cell and the rest each expect >= 5: the largest cell is then kept, and
+    the merge pools cells until the pool reaches 5 or only it is left."""
+    top = float(probs.max())
+    return max(replicas, math.ceil(5.0 / min(top, 1.0 - top)))
 
 
 def _chi2_one_sample(counts: np.ndarray, probs: np.ndarray):
-    """Chi-square of counts against probs, the right tail merged by
-    _tail_merge; every cell expects >= 5 from chi2_replicas replicas on."""
+    """Chi-square of counts against probs, the cells under 5 expected merged
+    by _sparse_merge; every cell expects >= 5 from chi2_replicas replicas on."""
     from scipy.stats import chi2
     exp = probs * counts.sum()
-    hi = _tail_merge(exp)[0]
-    obs, ex = (np.append(v[:hi - 1], v[hi - 1:].sum()) for v in (counts, exp))
+    keep = _sparse_merge(exp, 5.0)
+    obs, ex = _merged(counts, keep), _merged(exp, keep)
     stat = float(np.sum((obs - ex) ** 2 / ex))
     dof = len(obs) - 1
     return stat, dof, float(chi2.sf(stat, dof))
@@ -376,6 +330,8 @@ def stationarity_statistical(rate: RateFn, kernel: Kernel, phi: float,
     if measure.K == 0:
         raise ConfigError(f"the fugacity marginal at phi={phi} has one cell: "
                           "a chi-square needs two or more")
+    if replicas < (R := chi2_replicas(measure.pmf, replicas)):
+        raise ConfigError(f"a chi-square cell expects under 5: need replicas >= {R}")
     M = (2 * torus_n + 1) ** d
     N = int(round(measure.density() * M))
     rows = replica_map(_torus_worker, replicas, threads=threads,
@@ -412,25 +368,15 @@ _MIN_POOLED = 10.0
 
 def chi2_joint_two_sample(cells_a: dict, cells_b: dict):
     """Homogeneity chi-square over categorical cells (dict key -> count).
-    Rare cells (pooled count < _MIN_POOLED) are merged into one."""
+    Rare cells (pooled count < _MIN_POOLED) are merged by _sparse_merge,
+    the cells taken by descending pooled count, then by str(key)."""
     from scipy.stats import chi2
     keys = sorted(set(cells_a) | set(cells_b),
                   key=lambda k: (-(cells_a.get(k, 0) + cells_b.get(k, 0)), str(k)))
-    kept = [k for k in keys
-            if cells_a.get(k, 0) + cells_b.get(k, 0) >= _MIN_POOLED]
-    rest = [k for k in keys if k not in set(kept)]
-    if rest or len(kept) < 2:
-        # merge the sparse remainder; drop one kept cell into it if needed
-        while len(kept) >= 2 and sum(cells_a.get(k, 0) + cells_b.get(k, 0)
-                                     for k in rest) < _MIN_POOLED:
-            rest.append(kept.pop())
-        o1 = np.array([cells_a.get(k, 0) for k in kept]
-                      + [sum(cells_a.get(k, 0) for k in rest)], dtype=float)
-        o2 = np.array([cells_b.get(k, 0) for k in kept]
-                      + [sum(cells_b.get(k, 0) for k in rest)], dtype=float)
-    else:
-        o1 = np.array([cells_a.get(k, 0) for k in kept], dtype=float)
-        o2 = np.array([cells_b.get(k, 0) for k in kept], dtype=float)
+    a = np.array([cells_a.get(k, 0) for k in keys], dtype=float)
+    b = np.array([cells_b.get(k, 0) for k in keys], dtype=float)
+    keep = _sparse_merge(a + b, _MIN_POOLED)
+    o1, o2 = _merged(a, keep), _merged(b, keep)
     n1, n2 = o1.sum(), o2.sum()
     pool = (o1 + o2) / (n1 + n2)
     mask = pool > 0
@@ -572,6 +518,8 @@ def poisson_flux_check(rate: RateFn, phi: float, torus_n: int, T: float,
     tail area of a 4*SE normal band."""
     if torus_n < 1:
         raise ConfigError("need torus radius >= 1")
+    if replicas < 2:
+        raise ConfigError("the flux dispersion needs replicas >= 2")
     measure = fugacity_measure(rate, phi)
     rows = replica_map(_torus_worker, replicas, threads=threads,
                        args=(measure, rate, nn_kernel_1d(1.0), torus_n, T, seed,

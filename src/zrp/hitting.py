@@ -5,6 +5,8 @@ The central object is F_z(s) = P(a rate-1 walk with jump law p started at z
 reaches the origin by time s). Particles of the initial configuration,
 enumerated outward from a target site, contribute F terms evaluated at
 inflated times h(i) * t; their sum bounds the occupancy tail at the target.
+The nearest terms are bracketed exactly and the far ones are bounded above
+by a certified Gamma tail, so [lower, upper] brackets the sum.
 """
 from __future__ import annotations
 
@@ -154,15 +156,14 @@ def estimate_F(z: Site, times, kernel: Kernel, n_walks: int,
     times = np.asarray(sorted(float(t) for t in times))
     if len(times) == 0 or times[0] < 0:
         raise ConfigError("need a nonnegative time grid")
+    if n_walks < 1:
+        raise ConfigError("need n_walks >= 1")
     t_max = float(times[-1])
     batch = 2000
-    n_batches = max(1, math.ceil(n_walks / batch))
+    n_batches = math.ceil(n_walks / batch)
     sizes = [batch] * (n_batches - 1) + [n_walks - batch * (n_batches - 1)]
-    taus = []
-    for b, size in enumerate(sizes):
-        if size > 0:
-            taus.append(_walk_batch(b, z, t_max, kernel, seed, size))
-    tau = np.concatenate(taus)
+    tau = np.concatenate([_walk_batch(b, z, t_max, kernel, seed, size)
+                          for b, size in enumerate(sizes)])
     lower = np.empty(len(times))
     upper = np.empty(len(times))
     for j, t in enumerate(times):
@@ -215,42 +216,14 @@ class MbarReport:
                 "tail_method": self.tail_method, "flags": list(self.flags)}
 
 
-_DOOB_CACHE: dict = {}
-
-
-def calibrate_doob_constant(kernel: Kernel, p: float, seed: int,
-                            n_walks: int = 4000) -> float:
-    """Empirical constant C for F_x(s) <= C s^(p/2) / |x|^p, fit on a probe
-    grid of distances and diffusive times and doubled for headroom. Not a
-    theorem: reports using it carry an explicit flag."""
-    key = (kernel.offsets, kernel.probs, float(p), int(seed), int(n_walks))
-    if key in _DOOB_CACHE:
-        return _DOOB_CACHE[key]
-    d = kernel.d
-    best = 0.0
-    probe = 0
-    for dist in (2, 4, 8):
-        x: Site = dist if d == 1 else (dist,) + (0,) * (d - 1)
-        times = [f * dist * dist for f in (0.05, 0.2, 0.8)]
-        curve = estimate_F(x, times, kernel, n_walks, seed + dist)
-        for t, hi in zip(curve.times, curve.upper):
-            probe += 1
-            ratio = hi * dist ** p / t ** (p / 2.0)
-            best = max(best, ratio)
-    out = 2.0 * best
-    _DOOB_CACHE[key] = out
-    return out
-
-
 def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
-         K: int | None = None, tail_method: str = "exp-sum",
-         doob_p: float = 4.0, doob_constant: float | None = None,
-         seed: int = 0) -> MbarReport:
+         K: int | None = None, tail_method: str = "exp-sum") -> MbarReport:
     """Sum of F_{x_i - z}(h(i) t) over particles enumerated outward from z.
 
-    The first K terms are bracketed exactly; the rest are dominated by a
-    closed-form tail (per-term Gamma bound "exp-sum", heuristic "doob", or
-    "none" when K covers everything). By default K counts the particles
+    The first K terms are bracketed exactly; the rest are dominated by the
+    certified Gamma tail "exp-sum": a particle m range-steps away needs at
+    least m jumps of its rate-1 clock, so F <= P(Gamma(m) <= s). With
+    "none", K must cover every particle. By default K counts the particles
     within max-norm distance 30 of z (8 when d > 1).
     """
     if eta.d != kernel.d:
@@ -302,23 +275,9 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
                 tail += 1.0
                 flags.append("rate-overflow-term")
                 continue
-            m = max(1, math.ceil(dists[i] / R))
-            tail += float(gammainc(m, s))
-    elif tail_method == "doob":
-        if doob_constant is None:
-            doob_constant = calibrate_doob_constant(kernel, doob_p, seed)
-        flags.append("doob-constant-empirical")
-        for i in range(K, n):
-            if dists[i] == 0:
-                raise ConfigError("a particle at z must be inside the exact block")
-            try:
-                s = rate.h(i + 1) * t
-            except RateRangeError:
-                tail += 1.0
-                flags.append("rate-overflow-term")
-                continue
-            tail += min(1.0, doob_constant * s ** (doob_p / 2.0)
-                        / dists[i] ** doob_p)
+            # m range-steps need m jumps; a particle at z has F = 1
+            m = math.ceil(dists[i] / R)
+            tail += float(gammainc(m, s)) if m else 1.0
     elif tail_method != "none":
         raise ConfigError(f"unknown tail method {tail_method!r}")
 

@@ -180,6 +180,9 @@ TASEP = {"d": 1, "support": [{"z": [1], "p": 1.0}]}
     ("stationarity", dict(TORUS, replicas=11)),
     # phi=1e-300 certifies the one cell k = 0: nothing to test
     ("stationarity", dict(TORUS, initial=dict(TORUS["initial"], phi=1e-300))),
+    # g(k) = k at phi=50: the largest cell holds 0.0563 and reaches 5 at 89
+    ("stationarity", dict(TORUS, rate={"family": "power", "a": 1.0}, replicas=88,
+                          initial=dict(TORUS["initial"], phi=50.0))),
 ])
 def test_prerequisites_fail_before_any_replica(tmp_path, monkeypatch, name, cfg):
     def no_replicas(*args, **kwargs):
@@ -194,6 +197,8 @@ def test_prerequisites_fail_before_any_replica(tmp_path, monkeypatch, name, cfg)
         assert "initial.n" in text
     if cfg["initial"].get("phi", 1.0) < 1e-200:
         assert "initial.phi" in text
+    if cfg["replicas"] == 88:
+        assert "replicas >= 89" in text
     assert not out.exists()
 
 
@@ -461,6 +466,12 @@ def test_every_diagnostic_report_is_pinned(tmp_path, threads):
     for name, sha in PINNED_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, name
     assert _events_sha256(out, "csv") == PINNED_EVENTS_SHA256["csv"]
+    for q in out.glob("*.json"):  # strict JSON: no NaN or Infinity
+        json.loads(q.read_text(), parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def _events_sha256(out, fmt):

@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
-from zrp import diagnostics
+from zrp import diagnostics, hitting
 from zrp.configuration import Configuration
 from zrp.diagnostics import (
     _chi2_two_sided_z,
     chi2_joint_two_sample,
     chi2_replicas,
     engine_agreement_check,
-    forward_equation_check,
     generator_apply,
     j_discrepancy,
     j_inequality_check,
@@ -130,24 +129,46 @@ def test_engine_agreement_small_run():
     assert rep.extras["p_value"] >= rep.threshold
 
 
-def _least_kept_cell(exp):
-    """The one-sample chi-square's right-tail merge, written out."""
-    hi = len(exp)
-    while hi > 2 and exp[hi - 1:].sum() < 5.0:
-        hi -= 1
-    return min(list(exp[:hi - 1]) + [exp[hi - 1:].sum()])
+def _cells_at_five(exp):
+    """The sparse-cell merge, written out as a scan: keep the cells >= 5;
+    while the pool is short and two cells are kept, pool the least kept
+    (the last of equals). True if every cell left expects >= 5."""
+    kept = [k for k in range(len(exp)) if exp[k] >= 5.0]
+    pooled = [k for k in range(len(exp)) if exp[k] < 5.0]
+    while pooled and sum(exp[k] for k in pooled) < 5.0 and len(kept) >= 2:
+        least = min(exp[k] for k in kept)
+        last = [k for k in kept if exp[k] == least][-1]
+        kept.remove(last)
+        pooled.append(last)
+    return bool(kept) and (not pooled or sum(exp[k] for k in pooled) >= 5.0)
 
 
 @pytest.mark.parametrize("a,phi", [(2.0, 1.0), (2.0, 0.3), (1.0, 1.0),
-                                   (1.0, 5.0), (2.0, 0.01), (3.0, 20.0)])
+                                   (1.0, 5.0), (2.0, 0.01), (3.0, 20.0),
+                                   (1.0, 50.0)])
 def test_chi2_replicas_is_the_first_count_with_every_cell_at_five(a, phi):
     pmf = fugacity_measure(power_rate(a), phi).pmf
     for start in (1, 7, 200):
         n = chi2_replicas(pmf, start)
-        assert n >= start and _least_kept_cell(pmf * n) >= 5.0
-        assert all(_least_kept_cell(pmf * r) < 5.0 for r in range(start, n))
+        assert n >= start and _cells_at_five(pmf * n)
+        assert not any(_cells_at_five(pmf * r) for r in range(start, n))
     # the pinned CLI torus (a=2, phi=1) needs 12: 0.4387 * 11 < 5 <= 0.4387 * 12
     assert chi2_replicas(fugacity_measure(SQ, 1.0).pmf, 1) == 12
+    # g(k) = k is Poisson(phi): at phi=50 the cells near 0 and far out pool,
+    # and the largest cell, 0.0563 of the mass, reaches 5 at 89
+    assert chi2_replicas(fugacity_measure(power_rate(1.0), 5.0).pmf, 1) == 29
+    assert chi2_replicas(fugacity_measure(power_rate(1.0), 50.0).pmf, 1) == 89
+
+
+def test_sparse_merge_pools_both_tails_and_the_last_least_cell():
+    w = np.array([1.0, 6.0, 20.0, 6.0, 1.0])
+    # the pool {0, 4} holds 2 < 5, so the later of the two 6s joins it
+    assert diagnostics._sparse_merge(w, 5.0).tolist() == [False, True, True,
+                                                          False, False]
+    # a pool that reaches the floor, or an empty one, takes nothing more
+    assert diagnostics._sparse_merge(w, 1.0).all()
+    assert diagnostics._sparse_merge(np.array([3.0, 9.0, 3.0]), 5.0).tolist() \
+        == [False, True, False]
 
 
 def test_chi2_two_sample_helper():
@@ -195,12 +216,6 @@ def test_martingale_residual_small_run():
     assert rep.extras["var_MT"] <= rep.extras["qv_bound"] * 1.5
 
 
-def test_forward_equation_small_run():
-    rep = forward_equation_check(capped_occupancy(0, 10), Configuration(1, {0: 2}),
-                                 SQ, nn_kernel_1d(0.5), OPEN, 1.0, 600, 23)
-    assert rep.passed
-
-
 def test_poisson_flux_small_run():
     rep = poisson_flux_check(SQ, 1.0, 7, 1.5, 1200, 17)
     assert rep.passed
@@ -218,6 +233,23 @@ def test_flux_needs_positive_torus_radius(monkeypatch):
         poisson_flux_check(SQ, 1.0, 0, 1.0, 100, 1)
 
 
+@pytest.mark.parametrize("check", [
+    lambda: poisson_flux_check(SQ, 1.0, 7, 1.0, 1, 1),
+    lambda: martingale_residual(capped_occupancy(0, 10), Configuration(1, {0: 2}),
+                                SQ, nn_kernel_1d(0.5), OPEN, 1.0, 1, 1),
+], ids=["flux", "martingale"])
+def test_one_replica_has_no_sample_variance(monkeypatch, check):
+    monkeypatch.setattr(diagnostics, "replica_map", _no_replicas)
+    with pytest.raises(ConfigError, match="replicas >= 2"):
+        check()
+
+
+def test_estimate_F_needs_a_walk(monkeypatch):
+    monkeypatch.setattr(hitting, "_walk_batch", _no_replicas)
+    with pytest.raises(ConfigError, match="n_walks"):
+        hitting.estimate_F(-1, [1.0], nn_kernel_1d(1.0), 0, 1)
+
+
 def test_stationarity_rejects_canonical_start(monkeypatch):
     # only product ("grand") and point starts exist; AC3 checks the
     # canonical measure exactly
@@ -232,6 +264,13 @@ def test_stationarity_rejects_a_one_cell_marginal(monkeypatch):
     monkeypatch.setattr(diagnostics, "replica_map", _no_replicas)
     with pytest.raises(ConfigError, match="one cell"):
         stationarity_statistical(SQ, nn_kernel_1d(0.5), 1e-300, 2, 1.0, 100, 1)
+
+
+def test_stationarity_rejects_a_sparse_chi_square(monkeypatch):
+    # at 11 replicas the largest cell of the phi=1 marginal expects 4.8
+    monkeypatch.setattr(diagnostics, "replica_map", _no_replicas)
+    with pytest.raises(ConfigError, match="replicas >= 12"):
+        stationarity_statistical(SQ, nn_kernel_1d(0.5), 1.0, 2, 1.0, 11, 1)
 
 
 def test_dispersion_z_at_the_4se_tail():

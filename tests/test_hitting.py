@@ -9,11 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from zrp.configuration import Configuration
 from zrp.errors import ConfigError
 from zrp.hitting import (
-    calibrate_doob_constant,
     estimate_F,
     exact_F_curve,
     exact_F_small,
@@ -140,21 +140,14 @@ def test_mbar_degrades_on_unrepresentable_rates():
     assert "time-beyond-exact-bracket" in rep.flags
 
 
-def test_mbar_doob_tail_flagged_as_empirical():
-    rep = mbar(Configuration(1, {2: 1, 35: 1}), 0, 1.0, power_rate(2.0),
-               nn_kernel_1d(0.5), tail_method="doob", seed=3)
-    assert "doob-constant-empirical" in rep.flags
-    assert rep.tail >= 0.0
-    obj = rep.to_json()
-    assert obj["tail_method"] == "doob"
-    assert obj["upper"] >= obj["lower"]
-
-
-def test_calibrate_doob_constant_deterministic():
-    a = calibrate_doob_constant(nn_kernel_1d(0.5), 4.0, 7, n_walks=1500)
-    b = calibrate_doob_constant(nn_kernel_1d(0.5), 4.0, 7, n_walks=1500)
-    assert a == b
-    assert a > 0
+def test_mbar_tail_counts_a_particle_at_z_in_full():
+    # K=0 leaves the particle at z to the tail, where F = 1 at any t; the
+    # second particle is 3 steps out, on the clock h(2) t
+    rate = power_rate(2.0)
+    rep = mbar(Configuration(1, {0: 1, 3: 1}), 0, 0.1, rate,
+               nn_kernel_1d(0.5), K=0)
+    assert rep.tail == pytest.approx(1.0 + float(gammainc(3, rate.h(2) * 0.1)))
+    assert rep.upper >= 1.0
 
 
 def test_exp_moment_small_run():
