@@ -33,10 +33,10 @@ for i in range(n):
     row = [int(res.positions[pq][-1, i]) for pq in members]
     print(f"{i:>5} | " + "  ".join(f"{x:<7}" for x in row))
 
-# each row must be non-decreasing left to right across the drift values
+# each row must be non-decreasing left to right across the drift values;
+# simulate_pq_family has already raised if any label left the sandwich
 mat = np.array([[res.positions[pq][-1, i] for pq in members]
                 for i in range(n)])
 assert (np.diff(mat, axis=1) >= 0).all()
-assert not res.violations
 print(f"\nper-label monotonicity in p: holds ({n} labels, "
-      f"{len(res.pq_values)} members, 0 violations)")
+      f"{len(res.pq_values)} members)")

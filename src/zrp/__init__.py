@@ -5,7 +5,6 @@ shared noise field, and the verification diagnostics built on them."""
 from .configuration import (
     Configuration,
     Trajectory,
-    cesaro_profile,
     config_from_json,
     config_to_json,
     enumerate_particles,
@@ -18,8 +17,6 @@ from .configuration import (
 from .diagnostics import (
     Report,
     engine_agreement_check,
-    generator_apply,
-    j_discrepancy,
     j_inequality_check,
     martingale_residual,
     mass_conservation_check,
@@ -48,7 +45,6 @@ from .hitting import (
     HittingCurve,
     MbarReport,
     estimate_F,
-    exact_F_curve,
     exact_F_small,
     exp_moment_check,
     mbar,
@@ -56,7 +52,6 @@ from .hitting import (
 from .kernel import (
     Kernel,
     kernel_from_json,
-    kernel_to_json,
     make_kernel,
     mean_drift,
     nn_kernel_1d,
@@ -81,12 +76,9 @@ from .parallel import derived_rng, replica_map, resolve_threads
 from .rates import (
     RateFn,
     check_corollary_conditions,
-    check_exponential_bound,
-    custom_rate,
     exp_rate,
     power_rate,
     rate_from_json,
-    rate_to_json,
     table_rate,
 )
 

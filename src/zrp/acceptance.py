@@ -275,9 +275,12 @@ def criterion_j_inequality(seed: int, threads: int = 1,
 # 9 ------------------------------------------------------------------------
 
 def _pq_worker(r, eta0, pq, seed):
-    return len(simulate_pq_family(eta0, power_rate(2), 1.5,
-                                  HarrisNoise(seed, (r,)), pq,
-                                  strict=False).violations)
+    """Whether replica r breaks the sandwich."""
+    try:
+        simulate_pq_family(eta0, power_rate(2), 1.5, HarrisNoise(seed, (r,)), pq)
+    except InvariantViolation:
+        return True
+    return False
 
 
 def criterion_pq_sandwich(seed: int, threads: int = 1,

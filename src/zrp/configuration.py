@@ -68,34 +68,6 @@ def truncate(cfg: Configuration, n: int) -> Configuration:
     return Configuration(cfg.d, {x: k for x, k in cfg.occ.items() if max_norm(x) <= n})
 
 
-def leq(a: Configuration, b: Configuration) -> bool:
-    """Coordinatewise order: a(x) <= b(x) everywhere."""
-    if a.d != b.d:
-        raise ConfigError("configurations live in different dimensions")
-    return all(k <= b.count(x) for x, k in a.occ.items())
-
-
-def cesaro_profile(cfg: Configuration, n_max: int):
-    """Box averages rho_n = (sum over [-n,n]^d) / (2n+1)^d for n = 1..n_max.
-
-    Returns (profile, bounded_flag). The flag is advisory: it compares the
-    median over the top half of the profile against twice the median over the
-    first half, so linear growth is flagged unbounded while constant-density
-    and decaying profiles pass.
-    """
-    if n_max < 2:
-        raise ConfigError("n_max must be >= 2")
-    d = cfg.d
-    norms = [(max_norm(x), k) for x, k in cfg.occ.items()]
-    profile = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        tot = sum(k for r, k in norms if r <= n)
-        profile[n - 1] = tot / float((2 * n + 1) ** d)
-    half = n_max // 2
-    bounded = bool(np.median(profile[half:]) <= 2.0 * np.median(profile[:half]))
-    return profile, bounded
-
-
 def enumerate_particles(cfg: Configuration, z: Site) -> list[Site]:
     """Particle positions ordered by max-norm distance to z, ties broken
     lexicographically; a site with k particles appears k times in a row."""

@@ -79,20 +79,6 @@ def _generator_apply_dict(f: LocalFunction, occ: dict, rate: RateFn,
     return total
 
 
-def generator_apply(f: LocalFunction, eta: Configuration, rate: RateFn,
-                    kernel: Kernel, policy: BoundaryPolicy = OPEN) -> float:
-    """(Lf)(eta): exact finite sum over the moves that can change f.
-
-    For one particle at site x with f = min(eta(0), M): moving it away from 0
-    contributes -g(1) * (mass of offsets leaving 0), matching the defining sum
-    over ordered pairs with the no-op convention at empty sources.
-    """
-    if eta.d != kernel.d:
-        raise ConfigError("configuration and kernel dimensions differ")
-    occ = dict(eta.occ)
-    return _generator_apply_dict(f, occ, rate, kernel, policy)
-
-
 # ----------------------------------------------------------- report plumbing
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -377,6 +363,8 @@ def chi2_joint_two_sample(cells_a: dict, cells_b: dict):
     b = np.array([cells_b.get(k, 0) for k in keys], dtype=float)
     keep = _sparse_merge(a + b, _MIN_POOLED)
     o1, o2 = _merged(a, keep), _merged(b, keep)
+    if len(o1) < 2:
+        raise ConfigError("the two-sample chi-square has one cell: it needs two or more")
     n1, n2 = o1.sum(), o2.sum()
     pool = (o1 + o2) / (n1 + n2)
     mask = pool > 0
@@ -406,6 +394,8 @@ def engine_agreement_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
     total-rate clock sampler on the joint time-T occupancy of the window
     [-1, 1]^d. The two engines share nothing but the model, so agreement
     here checks the thinning logic end to end."""
+    if replicas < 1:
+        raise ConfigError("engine agreement needs replicas >= 1")
     window = box_sites(1, kernel.d)
     rows = replica_map(_engine_pair_worker, replicas, threads=threads,
                        args=(eta0, rate, kernel, policy, T, seed, tuple(window)))
@@ -443,15 +433,6 @@ def _j_dicts(a: dict, b: dict) -> int:
         if run > best_l:
             best_l = run
     return max(0, best_r + best_l)
-
-
-def j_discrepancy(zeta: Configuration, psi: Configuration) -> int:
-    """Largest positive excess of zeta over psi on any window [n, m] with
-    n <= 0 <= m (d=1): the number of zeta particles with no psi partner
-    reachable without crossing the origin."""
-    if zeta.d != 1 or psi.d != 1:
-        raise ConfigError("the discrepancy functional is d=1 only")
-    return _j_dicts(dict(zeta.occ), dict(psi.occ))
 
 
 def _j_worker(r, zeta0, psi0, rate, kernel, T, seed):
@@ -492,6 +473,8 @@ def j_inequality_check(zeta0: Configuration, psi0: Configuration, rate: RateFn,
     plus the number of psi departures from the origin. Zero tolerance."""
     if is_nearest_neighbour_1d(kernel) is None:
         raise ConfigError("the discrepancy inequality needs a d=1 nearest-neighbour kernel")
+    if replicas < 1:
+        raise ConfigError("the discrepancy inequality needs replicas >= 1")
     rows = replica_map(_j_worker, replicas, threads=threads,
                        args=(zeta0, psi0, rate, kernel, T, seed))
     total = int(sum(rows))
@@ -557,6 +540,8 @@ def mass_conservation_check(rate: RateFn, kernel: Kernel, phi: float,
     E[eta_T(origin)] at the invariant density, within 4 SE. The product start
     is stationary on the torus, so eta_T(origin) has the fugacity marginal
     and the SE is exact: sqrt(Var/replicas) with Var = sum (k - rho)^2 pmf(k)."""
+    if replicas < 1:
+        raise ConfigError("mass conservation needs replicas >= 1")
     measure = fugacity_measure(rate, phi)
     rows = replica_map(_torus_worker, replicas, threads=threads,
                        args=(measure, rate, kernel, torus_n, T, seed, "grand", 0))

@@ -208,6 +208,8 @@ def check_domination(snaps_small: list[Configuration],
     """Sites/times where the smaller run exceeds the bigger one (should be none)."""
     bad = []
     for i, (a, b) in enumerate(zip(snaps_small, snaps_big)):
+        if a.d != b.d:
+            raise ConfigError("configurations live in different dimensions")
         for x, k in a.occ.items():
             if k > b.count(x):
                 bad.append((i, x))
@@ -275,7 +277,6 @@ class PQFamilyResult:
     snapshot_times: tuple[float, ...]
     positions: dict                      # (p,q) -> int array [n_snaps, n_particles]
     trajectories: dict                   # (p,q) -> Trajectory
-    violations: list                     # (pq, snap_idx, label) order breaches
 
 
 def _pq_jump(p: float, u: float) -> int:
@@ -308,15 +309,16 @@ def _label_positions(labels0, events, snapshot_times) -> np.ndarray:
 
 
 def simulate_pq_family(eta0: Configuration, rate: RateFn, T: float,
-                       noise: HarrisNoise, pq_list, snapshot_times=None,
-                       strict: bool = True) -> PQFamilyResult:
+                       noise: HarrisNoise, pq_list,
+                       snapshot_times=None) -> PQFamilyResult:
     """Simultaneous d=1 nearest-neighbour runs for several drift parameters
     off one noise field, with labelled particles. Checks the sandwich
 
         X_i^{(0,1)}(t) <= X_i^{(p,q)}(t) <= X_i^{(1,0)}(t)
 
-    for every label at every snapshot; violations are a hard failure when
-    strict (they falsify the coupling, not the statistics).
+    for every label at every snapshot; a violation is a hard failure
+    (InvariantViolation), since it falsifies the coupling, not the
+    statistics.
 
     Labels are assigned left to right in eta0. Together with the removal
     convention (highest label leaves on a right jump, lowest on a left jump)
@@ -350,16 +352,12 @@ def simulate_pq_family(eta0: Configuration, rate: RateFn, T: float,
 
     lo = positions[(0.0, 1.0)]
     hi = positions[(1.0, 0.0)]
-    violations = []
     for pq in pqs:
-        arr = positions[pq]
-        bad = np.argwhere((arr < lo) | (arr > hi))
-        for si, lab in bad:
-            violations.append((pq, int(si), int(lab)))
-    if violations and strict:
-        pq, si, lab = violations[0]
-        raise InvariantViolation(
-            f"(p,q) family order violated for pq={pq} at snapshot {si}, label {lab}")
+        bad = np.argwhere((positions[pq] < lo) | (positions[pq] > hi))
+        if len(bad):
+            si, lab = bad[0]
+            raise InvariantViolation(
+                f"(p,q) family order violated for pq={pq} at snapshot {si}, label {lab}")
     return PQFamilyResult(pq_values=tuple(pqs), labels=labels0,
                           snapshot_times=snapshot_times, positions=positions,
-                          trajectories=trajectories, violations=violations)
+                          trajectories=trajectories)

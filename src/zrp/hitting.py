@@ -146,16 +146,15 @@ class HittingCurve:
     times: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    method: str
-    n_walks: int | None = None
+    n_walks: int
 
 
 def estimate_F(z: Site, times, kernel: Kernel, n_walks: int,
                seed: int) -> HittingCurve:
     """Monte Carlo curve of F_z over a time grid with 4-sigma Wilson bands."""
     times = np.asarray(sorted(float(t) for t in times))
-    if len(times) == 0 or times[0] < 0:
-        raise ConfigError("need a nonnegative time grid")
+    if len(times) == 0 or times[0] < 0 or not np.isfinite(times).all():
+        raise ConfigError("need a finite nonnegative time grid")
     if n_walks < 1:
         raise ConfigError("need n_walks >= 1")
     t_max = float(times[-1])
@@ -170,18 +169,7 @@ def estimate_F(z: Site, times, kernel: Kernel, n_walks: int,
         k = int(np.sum(tau <= t))
         lower[j], upper[j] = _wilson(k, len(tau))
     return HittingCurve(z=z, times=times, lower=lower, upper=upper,
-                        method="mc-wilson", n_walks=len(tau))
-
-
-def exact_F_curve(z: Site, times, kernel: Kernel, radius: int | None = None,
-                  tol: float = 1e-12) -> HittingCurve:
-    times = np.asarray(sorted(float(t) for t in times))
-    lo = np.empty(len(times))
-    hi = np.empty(len(times))
-    for j, t in enumerate(times):
-        lo[j], hi[j] = exact_F_small(z, t, kernel, radius, tol)
-    return HittingCurve(z=z, times=times, lower=lo, upper=hi,
-                        method="uniformized-bracket")
+                        n_walks=len(tau))
 
 
 # ----------------------------------------------------------- occupancy bound
@@ -307,6 +295,8 @@ def exp_moment_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
     """
     if theta <= 0:
         raise ConfigError("need theta > 0")
+    if replicas < 1:
+        raise ConfigError("the moment check needs replicas >= 1")
     grid = np.linspace(T / 4, T, 4)
     rows = replica_map(_exp_moment_worker, replicas, threads=threads,
                        args=(eta0, rate, kernel, T, seed, grid, z))

@@ -138,13 +138,6 @@ def sample_jump(kernel: Kernel, u: float) -> Site:
     return z[0] if kernel.d == 1 else z
 
 
-def kernel_to_json(kernel: Kernel) -> dict:
-    return {
-        "d": kernel.d,
-        "support": [{"z": list(z), "p": p} for z, p in zip(kernel.offsets, kernel.probs)],
-    }
-
-
 def kernel_from_json(obj: dict) -> Kernel:
     try:
         d, raw = obj["d"], obj["support"]
@@ -156,10 +149,9 @@ def kernel_from_json(obj: dict) -> Kernel:
     items = []
     for ent in raw:
         try:
-            z = site_coords(site_from_coords(ent["z"], d))
+            z = site_from_coords(ent["z"], d)
             p = float(json_number(ent["p"], "probability"))
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad kernel support entry {ent!r}: {e}") from None
         items.append((z, p))
-    items.sort(key=lambda it: it[0])
-    return Kernel(d=d, offsets=tuple(z for z, _ in items), probs=tuple(p for _, p in items))
+    return make_kernel(items, d)

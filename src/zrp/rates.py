@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from .errors import ConfigError, RateRangeError, json_number
@@ -32,7 +30,6 @@ class RateFn:
     c: float | None = None            # exp: g(k) = c * e**(theta k), k >= 1
     theta: float | None = None
     table: tuple[float, ...] | None = None
-    fn: Callable[[int], float] | None = None   # custom formula
     label: str = ""
     _memo: list[float] = field(default_factory=list, repr=False)
 
@@ -58,11 +55,6 @@ class RateFn:
                 if not math.isfinite(t[j]) or t[j] > MAX_RATE:
                     raise ConfigError(f"rate table entry at k={j} exceeds representable range")
             self.table = t
-        elif self.family == "custom":
-            if self.fn is None:
-                raise ConfigError("custom rate needs a callable")
-            if float(self.fn(0)) != 0.0:
-                raise ConfigError("custom rate must satisfy g(0) = 0")
         else:
             raise ConfigError(f"unknown rate family {self.family!r}")
         self._memo = [0.0]
@@ -76,13 +68,11 @@ class RateFn:
             v = float(k) ** self.a
         elif self.family == "exp":
             v = self.c * math.exp(self.theta * k)
-        elif self.family == "table":
+        else:
             if k >= len(self.table):
                 raise RateRangeError(
                     f"rate table has {len(self.table)} entries, g({k}) undefined")
             v = self.table[k]
-        else:
-            v = float(self.fn(k))
         if not math.isfinite(v) or v > MAX_RATE:
             raise RateRangeError(f"g({k}) = {v!r} outside representable range")
         return v
@@ -122,20 +112,6 @@ def table_rate(values, label: str = "table") -> RateFn:
     return RateFn(family="table", table=tuple(float(v) for v in values), label=label)
 
 
-def custom_rate(fn: Callable[[int], float], label: str = "custom") -> RateFn:
-    return RateFn(family="custom", fn=fn, label=label)
-
-
-def rate_to_json(rate: RateFn) -> dict:
-    if rate.family == "power":
-        return {"family": "power", "a": rate.a}
-    if rate.family == "exp":
-        return {"family": "exp", "c": rate.c, "theta": rate.theta}
-    if rate.family == "table":
-        return {"family": "table", "values": list(rate.table)}
-    raise ConfigError("custom rates have no JSON form; use a table")
-
-
 def rate_from_json(obj: dict) -> RateFn:
     try:
         fam = obj["family"]
@@ -155,19 +131,6 @@ def rate_from_json(obj: dict) -> RateFn:
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad rate spec {obj!r}: {e}") from None
     raise ConfigError(f"unknown rate family {fam!r}")
-
-
-def check_exponential_bound(rate: RateFn, c: float, theta: float, n_max: int) -> bool:
-    """Does g(n) <= c * e**(theta n) hold for all 1 <= n <= n_max?
-
-    n_max = 0 is vacuously true (g(0) = 0 <= c).
-    """
-    if c <= 0 or theta <= 0:
-        raise ConfigError("need c > 0 and theta > 0")
-    for n in range(1, n_max + 1):
-        if rate.g(n) > c * math.exp(theta * n):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,17 @@ import pytest
 from zrp.configuration import (
     Configuration,
     Trajectory,
-    cesaro_profile,
     config_from_json,
     config_to_json,
     enumerate_particles,
     events_csv_string,
     intervals,
-    leq,
     replay,
     snapshots,
     trajectory_summary,
     truncate,
 )
-from zrp.engine import OPEN, killed, simulate
+from zrp.engine import OPEN, check_domination, killed, simulate
 from zrp.errors import ConfigError, InvariantViolation
 from zrp.kernel import nn_kernel_1d
 from zrp.noise import HarrisNoise
@@ -57,13 +55,15 @@ def test_truncate_keeps_box():
 
 
 def test_leq_partial_order():
+    # the sitewise order, read through the engine's domination check:
+    # b exceeds a at sites 0 and 2
     a = Configuration(1, {0: 1, 1: 1})
     b = Configuration(1, {0: 2, 1: 1, 2: 3})
-    assert leq(a, b)
-    assert not leq(b, a)
-    assert leq(a, a)
+    assert check_domination([a], [b]) == []
+    assert check_domination([b], [a]) == [(0, 0), (0, 2)]
+    assert check_domination([a], [a]) == []
     with pytest.raises(ConfigError):
-        leq(a, Configuration(2, {(0, 0): 1}))
+        check_domination([a], [Configuration(2, {(0, 0): 1})])
 
 
 def test_enumerate_particles_distance_order():
@@ -77,22 +77,6 @@ def test_enumerate_particles_distance_order():
 def test_enumerate_particles_tie_break_is_lexicographic():
     c = Configuration(2, {(0, 1): 1, (1, 0): 1, (0, 0): 1})
     assert enumerate_particles(c, (0, 0)) == [(0, 0), (0, 1), (1, 0)]
-
-
-def test_cesaro_profile_flags():
-    # constant density stays bounded
-    flat = Configuration(1, {x: 1 for x in range(-40, 41)})
-    _, bounded = cesaro_profile(flat, 20)
-    assert bounded
-    # eta(x) = |x| grows linearly: flagged unbounded
-    lin = Configuration(1, {x: abs(x) for x in range(-40, 41) if x != 0})
-    _, bounded = cesaro_profile(lin, 20)
-    assert not bounded
-    # a single point mass dilutes away: bounded
-    point = Configuration(1, {0: 7})
-    profile, bounded = cesaro_profile(point, 20)
-    assert bounded
-    assert profile[0] == pytest.approx(7.0 / 3.0)
 
 
 def test_config_json_roundtrip():

@@ -14,11 +14,11 @@ from zrp import diagnostics, hitting
 from zrp.configuration import Configuration
 from zrp.diagnostics import (
     _chi2_two_sided_z,
+    _generator_apply_dict,
+    _j_dicts,
     chi2_joint_two_sample,
     chi2_replicas,
     engine_agreement_check,
-    generator_apply,
-    j_discrepancy,
     j_inequality_check,
     martingale_residual,
     mass_conservation_check,
@@ -26,7 +26,7 @@ from zrp.diagnostics import (
     stationarity_exact,
     stationarity_statistical,
 )
-from zrp.engine import OPEN, periodic, simulate
+from zrp.engine import OPEN, killed, periodic, simulate
 from zrp.errors import ConfigError
 from zrp.kernel import make_kernel, nn_kernel_1d, symmetric_nn_kernel
 from zrp.localfn import capped_occupancy, occupancy_indicator
@@ -41,7 +41,7 @@ def test_generator_single_particle():
     # eta = {0:1}, right-only kernel, f = min(eta(0), 10):
     # only move is 0 -> 1 at rate g(1) = 1, changing f by -1
     f = capped_occupancy(0, 10)
-    val = generator_apply(f, Configuration(1, {0: 1}), SQ, nn_kernel_1d(1.0))
+    val = _generator_apply_dict(f, {0: 1}, SQ, nn_kernel_1d(1.0), OPEN)
     assert val == pytest.approx(-1.0, abs=1e-14)
 
 
@@ -52,27 +52,24 @@ def test_generator_two_sites_hand_value():
     #   1 -> 2 at rate 1 * 0.5: eta(1) = 0, df = -1  -> -0.5
     #   1 -> 0 at rate 1 * 0.5: df = -1              -> -0.5
     f = occupancy_indicator(1, 1)
-    val = generator_apply(f, Configuration(1, {0: 2, 1: 1}), SQ, nn_kernel_1d(0.5))
+    val = _generator_apply_dict(f, {0: 2, 1: 1}, SQ, nn_kernel_1d(0.5), OPEN)
     assert val == pytest.approx(-3.0, abs=1e-14)
 
 
 def test_generator_periodic_wrap():
     # on the 3-site ring {-1,0,1}, a right jump from 1 lands on -1
     f = occupancy_indicator(-1, 1)
-    val = generator_apply(f, Configuration(1, {1: 1}), SQ, nn_kernel_1d(1.0),
-                          periodic(1))
+    val = _generator_apply_dict(f, {1: 1}, SQ, nn_kernel_1d(1.0), periodic(1))
     assert val == pytest.approx(1.0, abs=1e-14)
 
 
 def test_generator_empty_config_is_zero():
     f = capped_occupancy(0, 10)
-    assert generator_apply(f, Configuration(1, {}), SQ, nn_kernel_1d(0.5)) == 0.0
+    assert _generator_apply_dict(f, {}, SQ, nn_kernel_1d(0.5), OPEN) == 0.0
 
 
 def test_j_discrepancy_hand_values():
-    def j(za, pb):
-        return j_discrepancy(Configuration(1, za), Configuration(1, pb))
-
+    j = _j_dicts
     assert j({0: 2, 1: 1}, {0: 2, 1: 1}) == 0
     # two extra zeta particles on the right block [0, 1]
     assert j({0: 2, 1: 1}, {0: 1}) == 2
@@ -87,8 +84,6 @@ def test_j_discrepancy_hand_values():
     # empty psi counts everything, empty zeta counts nothing
     assert j({-4: 1, 6: 2}, {}) == 3
     assert j({}, {0: 9}) == 0
-    with pytest.raises(ConfigError):
-        j_discrepancy(Configuration(2, {(0, 0): 1}), Configuration(2, {}))
 
 
 def test_j_inequality_small_run():
@@ -250,6 +245,42 @@ def test_estimate_F_needs_a_walk(monkeypatch):
         hitting.estimate_F(-1, [1.0], nn_kernel_1d(1.0), 0, 1)
 
 
+@pytest.mark.parametrize("check", [
+    lambda: j_inequality_check(Configuration(1, {0: 1}), Configuration(1, {0: 1}),
+                               SQ, nn_kernel_1d(0.5), 1.0, 0, 1),
+    lambda: engine_agreement_check(Configuration(1, {0: 1}), SQ, nn_kernel_1d(0.5),
+                                   OPEN, 1.0, 0, 1),
+    lambda: hitting.exp_moment_check(Configuration(1, {0: 1}), SQ, nn_kernel_1d(0.5),
+                                     0, 0.5, 1.0, 0, 1),
+    lambda: mass_conservation_check(SQ, nn_kernel_1d(0.5), 1.0, 5, 1.0, 0, 1),
+], ids=["j-inequality", "engine-agreement", "exp-moment", "mass"])
+def test_no_replicas_is_rejected(monkeypatch, check):
+    monkeypatch.setattr(diagnostics, "replica_map", _no_replicas)
+    monkeypatch.setattr(hitting, "replica_map", _no_replicas)
+    with pytest.raises(ConfigError, match="replicas >= 1"):
+        check()
+
+
+@pytest.mark.parametrize("times", [[math.nan], [math.inf], [0.5, math.inf]])
+def test_estimate_F_needs_finite_times(monkeypatch, times):
+    # an infinite horizon would walk forever
+    monkeypatch.setattr(hitting, "_walk_batch", _no_replicas)
+    with pytest.raises(ConfigError, match="finite"):
+        hitting.estimate_F(-1, times, nn_kernel_1d(0.0), 10, 1)
+
+
+@pytest.mark.parametrize("eta0, policy, T, replicas", [
+    # 2 replicas give 4 window counts, all pooled under _MIN_POOLED
+    (Configuration(1, {-1: 1, 0: 2, 1: 1}), OPEN, 1.0, 2),
+    # every particle leaves the one-site box: every window ends empty
+    (Configuration(1, {0: 1}), killed(0), 20.0, 200),
+], ids=["all-pooled", "one-outcome"])
+def test_engine_agreement_rejects_a_one_cell_chi_square(eta0, policy, T, replicas):
+    with pytest.raises(ConfigError, match="one cell"):
+        engine_agreement_check(eta0, SQ, nn_kernel_1d(0.7), policy, T,
+                               replicas, 20260818)
+
+
 def test_stationarity_rejects_canonical_start(monkeypatch):
     # only product ("grand") and point starts exist; AC3 checks the
     # canonical measure exactly
@@ -315,7 +346,7 @@ def test_generator_self_wrap_is_no_op():
     # at rate g(1) * 0.5, and it empties the origin
     f = occupancy_indicator(0, 1)
     kernel = make_kernel([(3, 0.5), (-1, 0.5)])
-    val = generator_apply(f, Configuration(1, {0: 1}), SQ, kernel, periodic(1))
+    val = _generator_apply_dict(f, {0: 1}, SQ, kernel, periodic(1))
     assert val == pytest.approx(-0.5, abs=1e-14)
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from zrp import acceptance, engine
 from zrp import noise as noise_module
-from zrp.configuration import Configuration, leq, replay, snapshots, truncate
+from zrp.configuration import Configuration, replay, snapshots, truncate
 from zrp.engine import (
     OPEN,
     check_domination,
@@ -129,7 +130,7 @@ def test_shared_noise_preserves_sitewise_order():
     noise = HarrisNoise(21)
     small = Configuration(1, {0: 1, 1: 1})
     big = Configuration(1, {-1: 1, 0: 2, 1: 1, 3: 2})
-    assert leq(small, big)
+    assert check_domination([small], [big]) == []
     times = [0.25 * k for k in range(1, 9)]
     for seed_branch in range(25):
         nz = noise.child(seed_branch)
@@ -168,7 +169,6 @@ def test_pq_family_sandwich_and_sorted_labels():
     eta0 = Configuration(1, {-2: 1, 0: 2, 1: 1})
     res = simulate_pq_family(eta0, RATE, 1.5, HarrisNoise(44),
                              [(1.0, 0.0), (0.7, 0.3), (0.5, 0.5), (0.0, 1.0)])
-    assert res.violations == []
     assert res.labels == sorted(res.labels)
     lo = res.positions[(0.0, 1.0)]
     hi = res.positions[(1.0, 0.0)]
@@ -183,6 +183,33 @@ def test_pq_family_adds_extremes():
     res = simulate_pq_family(eta0, RATE, 0.5, HarrisNoise(45), [(0.6, 0.4)])
     assert (1.0, 0.0) in res.pq_values
     assert (0.0, 1.0) in res.pq_values
+
+
+def test_pq_family_breach_is_a_hard_failure(monkeypatch):
+    # shift the first member's labels (here the (0.5, 0.5) run) far right
+    calls = []
+    label_positions = engine._label_positions
+
+    def shifted(*args):
+        calls.append(None)
+        out = label_positions(*args)
+        return out + 100 if len(calls) == 1 else out
+
+    monkeypatch.setattr(engine, "_label_positions", shifted)
+    with pytest.raises(InvariantViolation, match=r"pq=\(0.5, 0.5\)"):
+        simulate_pq_family(Configuration(1, {0: 2}), RATE, 1.0, HarrisNoise(0),
+                           [(0.5, 0.5)])
+
+
+def test_pq_sandwich_counts_the_breaking_replicas(monkeypatch):
+    def breaks_on_odd_replicas(eta0, rate, T, noise, pq):
+        if noise.path[0] % 2:
+            raise InvariantViolation("order violated")
+
+    monkeypatch.setattr(acceptance, "simulate_pq_family", breaks_on_odd_replicas)
+    res = acceptance.criterion_pq_sandwich(1, threads=1, smoke=True)
+    assert not res.passed
+    assert res.details["violations"] == res.statistic == 50
 
 
 def test_pq_family_validation():

@@ -15,7 +15,6 @@ from zrp.configuration import Configuration
 from zrp.errors import ConfigError
 from zrp.hitting import (
     estimate_F,
-    exact_F_curve,
     exact_F_small,
     exp_moment_check,
     mbar,
@@ -67,16 +66,6 @@ def test_exact_bracket_rejects_huge_time():
         exact_F_small(-1, 1e3, nn_kernel_1d(0.5))
 
 
-def test_exact_curve_matches_pointwise():
-    times = [0.5, 1.5]
-    curve = exact_F_curve(-1, times, nn_kernel_1d(0.7))
-    for i, t in enumerate(times):
-        lo, hi = exact_F_small(-1, t, nn_kernel_1d(0.7))
-        assert curve.lower[i] == pytest.approx(lo)
-        assert curve.upper[i] == pytest.approx(hi)
-    assert curve.method == "uniformized-bracket"
-
-
 def test_estimate_F_covers_truth_and_is_deterministic():
     times = [0.5, 1.0]
     c1 = estimate_F(-1, times, nn_kernel_1d(1.0), 20_000, 5)
@@ -86,7 +75,6 @@ def test_estimate_F_covers_truth_and_is_deterministic():
         truth = 1.0 - math.exp(-t)
         assert c1.lower[i] <= truth <= c1.upper[i]
         assert c1.upper[i] - c1.lower[i] < 0.05
-    assert c1.method == "mc-wilson"
 
 
 def test_estimate_F_d2_smoke():

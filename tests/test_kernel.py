@@ -7,7 +7,6 @@ from zrp.errors import ConfigError
 from zrp.kernel import (
     is_nearest_neighbour_1d,
     kernel_from_json,
-    kernel_to_json,
     make_kernel,
     mean_drift,
     nn_kernel_1d,
@@ -91,9 +90,17 @@ def test_sample_jump_matches_probs():
 
 
 def test_json_roundtrip():
-    for k in (nn_kernel_1d(0.25), symmetric_nn_kernel(2),
-              make_kernel([(-2, 0.2), (1, 0.5), (3, 0.3)])):
-        assert kernel_from_json(kernel_to_json(k)) == k
+    # the support may come in any order
+    for obj, k in (
+            ({"d": 1, "support": [{"z": [1], "p": 0.25}, {"z": [-1], "p": 0.75}]},
+             nn_kernel_1d(0.25)),
+            ({"d": 2, "support": [{"z": list(z), "p": 0.25}
+                                  for z in ((0, 1), (1, 0), (0, -1), (-1, 0))]},
+             symmetric_nn_kernel(2)),
+            ({"d": 1, "support": [{"z": [3], "p": 0.3}, {"z": [-2], "p": 0.2},
+                                  {"z": [1], "p": 0.5}]},
+             make_kernel([(-2, 0.2), (1, 0.5), (3, 0.3)]))):
+        assert kernel_from_json(obj) == k
 
 
 @pytest.mark.parametrize("obj", [

@@ -19,7 +19,7 @@ from zrp.measures import (
     sample_box_config,
     torus_sites,
 )
-from zrp.rates import exp_rate, power_rate, rate_to_json, table_rate
+from zrp.rates import exp_rate, power_rate, table_rate
 
 # frozen: z(1) for g(k) = k^2 equals I_0(2); series and besseli agree to 20 digits
 Z_SQUARES_PHI1 = 2.2795853023360672674
@@ -110,10 +110,10 @@ def test_sample_marginal_statistics():
 
 def test_divergent_fugacity_rejected():
     # bounded rate, phi above the ceiling: the weight series cannot converge
-    from zrp.rates import custom_rate
-    bounded = custom_rate(lambda k: 1.0 if k else 0.0, "bounded")
-    with pytest.raises(CertificationError):
-        fugacity_measure(bounded, 1.5)
+    # g(k) = k^0.01 stays near 1, so the weights phi^k / g(k)! shrink
+    # too slowly to certify within the term budget
+    with pytest.raises(CertificationError, match="100000 terms"):
+        fugacity_measure(power_rate(0.01), 1.5)
     # finite table: the tail is undefined rather than divergent, same verdict
     with pytest.raises(CertificationError):
         fugacity_measure(table_rate([0, 1, 1, 1]), 1.5)
@@ -173,4 +173,4 @@ def test_canonical_sample_respects_count():
 def test_measure_json_form():
     m = fugacity_measure(power_rate(2.0), 1.0)
     assert m.phi == 1.0
-    assert rate_to_json(m.rate)["family"] == "power"
+    assert m.rate.family == "power"

@@ -7,19 +7,16 @@ from zrp.errors import ConfigError, RateRangeError
 from zrp.kernel import nn_kernel_1d, symmetric_nn_kernel
 from zrp.rates import (
     check_corollary_conditions,
-    check_exponential_bound,
-    custom_rate,
     exp_rate,
     power_rate,
     rate_from_json,
-    rate_to_json,
     table_rate,
 )
 
 
 def test_g_zero_is_zero_everywhere():
     for r in (power_rate(2.0), exp_rate(1.0, 0.4),
-              table_rate([0, 1, 4, 9]), custom_rate(lambda k: float(k))):
+              table_rate([0, 1, 4, 9])):
         assert r.g(0) == 0.0
 
 
@@ -67,12 +64,6 @@ def test_rate_overflow_is_a_typed_error():
     assert r.g(3) == pytest.approx(math.exp(6.0))
 
 
-def test_custom_rate_monotonicity_enforced_lazily():
-    r = custom_rate(lambda k: float(k % 5), label="sawtooth")
-    with pytest.raises(ConfigError):
-        r.g(6)
-
-
 def test_increment_bound_h():
     # table [0, 2, 2.5, 10]: increments 2, 0.5, 7.5 -> running max 7.5
     assert table_rate([0, 2, 2.5, 10]).h(3) == 7.5
@@ -80,7 +71,7 @@ def test_increment_bound_h():
     assert power_rate(2.0).h(4) == 7.0
     assert power_rate(2.0).h(0) == 0.0
     # concave growth: largest increment is the first one
-    assert custom_rate(lambda k: math.sqrt(k)).h(9) == 1.0
+    assert power_rate(0.5).h(9) == 1.0
 
 
 def test_h_is_nondecreasing_in_n():
@@ -89,24 +80,18 @@ def test_h_is_nondecreasing_in_n():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-def test_exponential_bound_check():
-    # g(k) = e^{2k} - 1 sits below e^{2k} but not below e^{k}
-    r = custom_rate(lambda k: math.exp(2 * k) - 1 if k else 0.0)
-    assert check_exponential_bound(r, c=1.0, theta=2.0, n_max=50)
-    assert not check_exponential_bound(r, c=1.0, theta=1.0, n_max=50)
-    with pytest.raises(ConfigError):
-        check_exponential_bound(r, c=0.0, theta=1.0, n_max=10)
-
-
 def test_json_roundtrip():
-    for r in (power_rate(1.5), exp_rate(2.0, 0.3), table_rate([0, 1, 3, 3, 8])):
-        r2 = rate_from_json(rate_to_json(r))
+    for obj, r in (({"family": "power", "a": 1.5}, power_rate(1.5)),
+                   ({"family": "exp", "c": 2.0, "theta": 0.3}, exp_rate(2.0, 0.3)),
+                   ({"family": "table", "values": [0, 1, 3, 3, 8]},
+                    table_rate([0, 1, 3, 3, 8]))):
+        r2 = rate_from_json(obj)
         assert [r2.g(k) for k in range(4)] == [r.g(k) for k in range(4)]
 
 
 def test_json_rejects_custom_and_garbage():
-    with pytest.raises(ConfigError):
-        rate_to_json(custom_rate(lambda k: float(k)))
+    with pytest.raises(ConfigError, match="unknown rate family 'custom'"):
+        rate_from_json({"family": "custom"})
     with pytest.raises(ConfigError):
         rate_from_json({"a": 2.0})
     with pytest.raises(ConfigError):
