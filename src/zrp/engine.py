@@ -27,7 +27,6 @@ with the jump rule _pq_jump, and its labels are read back from its event log.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from heapq import heappop, heappush
@@ -284,30 +283,6 @@ def _pq_jump(p: float, u: float) -> int:
     return 1 if u <= p else -1
 
 
-def _label_positions(labels0, events, snapshot_times) -> np.ndarray:
-    """Positions [n_snaps, n_labels] of the labelled particles, replayed from
-    a (p,q) member's log: on a right jump the highest label at the site
-    leaves, on a left jump the lowest. A snapshot is taken when the first
-    event after its time arrives, and any left at the end take the final
-    positions."""
-    site_labels: dict[int, list[int]] = {}
-    for lab, x in enumerate(labels0):  # labels0 is sorted, so each list is too
-        site_labels.setdefault(x, []).append(lab)
-    pos = np.array(labels0, dtype=np.int64)
-    out = np.empty((len(snapshot_times), len(labels0)), dtype=np.int64)
-    i = 0
-    for t, x, dst, _kind, _tag in events:
-        while i < len(snapshot_times) and t > snapshot_times[i]:
-            out[i] = pos
-            i += 1
-        labs = site_labels[x]
-        lab = labs.pop() if dst > x else labs.pop(0)
-        insort(site_labels.setdefault(dst, []), lab)
-        pos[lab] = dst
-    out[i:] = pos
-    return out
-
-
 def simulate_pq_family(eta0: Configuration, rate: RateFn, T: float,
                        noise: HarrisNoise, pq_list,
                        snapshot_times=None) -> PQFamilyResult:
@@ -346,8 +321,10 @@ def simulate_pq_family(eta0: Configuration, rate: RateFn, T: float,
     for p, q in pqs:
         traj = _harris_run(eta0, rate.g, partial(_pq_jump, p), OPEN, T, noise,
                            f"p={p:g},q={q:g}")
-        positions[(p, q)] = _label_positions(labels0, traj.events,
-                                             snapshot_times)
+        positions[(p, q)] = np.array(
+            [sorted(enumerate_particles(snap, 0))
+             for snap in snapshots(traj, snapshot_times)],
+            dtype=np.int64).reshape(len(snapshot_times), len(labels0))
         trajectories[(p, q)] = traj
 
     lo = positions[(0.0, 1.0)]

@@ -186,16 +186,18 @@ def test_pq_family_adds_extremes():
 
 
 def test_pq_family_breach_is_a_hard_failure(monkeypatch):
-    # shift the first member's labels (here the (0.5, 0.5) run) far right
+    # shift the first member's snapshots (here the (0.5, 0.5) run) far right
     calls = []
-    label_positions = engine._label_positions
 
-    def shifted(*args):
+    def shifted(traj, times):
         calls.append(None)
-        out = label_positions(*args)
-        return out + 100 if len(calls) == 1 else out
+        snaps = snapshots(traj, times)
+        if len(calls) > 1:
+            return snaps
+        return [Configuration(1, {x + 100: k for x, k in s.occ.items()})
+                for s in snaps]
 
-    monkeypatch.setattr(engine, "_label_positions", shifted)
+    monkeypatch.setattr(engine, "snapshots", shifted)
     with pytest.raises(InvariantViolation, match=r"pq=\(0.5, 0.5\)"):
         simulate_pq_family(Configuration(1, {0: 2}), RATE, 1.0, HarrisNoise(0),
                            [(0.5, 0.5)])
