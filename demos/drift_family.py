@@ -1,10 +1,11 @@
 """A family of drifts driven by one noise field, particle by particle.
 
 Nearest-neighbour d=1 runs indexed by (p, q) with p + q = 1 share every
-atom of randomness; only the left/right decision threshold differs. With
-left-to-right particle labels, label i under drift p never sits left of
-label i under any smaller p. The fully-left and fully-right members
-bracket everything in between.
+atom of randomness. Each is a plain simulate() run with the kernel
+nn_kernel_1d(p), which sends a particle right iff its atom's mark u is at
+least 1 - p, so only that threshold differs. Label i is the i-th leftmost
+particle: under drift p it never sits left of label i under any smaller p.
+The fully-left and fully-right members bracket everything in between.
 
 Run:  python demos/drift_family.py
 """

@@ -12,23 +12,24 @@ and a fall keeps what was drawn until the slab ends. Draws ask only for atoms
 in (t_now, T], and only the ceil(T) slabs that start before T are drawn: at an
 integer T that leaves out an atom at t = T, whose time word is exactly 0 in
 slab T (probability 2^-53 per atom). Both simulators move a fired particle
-through _fire, the one place a run routes, moves and logs.
+through _fire, the one place a run draws its jump (sample_jump), routes,
+moves and logs.
 
 simulate_gillespie() is the independent distributional cross-check: identical
 law, completely different use of randomness (global exponential clocks).
 
 simulate_truncation_schedule() and simulate_pq_family() run several coupled
-copies off one shared noise field. The first runs the truncations of one
-start on the largest box to each smaller box and checks that occupancies are
-monotone in the box; the second checks the labelled-particle ordering across
-drift parameters. Each (p,q) member is simulate()'s thinning run, _harris_run,
-with the jump rule _pq_jump, and its labels are read back from its event log.
+copies off one shared noise field, each copy a plain simulate() run. The
+first runs the truncations of one start on the largest box to each smaller
+box and checks that occupancies are monotone in the box; the second runs the
+d=1 nearest-neighbour kernel for several drifts p and checks that the sorted
+particle positions at each snapshot are ordered in p.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from heapq import heappop, heappush
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from .configuration import (Configuration, Trajectory, enumerate_particles,
                             move, snapshots, truncate)
 from .errors import ConfigError, InvariantViolation
-from .kernel import Kernel, sample_jump
+from .kernel import Kernel, nn_kernel_1d, sample_jump
 from .noise import HarrisNoise, TIME_SLAB, bands_for
 from .parallel import TAG_GILLESPIE, derived_rng
 from .rates import RateFn
@@ -101,12 +102,12 @@ def _validate_run(eta0: Configuration, rate: RateFn, kernel: Kernel,
                     f"initial site {x!r} outside the {policy.describe()} box")
 
 
-def _fire(occ: dict, events: list, policy: BoundaryPolicy, jump, t: float,
-          x: Site, u: float, tag: str) -> Site | None:
-    """Fire the particle at x with mark u: route the displacement jump(u),
-    move it, log the event and return the site it landed on (None for a
-    kill or for a wrap onto x, which is no event)."""
-    dst, kind = route(policy, x, jump(u))
+def _fire(occ: dict, events: list, policy: BoundaryPolicy, kernel: Kernel,
+          t: float, x: Site, u: float, tag: str) -> Site | None:
+    """Fire the particle at x with mark u: route the displacement
+    sample_jump(kernel, u), move it, log the event and return the site it
+    landed on (None for a kill or for a wrap onto x, which is no event)."""
+    dst, kind = route(policy, x, sample_jump(kernel, u))
     if kind is None:
         return None
     events.append((t, x, dst, kind, tag))
@@ -119,19 +120,12 @@ def _fire(occ: dict, events: list, policy: BoundaryPolicy, jump, t: float,
 def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
              policy: BoundaryPolicy, T: float, noise: HarrisNoise,
              tag: str = "") -> Trajectory:
-    """One path of the process under the shared-noise construction."""
+    """One path of the process under the shared-noise construction, by the
+    lazy-window event loop. A slab's batch becomes the (then empty) heap, and
+    a landing that raises a site's cap pushes the missing bands, so every
+    atom that can fire is in the heap before its time comes."""
     _validate_run(eta0, rate, kernel, policy, T)
-    return _harris_run(eta0, rate.g, partial(sample_jump, kernel), policy, T,
-                       noise, tag)
-
-
-def _harris_run(eta0: Configuration, g, jump, policy: BoundaryPolicy,
-                T: float, noise: HarrisNoise, tag: str) -> Trajectory:
-    """The lazy-window event loop of every Harris-noise run; jump maps an
-    atom's mark u to the displacement. A slab's batch becomes the (then
-    empty) heap, and a landing that raises a site's cap pushes the missing
-    bands, so every atom that can fire is in the heap before its time
-    comes."""
+    g = rate.g
     occ: dict[Site, int] = dict(eta0.occ)
     events = []
     t_now = 0.0
@@ -145,7 +139,7 @@ def _harris_run(eta0: Configuration, g, jump, policy: BoundaryPolicy,
             if k == 0 or y > g(k):
                 continue
             t_now = t
-            dst = _fire(occ, events, policy, jump, t, x, u, tag)
+            dst = _fire(occ, events, policy, kernel, t, x, u, tag)
             if dst is not None:
                 m = cap(occ[dst])
                 have = bands.get(dst, 0)
@@ -168,7 +162,6 @@ def simulate_gillespie(eta0: Configuration, rate: RateFn, kernel: Kernel,
     the distributional oracle against the thinning construction."""
     _validate_run(eta0, rate, kernel, policy, T)
     g = rate.g
-    jump = partial(sample_jump, kernel)
     rng = (derived_rng(rng_or_seed, TAG_GILLESPIE)
            if isinstance(rng_or_seed, (int, np.integer)) else rng_or_seed)
     occ: dict[Site, int] = dict(eta0.occ)
@@ -193,7 +186,7 @@ def simulate_gillespie(eta0: Configuration, rate: RateFn, kernel: Kernel,
                 break
         if x is None:  # float edge: r landed on the top boundary
             x = site
-        _fire(occ, events, policy, jump, t, x, rng.random(), tag)
+        _fire(occ, events, policy, kernel, t, x, rng.random(), tag)
 
     return Trajectory(d=eta0.d, initial=eta0, events=events,
                       final=Configuration(eta0.d, occ), T=T,
@@ -272,41 +265,34 @@ def simulate_truncation_schedule(base: Configuration, schedule, rate: RateFn,
 @dataclass
 class PQFamilyResult:
     pq_values: tuple[tuple[float, float], ...]
-    labels: list[Site]                   # initial position per label index
+    labels: list[Site]                   # sorted start positions
     snapshot_times: tuple[float, ...]
     positions: dict                      # (p,q) -> int array [n_snaps, n_particles]
     trajectories: dict                   # (p,q) -> Trajectory
-
-
-def _pq_jump(p: float, u: float) -> int:
-    """The (p,q) family's jump rule: right iff u <= p."""
-    return 1 if u <= p else -1
 
 
 def simulate_pq_family(eta0: Configuration, rate: RateFn, T: float,
                        noise: HarrisNoise, pq_list,
                        snapshot_times=None) -> PQFamilyResult:
     """Simultaneous d=1 nearest-neighbour runs for several drift parameters
-    off one noise field, with labelled particles. Checks the sandwich
+    off one noise field. Member (p, q) is simulate() with nn_kernel_1d(p) on
+    the open line, and X_i(t) is its i-th leftmost particle at a snapshot.
+    Checks the sandwich
 
         X_i^{(0,1)}(t) <= X_i^{(p,q)}(t) <= X_i^{(1,0)}(t)
 
-    for every label at every snapshot; a violation is a hard failure
+    for every i at every snapshot; a violation is a hard failure
     (InvariantViolation), since it falsifies the coupling, not the
-    statistics.
-
-    Labels are assigned left to right in eta0. Together with the removal
-    convention (highest label leaves on a right jump, lowest on a left jump)
-    this keeps each run's label positions sorted for all time, so label i is
-    always the i-th leftmost particle and the inequality above is a pathwise
-    consequence of shared noise plus monotone rates. Any other initial
-    enumeration breaks the sorted invariant and with it the per-label bound."""
+    statistics. A mark u sends a particle right iff u >= 1 - p, and these
+    right-jump sets grow with p, so the order is a pathwise consequence of
+    shared noise plus monotone rates. The kernel is built from p alone, so
+    this nesting does not depend on how the caller rounded q."""
     if eta0.d != 1:
         raise ConfigError("the (p,q) family construction is d=1 only")
     pqs = []
     for p, q in pq_list:
-        if p < 0 or q < 0 or abs(p + q - 1.0) > 1e-12:
-            raise ConfigError(f"(p, q) = {(p, q)} must be non-negative with p + q = 1")
+        if not (0.0 <= p <= 1.0 and q >= 0.0 and abs(p + q - 1.0) <= 1e-12):
+            raise ConfigError(f"(p, q) = {(p, q)} must lie in [0, 1] with p + q = 1")
         pqs.append((float(p), float(q)))
     for ext in ((1.0, 0.0), (0.0, 1.0)):
         if ext not in pqs:
@@ -315,16 +301,16 @@ def simulate_pq_family(eta0: Configuration, rate: RateFn, T: float,
         snapshot_times = tuple((i + 1) * T / 8.0 for i in range(8))
     snapshot_times = tuple(float(t) for t in snapshot_times)
 
-    labels0 = sorted(enumerate_particles(eta0, 0))
+    labels = sorted(enumerate_particles(eta0, 0))
     positions = {}
     trajectories = {}
     for p, q in pqs:
-        traj = _harris_run(eta0, rate.g, partial(_pq_jump, p), OPEN, T, noise,
-                           f"p={p:g},q={q:g}")
+        traj = simulate(eta0, rate, nn_kernel_1d(p), OPEN, T, noise,
+                        f"p={p:g},q={q:g}")
         positions[(p, q)] = np.array(
             [sorted(enumerate_particles(snap, 0))
              for snap in snapshots(traj, snapshot_times)],
-            dtype=np.int64).reshape(len(snapshot_times), len(labels0))
+            dtype=np.int64).reshape(len(snapshot_times), len(labels))
         trajectories[(p, q)] = traj
 
     lo = positions[(0.0, 1.0)]
@@ -332,9 +318,9 @@ def simulate_pq_family(eta0: Configuration, rate: RateFn, T: float,
     for pq in pqs:
         bad = np.argwhere((positions[pq] < lo) | (positions[pq] > hi))
         if len(bad):
-            si, lab = bad[0]
+            si, i = bad[0]
             raise InvariantViolation(
-                f"(p,q) family order violated for pq={pq} at snapshot {si}, label {lab}")
-    return PQFamilyResult(pq_values=tuple(pqs), labels=labels0,
+                f"(p,q) family order violated for pq={pq} at snapshot {si}, label {i}")
+    return PQFamilyResult(pq_values=tuple(pqs), labels=labels,
                           snapshot_times=snapshot_times, positions=positions,
                           trajectories=trajectories)

@@ -4,12 +4,12 @@ A kernel is the common law of the jump displacement: when a site fires, the
 particle moves from x to x + z with probability p(z). Support must be finite,
 must not contain the zero offset, and the weights must sum to 1.
 
-Two inverse-CDF conventions coexist:
-  * sample_jump orders the support lexicographically (works in any d);
-  * the d=1 nearest-neighbour (p,q) family uses engine._pq_jump instead,
-    which maps u <= p to +1. Its right-jump sets {u <= p} are nested in p, so
-    an atom that sends a particle right under p does so under every larger
-    p, and that keeps the coupled family order-preserving.
+One inverse-CDF rule maps an atom's mark u in [0, 1) to a jump:
+sample_jump orders the support lexicographically and takes the first offset
+whose cumulative weight exceeds u. For the d=1 nearest-neighbour kernel
+nn_kernel_1d(p) that is a right jump iff u >= 1 - p. These right-jump sets
+are nested in p, so an atom that sends a particle right under p does so under
+every larger p, which keeps the coupled (p,q) family order-preserving.
 """
 from __future__ import annotations
 

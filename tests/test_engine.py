@@ -239,11 +239,11 @@ class _OneAtom:
 
 
 def test_pq_family_mark_convention():
-    # u <= p is a right jump, whatever the kernel's cdf layout does
-    for u, dst in ((0.69, 1), (0.7, 1), (0.71, -1)):
+    # sample_jump's inverse cdf over the support (-1, +1): u >= q goes right
+    for u, dst in ((0.24, -1), (0.25, 1), (0.26, 1)):
         res = simulate_pq_family(Configuration(1, {0: 1}), power_rate(1.0), 1.0,
-                                 _OneAtom(u), [(0.7, 0.3)])
-        assert [ev[:3] for ev in res.trajectories[(0.7, 0.3)].events] == [(0.5, 0, dst)]
+                                 _OneAtom(u), [(0.75, 0.25)])
+        assert [ev[:3] for ev in res.trajectories[(0.75, 0.25)].events] == [(0.5, 0, dst)]
 
 
 @pytest.mark.parametrize("policy", [OPEN, killed(30), periodic(30)])

@@ -2,13 +2,12 @@
 
 These hashes fix the exact events CSV that the Harris engine writes for a few
 seeded runs across the open, killed and periodic policies in d=1 and d=2, the
-Gillespie sampler's logs for four of those runs, the two coupled-run drivers
-and the labelled positions of the (p,q) family, and the JSON of one small run
-of the engine
-cross-check, the moment check and the occupancy bound under each tail
-method. A refactor of the event loop or of the diagnostics
-must leave them unchanged; only a deliberate change of the noise format may
-regenerate them, and it must say so.
+Gillespie sampler's logs for four of those runs, the two coupled-run drivers,
+the sorted particle positions of the (p,q) family at its snapshots, and the
+JSON of one small run of the engine cross-check, the moment check and the
+occupancy bound under each tail method. A refactor of the event loop or of
+the diagnostics must leave them unchanged; only a deliberate change of the
+noise format or of the jump rule may regenerate them, and it must say so.
 """
 import hashlib
 import json
@@ -86,7 +85,7 @@ GOLDEN = {
     "gillespie-d1-open": "3b00edda3dd61934b4a39a7e0efa6e5f560eee83a37a9fa0ff96f2b153d87479",
     "gillespie-d1-periodic": "c0e5cfa2572197374483c08b9d40d094aec3096f4adefa88a330efa0216bfcb2",
     "gillespie-d2-periodic": "09779f21e516efa9c3aa0c3d445efe518f88cf16b62583757a992ebf38f4137f",
-    "pq-family": "d018eec80c53b61f4f6485de842ee27a9af21bf07389ac399ee99ac68838f658",
+    "pq-family": "7a11b2a0e1a1d0a8f34ae8cd5656354133880310d3374abe54f2429f17247912",
     "truncation-schedule": "c3b48ed9608eb5489affa2209b7325e94f879f035737328000ce2a15e86dbd8c",
 }
 
@@ -98,7 +97,7 @@ def test_event_log_matches_golden(name):
     assert _sha(trajs) == GOLDEN[name]
 
 
-# the (p,q) family's labelled positions, every member's array in member order
+# the (p,q) family's sorted positions, every member's array in member order
 POSITION_CASES = {
     "pq-family": _pq_family,
     "drift-family-demo": lambda: simulate_pq_family(
@@ -108,8 +107,8 @@ POSITION_CASES = {
 }
 
 POSITION_GOLDEN = {
-    "drift-family-demo": "672296501b3bb1d833ab32be74a7cfff011f7fe85f91cb6391a00c508831cd13",
-    "pq-family": "bf53500fdd9acae9df86e7ed7d942969f574d2b8321383a905a6de0332f1345c",
+    "drift-family-demo": "de3e7ebbd6a4adfe42df0c52de462959bf2354c6067d3fb3d85ac87bb5d27c08",
+    "pq-family": "ff55e188bf04b24aa9bc20585ef102d885148b321d18237047691e869bcef4b1",
 }
 
 
