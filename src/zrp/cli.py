@@ -42,7 +42,7 @@ from .measures import fugacity_measure, sample_box_config
 from .noise import HarrisNoise
 from .parallel import TAG_SAMPLE, derived_rng, replica_map, resolve_threads
 from .rates import check_corollary_conditions, rate_from_json
-from .sites import in_box, site_from_coords
+from .sites import in_box, origin, site_from_coords
 
 
 def _field(cfg: dict, path: str, kind=None, required: bool = True, default=None):
@@ -260,7 +260,7 @@ def _mass(exp: Experiment, rows, threads: int) -> dict:
 
 
 def _martingale(exp: Experiment, rows, threads: int) -> dict:
-    f = capped_occupancy(0 if exp.kernel.d == 1 else (0,) * exp.kernel.d, 10)
+    f = capped_occupancy(origin(exp.kernel.d), 10)
     return martingale_residual(f, exp.initial_for(0), exp.rate, exp.kernel,
                                exp.policy, exp.T, exp.replicas, exp.seed,
                                threads=threads).to_json()

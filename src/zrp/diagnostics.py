@@ -21,7 +21,7 @@ from .measures import canonical_torus_measure, fugacity_measure, sample_box_conf
 from .noise import HarrisNoise
 from .parallel import TAG_GILLESPIE, TAG_SAMPLE, derived_rng, replica_map
 from .rates import RateFn
-from .sites import Site, box_sites, fold_into_box, site_add, site_sub
+from .sites import Site, box_sites, fold_into_box, origin, site_add, site_sub
 
 # --------------------------------------------------------------- generator
 
@@ -243,9 +243,9 @@ def torus_row(eta0: Configuration, traj) -> tuple[int, int, int]:
     if traj.final.total() != eta0.total():
         raise InvariantViolation(
             f"mass not conserved on torus: {eta0.total()} -> {traj.final.total()}")
-    origin: Site = 0 if eta0.d == 1 else (0,) * eta0.d
+    o = origin(eta0.d)
     crossings = sum(1 for ev in traj.events if ev[1] == -1 and ev[2] == 0)
-    return eta0.count(origin), traj.final.count(origin), crossings
+    return eta0.count(o), traj.final.count(o), crossings
 
 
 def _torus_worker(r, measure, rate, kernel, torus_n, T, seed, start, N):
@@ -256,7 +256,7 @@ def _torus_worker(r, measure, rate, kernel, torus_n, T, seed, start, N):
         eta0 = sample_box_config(measure, torus_n, d,
                                  derived_rng(seed, TAG_SAMPLE, r))
     else:
-        eta0 = Configuration(d, {(0 if d == 1 else (0,) * d): N})
+        eta0 = Configuration(d, {origin(d): N})
     noise = HarrisNoise(seed, (r,))
     traj = simulate(eta0, rate, kernel, periodic(torus_n), T, noise)
     return torus_row(eta0, traj)

@@ -12,8 +12,7 @@ and a fall keeps what was drawn until the slab ends. Draws ask only for atoms
 in (t_now, T], and only the ceil(T) slabs that start before T are drawn: at an
 integer T that leaves out an atom at t = T, whose time word is exactly 0 in
 slab T (probability 2^-53 per atom). Both simulators move a fired particle
-through _fire, the one place a run draws its jump (sample_jump), routes,
-moves and logs.
+through _fire, the one place a run draws a jump, routes, moves and logs.
 
 simulate_gillespie() is the independent distributional cross-check: identical
 law, completely different use of randomness (global exponential clocks).
@@ -34,14 +33,14 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .configuration import (Configuration, Trajectory, enumerate_particles,
-                            move, snapshots, truncate)
+from .configuration import (Configuration, Trajectory, move, snapshots,
+                            truncate)
 from .errors import ConfigError, InvariantViolation
 from .kernel import Kernel, nn_kernel_1d, sample_jump
 from .noise import HarrisNoise, TIME_SLAB, bands_for
 from .parallel import TAG_GILLESPIE, derived_rng
 from .rates import RateFn
-from .sites import Site, box_sites, fold_into_box, in_box, site_add
+from .sites import Site, box_sites, fold_into_box, in_box, origin, site_add
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,9 @@ def _fire(occ: dict, events: list, policy: BoundaryPolicy, kernel: Kernel,
 def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
              policy: BoundaryPolicy, T: float, noise: HarrisNoise,
              tag: str = "") -> Trajectory:
-    """One path of the process under the shared-noise construction, by the
-    lazy-window event loop. A slab's batch becomes the (then empty) heap, and
-    a landing that raises a site's cap pushes the missing bands, so every
-    atom that can fire is in the heap before its time comes."""
+    """One path of the process under the shared-noise construction. A slab's
+    batch becomes the heap, and a landing that raises a site's cap pushes the
+    missing bands, so each atom that can fire is pushed before it is due."""
     _validate_run(eta0, rate, kernel, policy, T)
     g = rate.g
     occ: dict[Site, int] = dict(eta0.occ)
@@ -252,8 +250,8 @@ def simulate_truncation_schedule(base: Configuration, schedule, rate: RateFn,
     a, b = snaps[-2], snaps[-1]
     stable = sum(1 for x in window
                  if all(sa.count(x) == sb.count(x) for sa, sb in zip(a, b)))
-    origin: Site = 0 if d == 1 else (0,) * d
-    origin_ok = all(sa.count(origin) == sb.count(origin) for sa, sb in zip(a, b))
+    o = origin(d)
+    origin_ok = all(sa.count(o) == sb.count(o) for sa, sb in zip(a, b))
     return TruncationScheduleResult(
         schedule=schedule, trajectories=trajs, snapshots=snaps,
         snapshot_times=snapshot_times,
@@ -294,27 +292,24 @@ def simulate_pq_family(eta0: Configuration, rate: RateFn, T: float,
         if not (0.0 <= p <= 1.0 and q >= 0.0 and abs(p + q - 1.0) <= 1e-12):
             raise ConfigError(f"(p, q) = {(p, q)} must lie in [0, 1] with p + q = 1")
         pqs.append((float(p), float(q)))
-    for ext in ((1.0, 0.0), (0.0, 1.0)):
-        if ext not in pqs:
-            pqs.append(ext)
+    pqs += [ext for ext in ((1.0, 0.0), (0.0, 1.0)) if ext not in pqs]
     if snapshot_times is None:
         snapshot_times = tuple((i + 1) * T / 8.0 for i in range(8))
     snapshot_times = tuple(float(t) for t in snapshot_times)
 
-    labels = sorted(enumerate_particles(eta0, 0))
+    labels = sorted(x for x, k in eta0.occ.items() for _ in range(k))
     positions = {}
     trajectories = {}
     for p, q in pqs:
         traj = simulate(eta0, rate, nn_kernel_1d(p), OPEN, T, noise,
                         f"p={p:g},q={q:g}")
         positions[(p, q)] = np.array(
-            [sorted(enumerate_particles(snap, 0))
+            [sorted(x for x, k in snap.occ.items() for _ in range(k))
              for snap in snapshots(traj, snapshot_times)],
             dtype=np.int64).reshape(len(snapshot_times), len(labels))
         trajectories[(p, q)] = traj
 
-    lo = positions[(0.0, 1.0)]
-    hi = positions[(1.0, 0.0)]
+    lo, hi = positions[(0.0, 1.0)], positions[(1.0, 0.0)]
     for pq in pqs:
         bad = np.argwhere((positions[pq] < lo) | (positions[pq] > hi))
         if len(bad):

@@ -24,23 +24,16 @@ from .kernel import Kernel
 from .noise import HarrisNoise
 from .parallel import TAG_CALIBRATE, TAG_WALK, derived_rng, replica_map
 from .rates import RateFn
-from .sites import Site, box_sites, max_norm, site_add, site_coords, site_sub
+from .sites import (Site, box_sites, max_norm, origin, site_add, site_coords,
+                    site_sub, validate_site)
 
 _MAX_EXACT_TIME = 600.0
 _MAX_EXACT_STATES = 25_000
 
 
-def _origin(d: int) -> Site:
-    return 0 if d == 1 else (0,) * d
-
-
-def _offset_array(kernel: Kernel) -> np.ndarray:
-    return np.array([list(z) for z in kernel.offsets], dtype=np.int64)
-
-
 # ------------------------------------------------------------ exact bracket
 
-def exact_F_small(z: Site, s: float, kernel: Kernel, radius: int | None = None,
+def exact_F_small(z: Site, s: float, kernel: Kernel,
                   tol: float = 1e-12) -> tuple[float, float]:
     """Deterministic bracket [lower, upper] for F_z(s) by uniformization.
 
@@ -53,18 +46,16 @@ def exact_F_small(z: Site, s: float, kernel: Kernel, radius: int | None = None,
     from scipy import sparse
     from scipy.stats import poisson
     d = kernel.d
+    z = validate_site(z, d)
     if s < 0 or not math.isfinite(s):
         raise ConfigError("need a finite nonnegative time")
-    if z == _origin(d):
+    o = origin(d)
+    if z == o:
         return 1.0, 1.0
     if s > _MAX_EXACT_TIME:
         raise ConfigError(f"time {s:g} too large for the exact bracket")
-    dist = max_norm(z)
-    if radius is None:
-        radius = max(30 if d == 1 else 8, dist + 2)
-    if dist > radius:
-        raise ConfigError(f"start {z!r} outside radius {radius}")
-    live = [x for x in box_sites(radius, d) if x != _origin(d)]
+    radius = max(30 if d == 1 else 8, max_norm(z) + 2)
+    live = [x for x in box_sites(radius, d) if x != o]
     if len(live) > _MAX_EXACT_STATES:
         raise ConfigError(f"{len(live)} states exceeds the exact-bracket budget")
     idx = {x: i for i, x in enumerate(live)}
@@ -75,7 +66,7 @@ def exact_F_small(z: Site, s: float, kernel: Kernel, radius: int | None = None,
     for x, i in idx.items():
         for off, p in kernel.support():
             y = site_add(x, off)
-            if y == _origin(d):
+            if y == o:
                 hvec[i] += p
             elif y in idx:
                 rows.append(i)
@@ -114,8 +105,7 @@ def _wilson(k: int, n: int, zq: float = 4.0) -> tuple[float, float]:
 
 def _walk_batch(b, z, t_max, kernel, seed, batch):
     rng = derived_rng(seed, TAG_WALK, b)
-    d = kernel.d
-    offs = _offset_array(kernel)
+    offs = np.array(kernel.offsets, dtype=np.int64)
     cum = np.asarray(kernel.cum)
     pos = np.tile(np.asarray(site_coords(z), dtype=np.int64), (batch, 1))
     t = np.zeros(batch)
@@ -152,6 +142,7 @@ class HittingCurve:
 def estimate_F(z: Site, times, kernel: Kernel, n_walks: int,
                seed: int) -> HittingCurve:
     """Monte Carlo curve of F_z over a time grid with 4-sigma Wilson bands."""
+    z = validate_site(z, kernel.d)
     times = np.asarray(sorted(float(t) for t in times))
     if len(times) == 0 or times[0] < 0 or not np.isfinite(times).all():
         raise ConfigError("need a finite nonnegative time grid")
@@ -242,8 +233,7 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
         # the trivial bracket 0 <= F <= 1, which keeps both sides valid
         try:
             s = rate.h(i + 1) * t
-            lo, hi = exact_F_small(site_sub(parts[i], z), s, kernel,
-                                   max(exact_radius, dists[i] + 2))
+            lo, hi = exact_F_small(site_sub(parts[i], z), s, kernel)
         except RateRangeError:
             lo, hi = 0.0, 1.0
             flags.append("rate-overflow-term")

@@ -20,8 +20,6 @@ from .kernel import Kernel, mean_drift
 
 MAX_RATE = 1e300  # beyond this, refuse rather than hand out inf
 
-_MONO_SLACK = 0.0  # monotonicity is required exactly; rounding noise is the caller's bug
-
 
 @dataclass
 class RateFn:
@@ -50,7 +48,7 @@ class RateFn:
             if t[0] != 0.0:
                 raise ConfigError("rate table must start with g(0) = 0")
             for j in range(1, len(t)):
-                if t[j] < t[j - 1] - _MONO_SLACK:
+                if t[j] < t[j - 1]:
                     raise ConfigError(f"rate table decreases at k={j}: {t[j-1]} -> {t[j]}")
                 if not math.isfinite(t[j]) or t[j] > MAX_RATE:
                     raise ConfigError(f"rate table entry at k={j} exceeds representable range")
@@ -140,7 +138,6 @@ class CorollaryReport:
     condition_b: bool
     drift: tuple[float, ...]
     n_max_used: int
-    fit_points: tuple[int, ...]
     heuristic: bool = True  # finite-sample evidence, not a proof
 
     def to_json(self) -> dict:
@@ -208,4 +205,4 @@ def check_corollary_conditions(rate: RateFn, kernel: Kernel, n_max: int = 10_000
     cond_b = decreasing and halves
 
     return CorollaryReport(a_estimate=slope, condition_a=cond_a, condition_b=cond_b,
-                           drift=drift, n_max_used=int(hi), fit_points=tuple(int(n) for n in pts))
+                           drift=drift, n_max_used=int(hi))

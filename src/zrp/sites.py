@@ -14,6 +14,10 @@ from .errors import ConfigError, json_number
 Site = int | tuple[int, ...]
 
 
+def origin(d: int) -> Site:
+    return 0 if d == 1 else (0,) * d
+
+
 def site_coords(x: Site) -> tuple[int, ...]:
     return (x,) if isinstance(x, int) else x
 

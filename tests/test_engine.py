@@ -219,6 +219,10 @@ def test_pq_family_validation():
     with pytest.raises(ConfigError):
         simulate_pq_family(eta0, RATE, 1.0, HarrisNoise(0), [(0.6, 0.6)])
     with pytest.raises(ConfigError):
+        simulate_pq_family(eta0, RATE, 1.0, HarrisNoise(0), [(1.0 + 1e-13, 0.0)])
+    with pytest.raises(ConfigError):
+        simulate_pq_family(eta0, RATE, 1.0, HarrisNoise(0), [(math.nan, 0.5)])
+    with pytest.raises(ConfigError):
         simulate_pq_family(Configuration(2, {(0, 0): 1}), RATE, 1.0,
                            HarrisNoise(0), [(1.0, 0.0)])
 
@@ -282,6 +286,22 @@ def test_no_slab_at_or_past_the_horizon_is_drawn(T):
     traj = simulate(_ones(30), RATE, nn_kernel_1d(0.6), periodic(30), T, noise)
     assert traj.event_count() > 0
     assert noise.slabs == set(range(math.ceil(T)))
+
+
+@pytest.mark.parametrize("T", [-1.0, math.inf, math.nan])
+def test_pq_family_rejects_a_bad_horizon_before_any_run(T):
+    noise = _SlabLog(HarrisNoise(0))
+    with pytest.raises(ConfigError):
+        simulate_pq_family(Configuration(1, {0: 1}), RATE, T, noise,
+                           [(0.5, 0.5)])
+    assert noise.slabs == set()
+
+
+@pytest.mark.parametrize("times", [(0.5, 1.5), (-0.1,)])
+def test_pq_family_rejects_snapshot_times_outside_the_run(times):
+    with pytest.raises(ConfigError):
+        simulate_pq_family(Configuration(1, {0: 1}), RATE, 1.0, HarrisNoise(0),
+                           [(0.5, 0.5)], snapshot_times=times)
 
 
 def test_pq_extremes_follow_single_marginal():

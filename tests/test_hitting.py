@@ -66,6 +66,19 @@ def test_exact_bracket_rejects_huge_time():
         exact_F_small(-1, 1e3, nn_kernel_1d(0.5))
 
 
+@pytest.mark.parametrize("z, kernel", [((1, 0), nn_kernel_1d(0.5)),
+                                       (1, symmetric_nn_kernel(2))])
+def test_exact_bracket_rejects_a_start_of_the_wrong_dimension(z, kernel):
+    with pytest.raises(ConfigError):
+        exact_F_small(z, 1.0, kernel)
+
+
+def test_estimate_F_rejects_a_start_of_the_wrong_dimension():
+    # a d=2 start used to broadcast against the d=1 offsets
+    with pytest.raises(ConfigError):
+        estimate_F((1, 0), [1.0], nn_kernel_1d(0.5), 10, 1)
+
+
 def test_estimate_F_covers_truth_and_is_deterministic():
     times = [0.5, 1.0]
     c1 = estimate_F(-1, times, nn_kernel_1d(1.0), 20_000, 5)

@@ -7,12 +7,17 @@ same example sequence every run.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from zrp.configuration import Configuration
 from zrp.diagnostics import _j_dicts
+from zrp.engine import simulate_pq_family
 from zrp.kernel import make_kernel, sample_jump
 from zrp.measures import fugacity_measure
+from zrp.noise import HarrisNoise
 from zrp.rates import power_rate
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -87,3 +92,16 @@ def test_fugacity_identity_holds_for_power_rates(a, phi):
     # E[g] = phi is the defining identity of the one-site weights
     mu = fugacity_measure(power_rate(a), phi)
     assert abs(mu.mean_rate() - phi) < 1e-9
+
+
+@SETTINGS
+@given(st.dictionaries(st.integers(-4, 4), st.integers(1, 3), max_size=5),
+       st.floats(0.1, 2.5), st.lists(st.floats(0.0, 1.0), max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_pq_members_are_ordered_in_p_at_every_snapshot(occ, T, ps, seed):
+    # not just between the extremes: the i-th leftmost particle moves right
+    # (weakly) as p grows, for every pair of members
+    res = simulate_pq_family(Configuration(1, occ), power_rate(2.0), T,
+                             HarrisNoise(seed), [(p, 1.0 - p) for p in ps])
+    for a, b in combinations(sorted(res.pq_values), 2):
+        assert np.all(res.positions[a] <= res.positions[b])
