@@ -12,6 +12,7 @@ from zrp import (
     Configuration,
     HarrisNoise,
     OPEN,
+    derived_rng,
     engine_agreement_check,
     nn_kernel_1d,
     power_rate,
@@ -19,6 +20,7 @@ from zrp import (
     simulate_gillespie,
 )
 from zrp.diagnostics import chi2_joint_two_sample
+from zrp.parallel import TAG_GILLESPIE
 
 rate = power_rate(2.0)
 kernel = nn_kernel_1d(0.7)
@@ -26,7 +28,8 @@ eta0 = Configuration(1, {-1: 1, 0: 2, 1: 1})
 
 # one path from each engine, same model, independent randomness
 tr_h = simulate(eta0, rate, kernel, OPEN, 2.0, HarrisNoise(42, (0,)))
-tr_g = simulate_gillespie(eta0, rate, kernel, OPEN, 2.0, 42)
+tr_g = simulate_gillespie(eta0, rate, kernel, OPEN, 2.0,
+                          derived_rng(42, TAG_GILLESPIE))
 print(f"thinning engine:   {len(tr_h.events):3d} events, final mass "
       f"{sum(tr_h.final.occ.values())}")
 print(f"total-rate engine: {len(tr_g.events):3d} events, final mass "

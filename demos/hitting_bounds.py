@@ -37,6 +37,7 @@ print(f"brackets and Monte Carlo bands overlap everywhere: {ok}")
 
 # m-bar: each particle contributes its own hitting probability, sped up
 # by the rate floor h; exact terms for the nearest K, certified tail after
+# (named "exp-sum"; "none" when K covers every particle)
 eta0 = Configuration(1, {1: 2, 2: 1, -3: 1, 8: 1})
 rep = mbar(eta0, 0, 2.0, power_rate(2.0), nn_kernel_1d(0.5), K=4)
 print(f"\noccupancy bound at the origin, t = 2: "

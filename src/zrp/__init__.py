@@ -68,7 +68,6 @@ from .measures import (
     FugacityMeasure,
     canonical_torus_measure,
     fugacity_measure,
-    partition_function,
     sample_box_config,
 )
 from .noise import HarrisNoise

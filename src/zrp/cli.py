@@ -31,7 +31,7 @@ import scipy
 
 from . import __version__
 from .configuration import (Configuration, config_from_json, events_csv_string,
-                            replay, trajectory_summary)
+                            events_json_string, replay, trajectory_summary)
 from .diagnostics import (chi2_replicas, flux_report, martingale_residual,
                           mass_report, stationarity_report, torus_row)
 from .engine import OPEN, BoundaryPolicy, simulate
@@ -180,20 +180,13 @@ def _run_worker(r, exp: Experiment, out_dir: Path, fmt: str):
         replay(traj)  # raises InvariantViolation on any mismatch
     row = torus_row(eta0, traj) if _torus_product(exp) is None else None
     if fmt == "json":
-        (out_dir / f"events_r{r}.json").write_text(_events_json_string(traj))
+        (out_dir / f"events_r{r}.json").write_text(events_json_string(traj))
     else:
         (out_dir / f"events_r{r}.csv").write_text(events_csv_string(traj))
     # indented as json.dumps(list, indent=1) indents a list item, so the
     # parent joins the entries and holds no per-replica dict
     entry = json.dumps(trajectory_summary(traj), sort_keys=True, indent=1)
     return entry.replace("\n", "\n "), traj.event_count(), row
-
-
-def _events_json_string(traj) -> str:
-    from .sites import site_coords
-    evs = [{"t": t, "src": list(site_coords(s)), "dst": list(site_coords(d)),
-            "kind": k, "marginal": m} for (t, s, d, k, m) in traj.events]
-    return json.dumps({"events": evs}, sort_keys=True, indent=1) + "\n"
 
 
 def _torus_product(exp: Experiment) -> str | None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -174,14 +175,18 @@ def replay(traj: Trajectory) -> Configuration:
 
 
 def snapshots(traj: Trajectory, times) -> list[Configuration]:
-    """States at the given (sorted, within [0, T]) times."""
+    """States at the given non-decreasing times within [0, T]."""
     out = []
     occ = dict(traj.initial.occ)
     i = 0
     events = traj.events
+    t_prev = 0.0
     for t in times:
         if not (0.0 <= t <= traj.T):
             raise ConfigError(f"snapshot time {t} outside [0, {traj.T}]")
+        if t < t_prev:
+            raise ConfigError(f"snapshot times decrease: {t_prev} -> {t}")
+        t_prev = t
         while i < len(events) and events[i][0] <= t:
             _apply_event(occ, events[i])
             i += 1
@@ -223,6 +228,13 @@ def events_csv_string(traj: Trajectory) -> str:
     for t, src, dst, kind, tag in traj.events:
         w.writerow([_fmt_time(t), _fmt_site(src), _fmt_site(dst), kind, tag])
     return buf.getvalue()
+
+
+def events_json_string(traj: Trajectory) -> str:
+    """{"events": [{t, src, dst, kind, marginal}, ...]}, byte-for-byte stable."""
+    evs = [{"t": t, "src": list(site_coords(s)), "dst": list(site_coords(d)),
+            "kind": k, "marginal": m} for (t, s, d, k, m) in traj.events]
+    return json.dumps({"events": evs}, sort_keys=True, indent=1) + "\n"
 
 
 def trajectory_summary(traj: Trajectory) -> dict:

@@ -38,7 +38,6 @@ from .configuration import (Configuration, Trajectory, move, snapshots,
 from .errors import ConfigError, InvariantViolation
 from .kernel import Kernel, nn_kernel_1d, sample_jump
 from .noise import HarrisNoise, TIME_SLAB, bands_for
-from .parallel import TAG_GILLESPIE, derived_rng
 from .rates import RateFn
 from .sites import Site, box_sites, fold_into_box, in_box, origin, site_add
 
@@ -154,14 +153,12 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
 
 
 def simulate_gillespie(eta0: Configuration, rate: RateFn, kernel: Kernel,
-                       policy: BoundaryPolicy, T: float, rng_or_seed,
-                       tag: str = "") -> Trajectory:
+                       policy: BoundaryPolicy, T: float,
+                       rng: np.random.Generator) -> Trajectory:
     """Same law as simulate(), via total-rate exponential clocks. Serves as
     the distributional oracle against the thinning construction."""
     _validate_run(eta0, rate, kernel, policy, T)
     g = rate.g
-    rng = (derived_rng(rng_or_seed, TAG_GILLESPIE)
-           if isinstance(rng_or_seed, (int, np.integer)) else rng_or_seed)
     occ: dict[Site, int] = dict(eta0.occ)
     events = []
     t = 0.0
@@ -184,7 +181,7 @@ def simulate_gillespie(eta0: Configuration, rate: RateFn, kernel: Kernel,
                 break
         if x is None:  # float edge: r landed on the top boundary
             x = site
-        _fire(occ, events, policy, kernel, t, x, rng.random(), tag)
+        _fire(occ, events, policy, kernel, t, x, rng.random(), "")
 
     return Trajectory(d=eta0.d, initial=eta0, events=events,
                       final=Configuration(eta0.d, occ), T=T,

@@ -94,7 +94,8 @@ def exact_F_small(z: Site, s: float, kernel: Kernel,
 
 # -------------------------------------------------------------- MC estimate
 
-def _wilson(k: int, n: int, zq: float = 4.0) -> tuple[float, float]:
+def _wilson(k: int, n: int) -> tuple[float, float]:
+    zq = 4.0  # the 4-sigma bands of estimate_F
     ph = k / n
     z2 = zq * zq
     denom = 1.0 + z2 / n
@@ -196,14 +197,14 @@ class MbarReport:
 
 
 def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
-         K: int | None = None, tail_method: str = "exp-sum") -> MbarReport:
+         K: int | None = None) -> MbarReport:
     """Sum of F_{x_i - z}(h(i) t) over particles enumerated outward from z.
 
     The first K terms are bracketed exactly; the rest are dominated by the
     certified Gamma tail "exp-sum": a particle m range-steps away needs at
-    least m jumps of its rate-1 clock, so F <= P(Gamma(m) <= s). With
-    "none", K must cover every particle. By default K counts the particles
-    within max-norm distance 30 of z (8 when d > 1).
+    least m jumps of its rate-1 clock, so F <= P(Gamma(m) <= s). The report
+    names the tail "none" when K covers every particle. By default K counts
+    the particles within max-norm distance 30 of z (8 when d > 1).
     """
     if eta.d != kernel.d:
         raise ConfigError("configuration and kernel dimensions differ")
@@ -214,13 +215,8 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
     dists = [max_norm(site_sub(x, z)) for x in parts]
     exact_radius = 30 if kernel.d == 1 else 8
     if K is None:
-        if tail_method == "none":
-            K = n
-        else:
-            K = sum(1 for dd in dists if dd <= exact_radius)
+        K = sum(1 for dd in dists if dd <= exact_radius)
     K = min(int(K), n)
-    if tail_method == "none" and K < n:
-        raise ConfigError("tail_method 'none' requires K to cover every particle")
 
     flags: list[str] = []
     lo_sum = hi_sum = 0.0
@@ -244,24 +240,21 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
         hi_sum += hi
 
     tail = 0.0
-    if tail_method == "exp-sum":
-        R = kernel.range
-        for i in range(K, n):
-            try:
-                s = rate.h(i + 1) * t
-            except RateRangeError:
-                tail += 1.0
-                flags.append("rate-overflow-term")
-                continue
-            # m range-steps need m jumps; a particle at z has F = 1
-            m = math.ceil(dists[i] / R)
-            tail += float(gammainc(m, s)) if m else 1.0
-    elif tail_method != "none":
-        raise ConfigError(f"unknown tail method {tail_method!r}")
+    R = kernel.range
+    for i in range(K, n):
+        try:
+            s = rate.h(i + 1) * t
+        except RateRangeError:
+            tail += 1.0
+            flags.append("rate-overflow-term")
+            continue
+        # m range-steps need m jumps; a particle at z has F = 1
+        m = math.ceil(dists[i] / R)
+        tail += float(gammainc(m, s)) if m else 1.0
 
-    return MbarReport(z=z, t=float(t), n_particles=n, K=K,
-                      partial_lower=lo_sum, partial_upper=hi_sum,
-                      tail=tail, tail_method=tail_method, flags=tuple(flags))
+    return MbarReport(z=z, t=float(t), n_particles=n, K=K, partial_lower=lo_sum,
+                      partial_upper=hi_sum, tail=tail, flags=tuple(flags),
+                      tail_method="none" if K == n else "exp-sum")
 
 
 # ------------------------------------------------------ exponential moments
@@ -295,7 +288,7 @@ def exp_moment_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
     mlo = np.empty(len(grid))
     mhi = np.empty(len(grid))
     for j, s in enumerate(grid):
-        rep = mbar(eta0, z, s, rate, kernel, tail_method="none")
+        rep = mbar(eta0, z, s, rate, kernel, K=eta0.total())
         mlo[j], mhi[j] = rep.lower, rep.upper
     bounds = (math.exp(theta) - 1.0) * mhi
 

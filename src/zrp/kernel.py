@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -81,6 +82,7 @@ def make_kernel(support, d: int | None = None) -> Kernel:
     return Kernel(d=d, offsets=tuple(z for z, _ in items), probs=tuple(p for _, p in items))
 
 
+@lru_cache(maxsize=None, typed=True)  # a Kernel is frozen, so one can be shared
 def nn_kernel_1d(p: float, q: float | None = None) -> Kernel:
     """Nearest-neighbour d=1 kernel: +1 with prob p, -1 with prob q = 1-p."""
     if q is None:

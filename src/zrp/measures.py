@@ -20,51 +20,10 @@ from scipy.special import logsumexp
 
 from .configuration import Configuration
 from .errors import CertificationError, ConfigError, RateRangeError
-from .parallel import TAG_SAMPLE, derived_rng
 from .rates import RateFn
 from .sites import Site, box_sites
 
 MAX_TRUNCATION = 100_000
-
-
-def partition_function(rate: RateFn, phi: float, tol: float = 1e-12):
-    """(log_z, K, tail_bound): log normalization, certified support cut,
-    and the relative mass bound for everything beyond K."""
-    if not (phi > 0) or not math.isfinite(phi):
-        raise ConfigError(f"fugacity must be positive and finite, got {phi!r}")
-    if not (0 < tol < 1e-2):
-        raise ConfigError("tolerance must be in (0, 1e-2)")
-    log_phi = math.log(phi)
-    log_terms = [0.0]  # k = 0
-    log_w = 0.0
-    k = 0
-    while True:
-        # certification attempt at current K = k: needs g(K+1)
-        try:
-            g_next = rate.g(k + 1)
-        except RateRangeError as e:
-            raise CertificationError(
-                f"cannot certify tail at phi={phi}: rate undefined past k={k} ({e})") from None
-        if g_next <= 0:
-            ratio = math.inf
-        else:
-            ratio = phi / g_next
-        if ratio <= 0.5:
-            log_z_partial = logsumexp(log_terms)
-            log_tail = log_terms[-1] + math.log(ratio / (1.0 - ratio)) if ratio > 0 else -math.inf
-            tail_rel = math.exp(min(log_tail - log_z_partial, 0.0))
-            if tail_rel <= tol:
-                return float(log_z_partial), k, float(tail_rel)
-        if k >= MAX_TRUNCATION:
-            raise CertificationError(
-                f"cannot certify tail at phi={phi} within {MAX_TRUNCATION} terms "
-                f"(last ratio phi/g(K+1) = {ratio:.3g})")
-        k += 1
-        if g_next <= 0:
-            raise CertificationError(
-                f"g({k}) = 0: weights w(k) are undefined, no product measure exists")
-        log_w -= math.log(g_next)
-        log_terms.append(log_w + k * log_phi)
 
 
 @dataclass
@@ -89,25 +48,53 @@ class FugacityMeasure:
 
 
 def fugacity_measure(rate: RateFn, phi: float, tol: float = 1e-12) -> FugacityMeasure:
-    log_z, K, tail = partition_function(rate, phi, tol)
-    log_w = np.zeros(K + 1)
-    for k in range(1, K + 1):
-        log_w[k] = log_w[k - 1] - math.log(rate.g(k))
-    log_terms = log_w + np.arange(K + 1) * math.log(phi)
-    pmf = np.exp(log_terms - log_z)
-    cdf = np.cumsum(pmf)
-    return FugacityMeasure(rate=rate, phi=phi, K=K, log_z=log_z,
-                           tail_bound=tail, pmf=pmf, cdf=cdf)
+    """The fugacity-phi marginal on 0..K, K the certified support cut, with
+    log_z its log normalization and tail_bound the relative mass bound for
+    everything beyond K."""
+    if not (phi > 0) or not math.isfinite(phi):
+        raise ConfigError(f"fugacity must be positive and finite, got {phi!r}")
+    if not (0 < tol < 1e-2):
+        raise ConfigError("tolerance must be in (0, 1e-2)")
+    log_phi = math.log(phi)
+    log_terms = [0.0]  # k = 0
+    log_w = 0.0
+    k = 0
+    while True:
+        # certification attempt at current K = k: needs g(K+1)
+        try:
+            g_next = rate.g(k + 1)
+        except RateRangeError as e:
+            raise CertificationError(
+                f"cannot certify tail at phi={phi}: rate undefined past k={k} ({e})") from None
+        if g_next <= 0:
+            raise CertificationError(
+                f"g({k + 1}) = 0: weights w(k) are undefined, no product measure exists")
+        ratio = phi / g_next
+        if ratio <= 0.5:
+            log_z = float(logsumexp(log_terms))
+            log_tail = log_terms[-1] + math.log(ratio / (1.0 - ratio)) if ratio > 0 else -math.inf
+            tail_rel = math.exp(min(log_tail - log_z, 0.0))
+            if tail_rel <= tol:
+                pmf = np.exp(np.array(log_terms) - log_z)
+                return FugacityMeasure(rate=rate, phi=phi, K=k, log_z=log_z,
+                                       tail_bound=tail_rel, pmf=pmf,
+                                       cdf=np.cumsum(pmf))
+        if k >= MAX_TRUNCATION:
+            raise CertificationError(
+                f"cannot certify tail at phi={phi} within {MAX_TRUNCATION} terms "
+                f"(last ratio phi/g(K+1) = {ratio:.3g})")
+        k += 1
+        log_w -= math.log(g_next)
+        log_terms.append(log_w + k * log_phi)
 
 
-def sample_box_config(measure: FugacityMeasure, n: int, d: int, rng_or_seed) -> Configuration:
+def sample_box_config(measure: FugacityMeasure, n: int, d: int,
+                      rng: np.random.Generator) -> Configuration:
     """i.i.d. marginals on [-n, n]^d, zero outside: the i-th site of
     box_sites(n, d) takes the inverse CDF of the i-th of len(sites) uniforms
     drawn by rng.random."""
     if n < 0:
         raise ConfigError("box radius must be >= 0")
-    rng = (derived_rng(rng_or_seed, TAG_SAMPLE)
-           if isinstance(rng_or_seed, (int, np.integer)) else rng_or_seed)
     sites = box_sites(n, d)
     u = rng.random(len(sites))
     ks = np.minimum(np.searchsorted(measure.cdf, u, side="right"), measure.K)

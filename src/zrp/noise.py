@@ -121,10 +121,6 @@ class HarrisNoise:
                 h = _fold(h, w)
         object.__setattr__(self, "_key", h)
 
-    def child(self, *path: int) -> "HarrisNoise":
-        """Independent sub-field (e.g. one per replica)."""
-        return HarrisNoise(self.master, self.path + tuple(int(p) for p in path))
-
     def window(self, site: Site, band: int, slab: int, t_lo=-math.inf, t_hi=math.inf):
         """(times, heights, marks) of the atoms t_lo < t <= t_hi of one window,
         as lists. Times are absolute (inside [slab, slab+1)), heights inside

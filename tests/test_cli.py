@@ -43,6 +43,15 @@ def _write_cfg(tmp_path, cfg, name="exp.json"):
     return p
 
 
+def _python(args, tmp_path):
+    """Run python with args in a fresh process that imports this zrp."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120, cwd=tmp_path)
+
+
 def test_run_writes_artifacts(tmp_path):
     cfg = _write_cfg(tmp_path, BASE)
     out = tmp_path / "out"
@@ -320,6 +329,19 @@ def test_suite_criteria_honour_threads(monkeypatch, cid, fn):
     one.pop("seconds")
     two.pop("seconds")
     assert one == two
+
+
+@pytest.mark.parametrize("rate", [{"family": "exp", "c": 1, "theta": 800},
+                                  {"family": "power", "a": 1e6}])
+def test_rate_past_float_range_fails_without_traceback(tmp_path, rate):
+    """g(1) = e^800, or g(2) = 2^1e6, overflows a float in the first run."""
+    p = _write_cfg(tmp_path, dict(BASE, rate=rate, initial={
+        "mode": "point", "n_particles": 2}))
+    res = _python(["-m", "zrp.cli", "run", "--config", str(p), "--out",
+                   str(tmp_path / "out"), "--threads", "1"], tmp_path)
+    assert res.returncode != 0
+    assert "Traceback" not in res.stdout + res.stderr
+    assert "outside representable range" in res.stderr
 
 
 def test_uncertifiable_product_start_is_config_error(tmp_path):
@@ -603,11 +625,7 @@ def test_run_without_statistics_loads_no_scipy_stats(tmp_path):
         f"code = cli.main(['run', '--config', {str(p)!r}, '--out',\n"
         f"                 {str(tmp_path / 'out')!r}, '--threads', '1'])\n"
         "print(code, loaded())\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, env=env, timeout=120)
+    res = _python(["-c", script], tmp_path)
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     assert lines[0] == "[]"

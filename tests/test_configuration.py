@@ -139,6 +139,8 @@ def test_snapshots_at_times():
     assert snaps[-1] == t.final
     with pytest.raises(ConfigError):
         snapshots(t, [2.5])
+    with pytest.raises(ConfigError, match=r"snapshot times decrease: 2.0 -> 0.5"):
+        snapshots(t, [2.0, 0.5])
 
 
 def test_intervals_walk_is_consistent():

@@ -19,6 +19,7 @@ from zrp.engine import (
 from zrp.errors import ConfigError, InvariantViolation
 from zrp.kernel import make_kernel, nn_kernel_1d, symmetric_nn_kernel
 from zrp.noise import HarrisNoise
+from zrp.parallel import TAG_GILLESPIE, derived_rng
 from zrp.rates import power_rate
 from zrp.sites import box_sites
 
@@ -66,7 +67,7 @@ def test_self_wrap_keeps_mass(engine):
     eta0 = Configuration(1, {0: 3})
     args = (eta0, power_rate(1.0), SELF_WRAP, periodic(1), 2.0)
     traj = (simulate(*args, HarrisNoise(6)) if engine == "harris"
-            else simulate_gillespie(*args, 6))
+            else simulate_gillespie(*args, derived_rng(6, TAG_GILLESPIE)))
     assert traj.event_count() > 0
     assert all(e[1] != e[2] for e in traj.events)
     assert traj.final.total() == eta0.total()
@@ -83,8 +84,8 @@ def test_harris_determinism():
 
 def test_gillespie_determinism_and_conservation():
     eta0 = Configuration(1, {0: 2, 1: 1})
-    a = simulate_gillespie(eta0, RATE, NN, OPEN, 2.0, 77)
-    b = simulate_gillespie(eta0, RATE, NN, OPEN, 2.0, 77)
+    a = simulate_gillespie(eta0, RATE, NN, OPEN, 2.0, derived_rng(77, TAG_GILLESPIE))
+    b = simulate_gillespie(eta0, RATE, NN, OPEN, 2.0, derived_rng(77, TAG_GILLESPIE))
     assert a.events == b.events
     assert a.final.total() == eta0.total()
     assert replay(a) == a.final
@@ -127,13 +128,12 @@ def test_shared_noise_preserves_sitewise_order():
     in the larger one (g non-decreasing), and a fire only in the larger state
     has spare particles to move.
     """
-    noise = HarrisNoise(21)
     small = Configuration(1, {0: 1, 1: 1})
     big = Configuration(1, {-1: 1, 0: 2, 1: 1, 3: 2})
     assert check_domination([small], [big]) == []
     times = [0.25 * k for k in range(1, 9)]
     for seed_branch in range(25):
-        nz = noise.child(seed_branch)
+        nz = HarrisNoise(21, (seed_branch,))
         ts = simulate(small, RATE, NN, OPEN, 2.0, nz)
         tb = simulate(big, RATE, NN, OPEN, 2.0, nz)
         assert check_domination(snapshots(ts, times), snapshots(tb, times)) == []
@@ -225,6 +225,9 @@ def test_pq_family_validation():
     with pytest.raises(ConfigError):
         simulate_pq_family(Configuration(2, {(0, 0): 1}), RATE, 1.0,
                            HarrisNoise(0), [(1.0, 0.0)])
+    with pytest.raises(ConfigError, match="snapshot times decrease"):
+        simulate_pq_family(eta0, RATE, 1.0, HarrisNoise(0), [(0.5, 0.5)],
+                           snapshot_times=(1.0, 0.5))
 
 
 class _OneAtom:

@@ -22,6 +22,7 @@ from zrp.engine import (OPEN, killed, periodic, simulate, simulate_gillespie,
 from zrp.hitting import exp_moment_check, mbar
 from zrp.kernel import nn_kernel_1d, symmetric_nn_kernel
 from zrp.noise import HarrisNoise
+from zrp.parallel import TAG_GILLESPIE, derived_rng
 from zrp.rates import exp_rate, power_rate
 from zrp.sites import box_sites
 
@@ -41,6 +42,11 @@ def _pq_family():
 
 def _single(eta0, rate, kernel, policy, T, master):
     return [simulate(eta0, rate, kernel, policy, T, HarrisNoise(master, (0,)))]
+
+
+def _gillespie(eta0, rate, kernel, policy, T, seed):
+    return [simulate_gillespie(eta0, rate, kernel, policy, T,
+                               derived_rng(seed, TAG_GILLESPIE))]
 
 
 D1_OPEN = (Configuration(1, {-1: 2, 0: 3, 4: 1}), power_rate(2),
@@ -63,10 +69,10 @@ CASES = {
         Configuration(2, {(0, 0): 2, (1, -1): 1, (-1, 1): 2}), power_rate(1.5),
         symmetric_nn_kernel(2), killed(1), 3.0, 105),
     "d2-periodic": lambda: _single(*D2_PERIODIC, 106),
-    "gillespie-d1-open": lambda: [simulate_gillespie(*D1_OPEN, 111)],
-    "gillespie-d1-killed": lambda: [simulate_gillespie(*D1_KILLED, 112)],
-    "gillespie-d1-periodic": lambda: [simulate_gillespie(*D1_PERIODIC, 113)],
-    "gillespie-d2-periodic": lambda: [simulate_gillespie(*D2_PERIODIC, 116)],
+    "gillespie-d1-open": lambda: _gillespie(*D1_OPEN, 111),
+    "gillespie-d1-killed": lambda: _gillespie(*D1_KILLED, 112),
+    "gillespie-d1-periodic": lambda: _gillespie(*D1_PERIODIC, 113),
+    "gillespie-d2-periodic": lambda: _gillespie(*D2_PERIODIC, 116),
     "truncation-schedule": lambda: simulate_truncation_schedule(
         Configuration(1, {x: 1 for x in box_sites(4, 1)}), (2, 4), power_rate(2),
         nn_kernel_1d(0.5), 2.0,
@@ -133,7 +139,7 @@ REPORTS = {
     "mbar-exp-sum": lambda: mbar(MBAR_ETA, 0, 1.0, power_rate(2),
                                  nn_kernel_1d(0.5), K=3),
     "mbar-none": lambda: mbar(MBAR_ETA, 0, 1.0, power_rate(2),
-                              nn_kernel_1d(0.5), tail_method="none"),
+                              nn_kernel_1d(0.5), K=MBAR_ETA.total()),
 }
 
 REPORT_GOLDEN = {

@@ -22,6 +22,10 @@ def test_nn_kernel_basic():
     assert dict(k.support()) == {1: pytest.approx(0.7), -1: pytest.approx(0.3)}
 
 
+def test_nn_kernel_is_built_once_per_p():
+    assert nn_kernel_1d(0.7) is nn_kernel_1d(0.7)
+
+
 def test_nn_kernel_degenerate_drops_zero_weight():
     k = nn_kernel_1d(1.0)
     assert dict(k.support()) == {1: 1.0}

@@ -15,10 +15,10 @@ from zrp.measures import (
     canonical_torus_measure,
     compositions,
     fugacity_measure,
-    partition_function,
     sample_box_config,
     torus_sites,
 )
+from zrp.parallel import TAG_SAMPLE, derived_rng
 from zrp.rates import exp_rate, power_rate, table_rate
 
 # frozen: z(1) for g(k) = k^2 equals I_0(2); series and besseli agree to 20 digits
@@ -30,11 +30,11 @@ R_SQUARES_PHI1 = 0.69777465796400798201
 E_MIN_POIS1_10 = 0.99999998905218541819
 
 
-def test_partition_function_squares():
-    log_z, K, tail = partition_function(power_rate(2.0), 1.0)
-    assert log_z == pytest.approx(LOG_Z_SQUARES_PHI1, abs=1e-12)
-    assert tail <= 1e-12
-    assert K >= 5
+def test_fugacity_measure_log_z_squares():
+    m = fugacity_measure(power_rate(2.0), 1.0)
+    assert m.log_z == pytest.approx(LOG_Z_SQUARES_PHI1, abs=1e-12)
+    assert m.tail_bound <= 1e-12
+    assert m.K >= 5
 
 
 def test_measure_normalization_squares():
@@ -126,11 +126,11 @@ def test_zero_rate_above_zero_rejected():
 
 def test_sample_box_config_shape_and_determinism():
     m = fugacity_measure(power_rate(2.0), 1.0)
-    c1 = sample_box_config(m, 2, 1, 123)
-    c2 = sample_box_config(m, 2, 1, 123)
+    c1 = sample_box_config(m, 2, 1, derived_rng(123, TAG_SAMPLE))
+    c2 = sample_box_config(m, 2, 1, derived_rng(123, TAG_SAMPLE))
     assert c1 == c2
     assert all(-2 <= x <= 2 for x in c1.occ)
-    c3 = sample_box_config(m, 1, 2, 7)
+    c3 = sample_box_config(m, 1, 2, derived_rng(7, TAG_SAMPLE))
     assert c3.d == 2
     assert all(max(abs(u) for u in x) <= 1 for x in c3.occ)
 

@@ -80,9 +80,8 @@ def test_windows_differ_across_keys_and_masters():
 
 
 def test_child_paths_are_independent_but_reproducible():
-    root = HarrisNoise(7)
-    r1 = root.child(0).window(0, 0, 0)
-    r2 = root.child(1).window(0, 0, 0)
+    r1 = HarrisNoise(7, (0,)).window(0, 0, 0)
+    r2 = HarrisNoise(7, (1,)).window(0, 0, 0)
     again = HarrisNoise(7, (0,)).window(0, 0, 0)
     assert np.array_equal(r1[0], again[0])
     assert not (len(r1[0]) == len(r2[0]) and np.array_equal(r1[0], r2[0]))
@@ -131,14 +130,14 @@ def _window_stats(noise, site, band, slab):
 
 @pytest.mark.parametrize("neighbour", ["site", "slab", "band", "path"])
 def test_neighbouring_windows_are_uncorrelated(neighbour):
-    root = HarrisNoise(43)
+    zero, one = HarrisNoise(43, (0,)), HarrisNoise(43, (1,))
     a, b = [], []
     for x in range(3000):
-        a.append(_window_stats(root.child(0), x, 2, 4))
-        other = {"site": (root.child(0), x + 1, 2, 4),
-                 "slab": (root.child(0), x, 2, 5),
-                 "band": (root.child(0), x, 3, 4),
-                 "path": (root.child(1), x, 2, 4)}[neighbour]
+        a.append(_window_stats(zero, x, 2, 4))
+        other = {"site": (zero, x + 1, 2, 4),
+                 "slab": (zero, x, 2, 5),
+                 "band": (zero, x, 3, 4),
+                 "path": (one, x, 2, 4)}[neighbour]
         b.append(_window_stats(*other))
     a, b = np.array(a), np.array(b)
     for j in range(a.shape[1]):

@@ -1,7 +1,7 @@
-"""Every module-level function and class in the package has a caller inside
-the package. A name that only tests or demos reach is surface to maintain
-with no run behind it, so it goes; the re-exports in __init__.py do not
-count as callers."""
+"""Every module-level function and class, and every method other than a
+dunder, in the package has a caller inside the package. A name that only
+tests or demos reach is surface to maintain with no run behind it, so it
+goes; the re-exports in __init__.py do not count as callers."""
 
 import ast
 from collections import Counter
@@ -13,6 +13,7 @@ import zrp
 ALLOWED = {
     "mass_conservation_check": "perfbench/tracer.py wraps it by name as a "
                                "tracer target",
+    "_Parser.error": "argparse calls it on a usage error",
 }
 
 
@@ -21,21 +22,34 @@ def _modules():
                   if p.name != "__init__.py")
 
 
+def _defs(tree):
+    """(qualified name, name) of every module-level function and class and
+    of every method of a module-level class that is not a dunder."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, funcs + (ast.ClassDef,)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, funcs) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def test_every_module_level_name_has_a_caller():
     defined = {}
     uses = Counter()
     for path in _modules():
         tree = ast.parse(path.read_text())
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defined[node.name] = path.name
+        for qualname, name in _defs(tree):
+            defined[qualname] = (path.name, name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses[node.id] += 1
             elif isinstance(node, ast.Attribute):
                 uses[node.attr] += 1
-    unused = sorted(f"{mod}:{name}" for name, mod in defined.items()
-                    if uses[name] == 0 and name not in ALLOWED)
+    unused = sorted(f"{mod}:{qualname}" for qualname, (mod, name)
+                    in defined.items()
+                    if uses[name] == 0 and qualname not in ALLOWED)
     assert not unused, f"defined but never called in src/zrp: {unused}"
 

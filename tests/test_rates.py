@@ -62,6 +62,11 @@ def test_rate_overflow_is_a_typed_error():
         r.g(400)
     # memo stays intact below the failure point
     assert r.g(3) == pytest.approx(math.exp(6.0))
+    # a formula past float range is refused the same way, not by OverflowError
+    with pytest.raises(RateRangeError):
+        exp_rate(1.0, 800.0).g(1)
+    with pytest.raises(RateRangeError):
+        power_rate(1e6).g(2)
 
 
 def test_increment_bound_h():
@@ -118,12 +123,12 @@ def test_json_takes_numbers_as_they_are(obj):
 def test_growth_conditions_quadratic_depends_on_dimension():
     # h(n) ~ 2n for g = n^2: slope ~ 1 clears the d=1 threshold 2/1 but not
     # the d=2 threshold 2/2; h(n)/n^(1/d) never decreases in either case
-    rep1 = check_corollary_conditions(power_rate(2.0), nn_kernel_1d(0.5), n_max=2000)
+    rep1 = check_corollary_conditions(power_rate(2.0), nn_kernel_1d(0.5))
     assert rep1.condition_a
     assert not rep1.condition_b
     assert rep1.a_estimate == pytest.approx(1.0, abs=0.05)
     assert rep1.heuristic
-    rep2 = check_corollary_conditions(power_rate(2.0), symmetric_nn_kernel(2), n_max=2000)
+    rep2 = check_corollary_conditions(power_rate(2.0), symmetric_nn_kernel(2))
     assert not rep2.condition_a
 
 
@@ -136,14 +141,14 @@ def test_growth_conditions_without_two_points_report_no_slope():
 
 
 def test_growth_conditions_flag_exponential_growth():
-    rep = check_corollary_conditions(exp_rate(1.0, 0.5), nn_kernel_1d(0.5), n_max=2000)
+    rep = check_corollary_conditions(exp_rate(1.0, 0.5), nn_kernel_1d(0.5))
     assert not rep.condition_a
     assert not rep.condition_b
 
 
 def test_growth_conditions_pass_mild_growth_d2():
     # g = n^1.2 has h slope ~ 0.2 < 2/d - margin in d=2, zero drift
-    rep = check_corollary_conditions(power_rate(1.2), symmetric_nn_kernel(2), n_max=5000)
+    rep = check_corollary_conditions(power_rate(1.2), symmetric_nn_kernel(2))
     assert rep.condition_a
     assert rep.condition_b
     assert rep.a_estimate == pytest.approx(0.2, abs=0.05)
@@ -151,12 +156,11 @@ def test_growth_conditions_pass_mild_growth_d2():
 
 
 def test_growth_conditions_need_zero_drift():
-    rep = check_corollary_conditions(power_rate(1.2), nn_kernel_1d(0.7), n_max=2000)
+    rep = check_corollary_conditions(power_rate(1.2), nn_kernel_1d(0.7))
     assert not rep.condition_a
 
 
 def test_growth_conditions_clip_to_table_domain():
     vals = [0.0] + [float(k) for k in range(1, 120)]
-    rep = check_corollary_conditions(table_rate(vals), nn_kernel_1d(0.5),
-                                     n_max=10_000, fit_window=20)
+    rep = check_corollary_conditions(table_rate(vals), nn_kernel_1d(0.5))
     assert rep.n_max_used <= 119
