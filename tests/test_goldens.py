@@ -2,7 +2,8 @@
 
 These hashes fix the exact events CSV that the Harris engine writes for a few
 seeded runs across the open, killed and periodic policies in d=1 and d=2, the
-Gillespie sampler's logs for four of those runs, the two coupled-run drivers,
+Gillespie sampler's logs for four of those runs, a longer torus run from a
+sampled product start (a batched slab start, rises into band 4, wraps), the two coupled-run drivers,
 the sorted particle positions of the (p,q) family at its snapshots, and the
 JSON of one small run of the engine cross-check, the moment check and the
 occupancy bound under each tail method. A refactor of the event loop or of
@@ -21,8 +22,9 @@ from zrp.engine import (OPEN, killed, periodic, simulate, simulate_gillespie,
                         simulate_pq_family, simulate_truncation_schedule)
 from zrp.hitting import exp_moment_check, mbar
 from zrp.kernel import nn_kernel_1d, symmetric_nn_kernel
+from zrp.measures import fugacity_measure, sample_box_config
 from zrp.noise import HarrisNoise
-from zrp.parallel import TAG_GILLESPIE, derived_rng
+from zrp.parallel import TAG_GILLESPIE, TAG_SAMPLE, derived_rng
 from zrp.rates import exp_rate, power_rate
 from zrp.sites import box_sites
 
@@ -55,6 +57,13 @@ D1_KILLED = (Configuration(1, {0: 3, 1: 1, -2: 2}), exp_rate(1.0, 0.4),
              nn_kernel_1d(0.5), killed(2), 4.0)
 D1_PERIODIC = (Configuration(1, {-2: 1, 0: 2, 2: 1, 3: 2}), power_rate(2),
                nn_kernel_1d(0.5), periodic(3), 5.0)
+def _d1_torus_long():
+    """A product start at phi=1 on periodic(40), run to T=6."""
+    eta0 = sample_box_config(fugacity_measure(power_rate(2), 1.0), 40, 1,
+                             derived_rng(109, TAG_SAMPLE))
+    return (eta0, power_rate(2), nn_kernel_1d(0.5), periodic(40), 6.0)
+
+
 D2_PERIODIC = (Configuration(2, {(0, 0): 2, (2, -1): 1, (-2, 2): 2}),
                power_rate(2), symmetric_nn_kernel(2), periodic(2), 3.0)
 
@@ -62,6 +71,7 @@ CASES = {
     "d1-open": lambda: _single(*D1_OPEN, 101),
     "d1-killed": lambda: _single(*D1_KILLED, 102),
     "d1-periodic": lambda: _single(*D1_PERIODIC, 103),
+    "d1-torus-long": lambda: _single(*_d1_torus_long(), 109),
     "d2-open": lambda: _single(
         Configuration(2, {(0, 0): 3, (1, 0): 1}), power_rate(2),
         symmetric_nn_kernel(2), OPEN, 2.0, 104),
@@ -84,6 +94,7 @@ GOLDEN = {
     "d1-killed": "d78a30b2541abd036f84147c171102ca684548f7e871fca8d0afb1379fdc35d2",
     "d1-open": "a5eb22aaae1a047cc3274491893da60acbd2d72400d2c0b892b062340726b455",
     "d1-periodic": "e74dc895a9b7ce8c58b492c1b8b9d33e9f98924573873077cb4e42d24584c7ae",
+    "d1-torus-long": "72ef995bd357fcf53619049bbc76dc655fdef58d51ba68987bd5772e95b78398",
     "d2-killed": "df3f2987b36ec95d1be4f2e301a3a969ad058d5f43079d3cfe7bb9b5e1908f13",
     "d2-open": "e63713bb124456c0927af1a059e403a83faa13010c02bfef64dfc85018be9fe5",
     "d2-periodic": "9daaa1eebfab0edc0cced7c799493f5dd401d3952828597f83c13d398172b138",
@@ -101,6 +112,28 @@ def test_event_log_matches_golden(name):
     trajs = CASES[name]()
     assert sum(t.event_count() for t in trajs) > 0
     assert _sha(trajs) == GOLDEN[name]
+
+
+def test_d1_torus_long_covers_batches_rises_and_wraps(monkeypatch):
+    """The golden must keep exercising the batched slab start, scalar rise
+    windows up to band 4 and periodic wraps."""
+    batched, bands = [], []
+    window, slab_batch = HarrisNoise.window, HarrisNoise._slab_batch
+
+    def counted_window(self, site, band, *args):
+        bands.append(band)
+        return window(self, site, band, *args)
+
+    def counted_batch(self, coords, sites, counts, *args):
+        batched.append(sum(counts))
+        return slab_batch(self, coords, sites, counts, *args)
+
+    monkeypatch.setattr(HarrisNoise, "window", counted_window)
+    monkeypatch.setattr(HarrisNoise, "_slab_batch", counted_batch)
+    (traj,) = CASES["d1-torus-long"]()
+    assert batched and min(batched) >= 64
+    assert max(bands) >= 4
+    assert any(e[3] == "periodic-wrap" for e in traj.events)
 
 
 # the (p,q) family's sorted positions, every member's array in member order
