@@ -216,6 +216,8 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
     exact_radius = 30 if kernel.d == 1 else 8
     if K is None:
         K = sum(1 for dd in dists if dd <= exact_radius)
+    elif K < 0:
+        raise ConfigError(f"K = {K} exact terms must be >= 0")
     K = min(int(K), n)
 
     flags: list[str] = []

@@ -142,6 +142,12 @@ def test_mbar_tail_counts_a_particle_at_z_in_full():
     assert rep.upper >= 1.0
 
 
+def test_mbar_rejects_negative_k():
+    with pytest.raises(ConfigError, match="K = -1"):
+        mbar(Configuration(1, {0: 1, 3: 1}), 0, 1.0, power_rate(2),
+             nn_kernel_1d(0.5), K=-1)
+
+
 def test_exp_moment_small_run():
     rep = exp_moment_check(Configuration(1, {-1: 1, 0: 1, 1: 1}), power_rate(2.0),
                            nn_kernel_1d(0.5), 0, 0.25, 1.0, 800, 31)
