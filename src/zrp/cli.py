@@ -35,7 +35,8 @@ from .configuration import (Configuration, config_from_json, events_csv_string,
 from .diagnostics import (chi2_replicas, flux_report, martingale_residual,
                           mass_report, stationarity_report, torus_row)
 from .engine import OPEN, BoundaryPolicy, simulate
-from .errors import CertificationError, ConfigError, InvariantViolation, ZRPError
+from .errors import (CertificationError, ConfigError, InvariantViolation,
+                     RateRangeError, ZRPError)
 from .kernel import is_nearest_neighbour_1d, kernel_from_json
 from .localfn import capped_occupancy
 from .measures import fugacity_measure, sample_box_config
@@ -73,7 +74,7 @@ def _load(path: str, loader, *args):
     """loader(*args), naming the config field in any error it raises."""
     try:
         return loader(*args)
-    except (CertificationError, ConfigError) as e:
+    except (CertificationError, ConfigError, RateRangeError) as e:
         raise ConfigError(f"config field '{path}': {e}") from None
 
 
@@ -149,6 +150,7 @@ class Experiment:
                 if not in_box(x, box):
                     raise ConfigError(f"config field '{where}': site {x!r} lies "
                                       f"outside the {self.policy.describe()} box")
+            _load("rate", self.rate.g, max(self.init_config.occ.values(), default=0))
         self.diagnostics = tuple(_field(cfg, "diagnostics", list,
                                         required=False, default=[]))
         for name in self.diagnostics:
@@ -333,8 +335,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     from .acceptance import run_suite
-    if args.which not in ("acceptance", "smoke"):
-        raise ConfigError("no tests selected: choose 'acceptance' or 'smoke'")
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be a non-negative integer")
     threads = resolve_threads(args.threads)

@@ -334,14 +334,27 @@ def test_suite_criteria_honour_threads(monkeypatch, cid, fn):
 @pytest.mark.parametrize("rate", [{"family": "exp", "c": 1, "theta": 800},
                                   {"family": "power", "a": 1e6}])
 def test_rate_past_float_range_fails_without_traceback(tmp_path, rate):
-    """g(1) = e^800, or g(2) = 2^1e6, overflows a float in the first run."""
+    """g(1) = e^800, or g(2) = 2^1e6, overflows a float at the start's
+    occupancy: a config error before any output exists."""
     p = _write_cfg(tmp_path, dict(BASE, rate=rate, initial={
         "mode": "point", "n_particles": 2}))
     res = _python(["-m", "zrp.cli", "run", "--config", str(p), "--out",
                    str(tmp_path / "out"), "--threads", "1"], tmp_path)
-    assert res.returncode != 0
+    assert res.returncode == 1
     assert "Traceback" not in res.stdout + res.stderr
+    assert "config error: config field 'rate': g(" in res.stderr
     assert "outside representable range" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_explicit_start_past_float_range_is_config_error(tmp_path):
+    cfg = dict(BASE, rate={"family": "exp", "c": 1, "theta": 800}, initial={
+        "mode": "explicit", "config": {"d": 1, "sites": [{"x": [1], "n": 2}]}})
+    p = _write_cfg(tmp_path, cfg)
+    code, text = _run(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "config error: config field 'rate': g(1) = inf" in text
+    assert not (tmp_path / "out").exists()
 
 
 def test_uncertifiable_product_start_is_config_error(tmp_path):
