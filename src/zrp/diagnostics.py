@@ -174,27 +174,20 @@ def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
 
 # ------------------------------------------------------ exact stationarity
 
-def _torus_index_map(sites, sites_per_dim: int, d: int):
-    idx = {x: i for i, x in enumerate(sites)}
-    L = sites_per_dim
-
-    def fold(x):
-        if L % 2 == 1:
-            return fold_into_box(x, L // 2)
-        if isinstance(x, int):
-            return x % L
-        return tuple(c % L for c in x)
-
-    return idx, fold
-
-
 def stationarity_exact(rate: RateFn, kernel: Kernel, sites_per_dim: int,
                        d: int, N: int) -> Report:
     """Global balance residual of the conditioned product measure under the
     folded-kernel torus generator. Exact enumeration; residual should be
     rounding-level (threshold 1e-12 relative to the largest state flux)."""
     meas = canonical_torus_measure(rate, sites_per_dim, d, N)
-    idx, fold = _torus_index_map(meas.sites, sites_per_dim, d)
+    idx = {x: i for i, x in enumerate(meas.sites)}
+    L = sites_per_dim
+
+    def fold(x):  # onto the labels of torus_sites
+        if L % 2 == 1:
+            return fold_into_box(x, L // 2)
+        return x % L if isinstance(x, int) else tuple(c % L for c in x)
+
     g = rate.g
     offsets = kernel.support()
     state_index = {st: i for i, st in enumerate(meas.states)}

@@ -14,6 +14,10 @@ integer T that leaves out an atom at t = T, whose time word is exactly 0 in
 slab T (probability 2^-53 per atom). Both simulators move a fired particle
 through _fire, the one place a run draws a jump, routes, moves and logs.
 
+A run reads g(k) and its band count from lists grown through rate.g, so its
+monotonicity check runs once per new k, and _fire reuses the route() result
+of each (site, kernel support index) it has taken.
+
 simulate_gillespie() is the independent distributional cross-check: identical
 law, completely different use of randomness (global exponential clocks).
 
@@ -27,8 +31,8 @@ particle positions at each snapshot are ordered in p.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heappop, heappush
 
 import numpy as np
@@ -100,12 +104,17 @@ def _validate_run(eta0: Configuration, rate: RateFn, kernel: Kernel,
                     f"initial site {x!r} outside the {policy.describe()} box")
 
 
-def _fire(occ: dict, events: list, policy: BoundaryPolicy, kernel: Kernel,
-          t: float, x: Site, u: float, tag: str) -> Site | None:
+def _fire(occ: dict, events: list, moves: dict, policy: BoundaryPolicy,
+          kernel: Kernel, t: float, x: Site, u: float, tag: str) -> Site | None:
     """Fire the particle at x with mark u: route the displacement
     sample_jump(kernel, u), move it, log the event and return the site it
-    landed on (None for a kill or for a wrap onto x, which is no event)."""
-    dst, kind = route(policy, x, sample_jump(kernel, u))
+    landed on (None for a kill or for a wrap onto x, which is no event);
+    moves maps (x, support index) to the run's (dst, kind) routes so far."""
+    key = (x, bisect_right(kernel.cum, u))
+    hit = moves.get(key)
+    if hit is None:
+        hit = moves[key] = route(policy, x, sample_jump(kernel, u))
+    dst, kind = hit
     if kind is None:
         return None
     events.append((t, x, dst, kind, tag))
@@ -122,24 +131,28 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
     batch becomes the heap, and a landing that raises a site's cap pushes the
     missing bands, so each atom that can fire is pushed before it is due."""
     _validate_run(eta0, rate, kernel, policy, T)
-    g = rate.g
     occ: dict[Site, int] = dict(eta0.occ)
     events = []
+    moves = {}
     t_now = 0.0
-    cap = lru_cache(maxsize=None)(lambda k: bands_for(g(k)))
+    gs = [rate.g(k) for k in range(max(occ.values(), default=0) + 1)]
+    caps = [bands_for(v) for v in gs]  # gs[k] = g(k), caps[k] its band count
     for slab in range(math.ceil(T / TIME_SLAB)):
-        bands = {x: cap(k) for x, k in occ.items()}
+        bands = {x: caps[k] for x, k in occ.items()}
         heap = noise.slab_atoms(list(bands), list(bands.values()), slab, t_now, T)
         while heap:
             t, x, y, u = heappop(heap)
             k = occ.get(x, 0)
-            if k == 0 or y > g(k):
+            if k == 0 or y > gs[k]:
                 continue
             t_now = t
-            dst = _fire(occ, events, policy, kernel, t, x, u, tag)
+            dst = _fire(occ, events, moves, policy, kernel, t, x, u, tag)
             if dst is not None:
-                m = cap(occ[dst])
-                have = bands.get(dst, 0)
+                k = occ[dst]
+                if k == len(gs):  # a landing raises an occupancy by one
+                    gs.append(rate.g(k))
+                    caps.append(bands_for(gs[k]))
+                m, have = caps[k], bands.get(dst, 0)
                 if m > have:
                     bands[dst] = m
                     for b in range(have, m):
@@ -161,6 +174,7 @@ def simulate_gillespie(eta0: Configuration, rate: RateFn, kernel: Kernel,
     g = rate.g
     occ: dict[Site, int] = dict(eta0.occ)
     events = []
+    moves = {}
     t = 0.0
     while True:
         total = 0.0
@@ -181,7 +195,7 @@ def simulate_gillespie(eta0: Configuration, rate: RateFn, kernel: Kernel,
                 break
         if x is None:  # float edge: r landed on the top boundary
             x = site
-        _fire(occ, events, policy, kernel, t, x, rng.random(), "")
+        _fire(occ, events, moves, policy, kernel, t, x, rng.random(), "")
 
     return Trajectory(d=eta0.d, initial=eta0, events=events,
                       final=Configuration(eta0.d, occ), T=T,
@@ -228,13 +242,9 @@ def simulate_truncation_schedule(base: Configuration, schedule, rate: RateFn,
         snapshot_times = tuple((i + 1) * T / 10.0 for i in range(10))
     snapshot_times = tuple(float(t) for t in snapshot_times)
 
-    trajs = []
-    snaps = []
-    for n in schedule:
-        eta_n = truncate(base, n)
-        traj = simulate(eta_n, rate, kernel, OPEN, T, noise, tag=f"n={n}")
-        trajs.append(traj)
-        snaps.append(snapshots(traj, snapshot_times))
+    trajs = [simulate(truncate(base, n), rate, kernel, OPEN, T, noise, tag=f"n={n}")
+             for n in schedule]
+    snaps = [snapshots(traj, snapshot_times) for traj in trajs]
     for lo in range(len(schedule) - 1):
         bad = check_domination(snaps[lo], snaps[lo + 1])
         if bad:
@@ -295,16 +305,12 @@ def simulate_pq_family(eta0: Configuration, rate: RateFn, T: float,
     snapshot_times = tuple(float(t) for t in snapshot_times)
 
     labels = sorted(x for x, k in eta0.occ.items() for _ in range(k))
-    positions = {}
-    trajectories = {}
-    for p, q in pqs:
-        traj = simulate(eta0, rate, nn_kernel_1d(p), OPEN, T, noise,
-                        f"p={p:g},q={q:g}")
-        positions[(p, q)] = np.array(
-            [sorted(x for x, k in snap.occ.items() for _ in range(k))
-             for snap in snapshots(traj, snapshot_times)],
-            dtype=np.int64).reshape(len(snapshot_times), len(labels))
-        trajectories[(p, q)] = traj
+    trajectories = {(p, q): simulate(eta0, rate, nn_kernel_1d(p), OPEN, T, noise,
+                                     f"p={p:g},q={q:g}") for p, q in pqs}
+    positions = {pq: np.array([sorted(x for x, k in snap.occ.items() for _ in range(k))
+                               for snap in snapshots(traj, snapshot_times)],
+                              dtype=np.int64).reshape(len(snapshot_times), len(labels))
+                 for pq, traj in trajectories.items()}
 
     lo, hi = positions[(0.0, 1.0)], positions[(1.0, 0.0)]
     for pq in pqs:

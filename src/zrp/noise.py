@@ -16,7 +16,8 @@ the identical field: that is what turns shared noise into the monotone
 couplings (truncation levels, two-marginal order, the (p,q) family).
 
 Derivation. The field is counter-based (Salmon et al., SC'11): a window is
-hashed from its key on every request, nothing is seeded or stored. The
+hashed from its key on every request; nothing is seeded, and the only state
+is each site's folded key prefix, kept per noise object. The
 SplitMix64 finaliser mix64 (Steele, Lea & Flood, OOPSLA'14), a bijection of
 64-bit words, is folded over the key words as h <- mix64((h + GAMMA) ^ w):
 master, TAG_HARRIS, len(path) and the path components, each as its count of
@@ -38,17 +39,19 @@ together: slab_atoms runs the same _fold and _word on np.uint64 arrays, which
 wrap mod 2^64 exactly as the masked Python ints do, inverts each band's CDF
 with searchsorted(side="right") as bisect_right does, and forms times and
 heights with the same float64 operations, so it returns bit-for-bit the atoms
-of window(). numpy pays a fixed cost of about 150 us per batch against
-8-17 us per scalar window, so batches of fewer than _BATCH_MIN windows
-(about three times the break-even of 20) loop over window() instead. Both
-take a time range (t_lo, t_hi]: an atom outside it costs its time word only.
+of window(). numpy pays a fixed cost per batch of about 33 scalar windows
+of bands 0-1 with every atom kept (70 us against 2.2 us on a 2 vCPU Xeon,
+Python 3.11, numpy 2.4, in a fast phase of a host whose speed drifts up to
+threefold), so batches of fewer than _BATCH_MIN windows (about twice that
+break-even) loop over window() instead. Both take a time range (t_lo, t_hi]:
+an atom outside it costs its time word only.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 
 import numpy as np
@@ -98,13 +101,14 @@ def _word(h, i):
 
 
 @lru_cache(maxsize=None)
-def _poisson_cdf(band: int) -> list[float]:
-    """P(N <= k), k = 0, 1, ..., for N ~ Poisson(band area); the table runs
-    until the remaining tail is far below the 2^-53 resolution of a draw."""
+def _band(band: int) -> tuple[list[float], float, float]:
+    """(cdf, floor, height) of one band; cdf[k] = P(N <= k), N ~ Poisson(band
+    area), runs until the tail is far below the 2^-53 resolution of a draw."""
     lo, hi = band_bounds(band)
     mean = (hi - lo) * TIME_SLAB
-    return list(accumulate(math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
-                           for k in range(int(mean + 10.0 * math.sqrt(mean)) + 20)))
+    return (list(accumulate(math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+                            for k in range(int(mean + 10.0 * math.sqrt(mean)) + 20))),
+            lo, hi - lo)
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,7 @@ class HarrisNoise:
     master: int
     path: tuple[int, ...] = ()
     _key: int = field(init=False, repr=False, compare=False)
+    _site_keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = 0
@@ -124,27 +129,43 @@ class HarrisNoise:
     def window(self, site: Site, band: int, slab: int, t_lo=-math.inf, t_hi=math.inf):
         """(times, heights, marks) of the atoms t_lo < t <= t_hi of one window,
         as lists. Times are absolute (inside [slab, slab+1)), heights inside
-        the band, marks U[0,1). Recomputed from the key on every call; the
-        height and mark words of an atom outside (t_lo, t_hi] are never hashed.
+        the band, marks U[0,1). Recomputed from the site's key prefix on every
+        call; the height and mark words of an atom outside (t_lo, t_hi] are
+        never hashed.
         """
-        coords = (site,) if isinstance(site, int) else site
-        h = self._key
-        for c in coords:
-            h = _fold(h, 2 * c if c >= 0 else -2 * c - 1)
-        h = _fold(h, (slab << 16) | (band << 8) | len(coords))
-        n = bisect_right(_poisson_cdf(band), _word(h, 1))
+        key = self._site_keys.get(site)
+        if key is None:  # (h + GAMMA) ^ d after the coordinates, once per site
+            coords = (site,) if isinstance(site, int) else site
+            h = reduce(_fold, [2 * c if c >= 0 else -2 * c - 1 for c in coords], self._key)
+            key = self._site_keys[site] = ((h + _GAMMA) & _MASK) ^ len(coords)
+        # _fold(h, slab << 16 | band << 8 | d) and each _word(h, i), inline
+        z = key ^ ((slab << 16) | (band << 8))  # d < 256 shares no bit with them
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        h = z ^ (z >> 31)
+        cdf, lo, height = _band(band)
+        z = (h + _GAMMA) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        n = bisect_right(cdf, ((z ^ (z >> 31)) >> 11) * _UNIT)
         t0 = slab * TIME_SLAB
-        ts, kept = [], []
-        for i in range(2, 3 * n + 2, 3):  # time words
-            t = t0 + _word(h, i) * TIME_SLAB
+        ts, ys, us = [], [], []
+        for i in range(2, 3 * n + 2, 3):  # time words; height and mark if kept
+            z = (h + i * _GAMMA) & _MASK
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            t = t0 + ((z ^ (z >> 31)) >> 11) * _UNIT * TIME_SLAB
             if t_lo < t <= t_hi:
                 ts.append(t)
-                kept.append(i)
-        if not kept:
-            return ts, [], []
-        lo, hi = band_bounds(band)
-        return (ts, [lo + (hi - lo) * _word(h, i + 1) for i in kept],
-                [_word(h, i + 2) for i in kept])
+                z = (h + (i + 1) * _GAMMA) & _MASK
+                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                ys.append(lo + height * (((z ^ (z >> 31)) >> 11) * _UNIT))
+                z = (h + (i + 2) * _GAMMA) & _MASK
+                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                us.append(((z ^ (z >> 31)) >> 11) * _UNIT)
+        return ts, ys, us
 
     def slab_atoms(self, sites, counts, slab: int, t_lo, t_hi) -> list:
         """Atoms (t, site, y, u), t_lo < t <= t_hi, of windows (sites[i], b, slab)
@@ -174,7 +195,7 @@ class HarrisNoise:
         num = np.empty(len(h), dtype=np.int64)
         for b in range(n_bands):
             sel = band == b
-            num[sel] = np.searchsorted(_poisson_cdf(b), count_u[sel], side="right")
+            num[sel] = np.searchsorted(_band(b)[0], count_u[sel], side="right")
         win, j = _expand(num)
         h, i = h[win], (3 * j + 2).astype(np.uint64)
         t = slab * TIME_SLAB + _word(h, i) * TIME_SLAB

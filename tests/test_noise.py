@@ -6,13 +6,17 @@ different truncation levels or drift parameters must read identical atoms, and
 raising a rate cap must only reveal new atoms, never disturb old ones.
 """
 import math
+import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare, kstest, poisson
 
-from zrp.noise import _BATCH_MIN, HarrisNoise, band_bounds, bands_for
-from zrp.parallel import derived_rng, replica_map, resolve_threads, seed_path
+from zrp.noise import (_BATCH_MIN, TIME_SLAB, HarrisNoise, _band, _fold,
+                       _word, band_bounds, bands_for)
+from zrp.parallel import (TAG_HARRIS, derived_rng, replica_map,
+                          resolve_threads, seed_path)
 
 
 def test_band_layout():
@@ -172,6 +176,48 @@ def test_window_time_range_filters_the_window(site, band, slab):
     if ts:  # the lower bound is open, the upper closed
         assert ts[0] not in noise.window(site, band, slab, ts[0], math.inf)[0]
         assert ts[0] in noise.window(site, band, slab, -math.inf, ts[0])[0]
+
+
+def _reference_window(master, path, site, band, slab, t_lo, t_hi):
+    """The module docstring's derivation, one _fold or _word per word."""
+    h = 0
+    for v in (master, TAG_HARRIS, len(path)) + path:
+        limbs = [(v >> s) & (2 ** 64 - 1) for s in range(0, max(v.bit_length(), 1), 64)]
+        for w in [len(limbs)] + limbs:
+            h = _fold(h, w)
+    coords = (site,) if isinstance(site, int) else site
+    for c in coords:
+        h = _fold(h, 2 * c if c >= 0 else -2 * c - 1)   # zigzag
+    h = _fold(h, slab << 16 | band << 8 | len(coords))
+    n = bisect_right(_band(band)[0], _word(h, 1))
+    lo, hi = band_bounds(band)
+    atoms = [(slab * TIME_SLAB + _word(h, 3 * j + 2) * TIME_SLAB,
+              lo + (hi - lo) * _word(h, 3 * j + 3), _word(h, 3 * j + 4))
+             for j in range(n)]
+    return [a for a in atoms if t_lo < a[0] <= t_hi]
+
+
+def test_window_matches_the_reference_derivation():
+    rnd = random.Random(14)
+    noises = {}
+    for trial in range(600):
+        master = rnd.choice([0, 7, rnd.getrandbits(40), rnd.getrandbits(70)])
+        path = tuple(rnd.getrandbits(rnd.choice([3, 64, 66]))
+                     for _ in range(rnd.randrange(3)))
+        noise = noises.setdefault((master, path), HarrisNoise(master, path))
+        coords = [rnd.choice([rnd.randint(-50, 50), rnd.randint(-2 ** 70, 2 ** 70),
+                              rnd.choice([2 ** 63, -2 ** 63 - 1, 2 ** 64, -2 ** 64])])
+                  for _ in range(rnd.choice([1, 2]))]
+        site = coords[0] if len(coords) == 1 else tuple(coords)
+        band, slab = rnd.randrange(10), rnd.choice([0, 1, rnd.randrange(2 ** 40)])
+        t_lo, t_hi = -math.inf, math.inf
+        if trial % 2:
+            t_lo, t_hi = sorted(slab + rnd.uniform(-0.2, 1.2) for _ in range(2))
+        want = _reference_window(master, path, site, band, slab, t_lo, t_hi)
+        got = noise.window(site, band, slab, t_lo, t_hi)
+        assert list(zip(*got)) == want, (master, path, site, band, slab)
+        # a second request reads the site's folded key from the noise object
+        assert noise.window(site, band, slab, t_lo, t_hi) == got
 
 
 def _time_ranges(atoms, slab):
