@@ -1,0 +1,37 @@
+"""The summary arithmetic of tools/bench_json.py; CI runs the tool itself."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_json.py"
+_spec = importlib.util.spec_from_file_location("bench_json", _PATH)
+bench_json = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_json)
+
+
+def test_quartiles():
+    assert bench_json.quartiles([3.0]) == (3.0, 3.0, 3.0)
+    assert bench_json.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (3.0, 2.0, 4.0)
+
+
+def _entry(values):
+    med, q1, q3 = bench_json.quartiles(values)
+    return {"median": med, "q1": q1, "q3": q3, "values": values}
+
+
+def test_pairwise_counts_wins_in_each_direction():
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower"},
+                           {"name": "events_per_s", "better": "higher"}]}
+    first = {"metrics": {"w/wall_s": _entry([1.0, 1.0, 1.0]),
+                         "w/events_per_s": _entry([10.0, 10.0, 10.0]),
+                         "w/other": _entry([1.0, 1.0, 1.0])}}
+    second = {"metrics": {"w/wall_s": _entry([0.8, 1.2, 0.9]),
+                          "w/events_per_s": _entry([12.0, 9.0, 11.0]),
+                          "w/other": _entry([2.0, 2.0, 2.0])}}
+    out = bench_json.pairwise(first, second, spec)
+    assert set(out) == {"w/wall_s", "w/events_per_s"}   # ungated: left out
+    assert out["w/wall_s"]["wins"] == 2 and out["w/wall_s"]["of"] == 3
+    assert out["w/wall_s"]["ratio_of_medians"] == pytest.approx(0.9)
+    assert out["w/events_per_s"]["wins"] == 2
+    assert out["w/events_per_s"]["ratio_of_medians"] == pytest.approx(1.1)
