@@ -217,7 +217,7 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
     if K is None:
         K = sum(1 for dd in dists if dd <= exact_radius)
     elif K < 0:
-        raise ConfigError(f"K = {K} exact terms must be >= 0")
+        raise ConfigError(f"K must be >= 0, got {K}")
     K = min(int(K), n)
 
     flags: list[str] = []

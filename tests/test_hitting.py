@@ -143,7 +143,7 @@ def test_mbar_tail_counts_a_particle_at_z_in_full():
 
 
 def test_mbar_rejects_negative_k():
-    with pytest.raises(ConfigError, match="K = -1"):
+    with pytest.raises(ConfigError, match="K must be >= 0, got -1"):
         mbar(Configuration(1, {0: 1, 3: 1}), 0, 1.0, power_rate(2),
              nn_kernel_1d(0.5), K=-1)
 

@@ -5,7 +5,7 @@ medians and quartiles of every metric to a JSON file.
         --checkout change=. --seed 1 --seconds 3 --repeats 5 --out BENCH_n.json
 
 Each repeat runs, in every checkout in turn (so host drift hits all of them
-alike),
+alike, and with the order reversed on every other repeat),
 
     python3 perfbench/run.py --workload W --seed S --seconds X --trace 0
 
@@ -103,7 +103,8 @@ def main(argv=None) -> int:
     runs = {label: [] for label in roots}
     ok = True
     for r in range(args.repeats):
-        for label, root in roots.items():
+        order = list(roots.items())
+        for label, root in order if r % 2 == 0 else order[::-1]:
             machine, result, code = run_once(root, args)
             ok = ok and code == 0 and result.get("correct", False)
             runs[label].append((machine, result))
