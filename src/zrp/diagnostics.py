@@ -21,7 +21,7 @@ from .measures import canonical_torus_measure, fugacity_measure, sample_box_conf
 from .noise import HarrisNoise
 from .parallel import TAG_GILLESPIE, TAG_SAMPLE, derived_rng, replica_map
 from .rates import RateFn
-from .sites import Site, box_sites, fold_into_box, origin, site_add, site_sub
+from .sites import Site, box_sites, origin, site_add, site_coords, site_sub, wrap
 
 # --------------------------------------------------------------- generator
 
@@ -32,9 +32,9 @@ def _candidate_sources(f: LocalFunction, kernel: Kernel, policy: BoundaryPolicy)
         for z, _p in kernel.support():
             src = site_sub(a, z)
             if policy.kind == "periodic":
-                src = fold_into_box(src, policy.n)
+                src = wrap(src, 2 * policy.n + 1)
             out.add(src)
-    return sorted(out, key=lambda s: (s,) if isinstance(s, int) else s)
+    return sorted(out, key=site_coords)
 
 
 def _perturbed_value(f: LocalFunction, occ: dict, x: Site, k: int, dst) -> float:
@@ -181,13 +181,6 @@ def stationarity_exact(rate: RateFn, kernel: Kernel, sites_per_dim: int,
     rounding-level (threshold 1e-12 relative to the largest state flux)."""
     meas = canonical_torus_measure(rate, sites_per_dim, d, N)
     idx = {x: i for i, x in enumerate(meas.sites)}
-    L = sites_per_dim
-
-    def fold(x):  # onto the labels of torus_sites
-        if L % 2 == 1:
-            return fold_into_box(x, L // 2)
-        return x % L if isinstance(x, int) else tuple(c % L for c in x)
-
     g = rate.g
     offsets = kernel.support()
     state_index = {st: i for i, st in enumerate(meas.states)}
@@ -204,7 +197,7 @@ def stationarity_exact(rate: RateFn, kernel: Kernel, sites_per_dim: int,
             if gx == 0.0:
                 continue
             for z, p in offsets:
-                y = fold(site_add(x, z))
+                y = wrap(site_add(x, z), sites_per_dim)
                 j = idx[y]
                 if j == i:
                     continue
@@ -402,8 +395,7 @@ def engine_agreement_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
                   statistic=stat, threshold=alpha, seed=seed,
                   n_replicas=replicas,
                   extras={"p_value": p, "dof": dof, "alpha": alpha,
-                          "window": [list((x,)) if isinstance(x, int) else list(x)
-                                     for x in window],
+                          "window": [list(site_coords(x)) for x in window],
                           "n_cells_harris": len(cells_h),
                           "n_cells_gillespie": len(cells_g)})
 

@@ -43,7 +43,7 @@ from .errors import ConfigError, InvariantViolation
 from .kernel import Kernel, nn_kernel_1d, sample_jump
 from .noise import HarrisNoise, TIME_SLAB, bands_for
 from .rates import RateFn
-from .sites import Site, box_sites, fold_into_box, in_box, origin, site_add
+from .sites import Site, box_sites, in_box, origin, site_add, wrap
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def route(policy: BoundaryPolicy, x: Site, z: Site) -> tuple[Site, str | None]:
         return raw, "jump"
     if policy.kind == "killed":
         return raw, "jump" if in_box(raw, policy.n) else "kill"
-    dst = fold_into_box(raw, policy.n)
+    dst = wrap(raw, 2 * policy.n + 1)
     if dst == x:
         return dst, None
     return dst, "jump" if dst == raw else "periodic-wrap"

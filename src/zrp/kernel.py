@@ -35,6 +35,7 @@ class Kernel:
     # derived, filled in __post_init__
     cum: tuple[float, ...] = field(default=(), compare=False)
     range: int = field(default=0, compare=False)
+    jumps: tuple[Site, ...] = field(init=False, compare=False)  # offsets as sites
 
     def __post_init__(self):
         if self.d < 1:
@@ -60,20 +61,17 @@ class Kernel:
         cum = tuple(np.cumsum(self.probs).tolist())
         object.__setattr__(self, "cum", cum)
         object.__setattr__(self, "range", max(max(abs(c) for c in z) for z in self.offsets))
+        object.__setattr__(self, "jumps", tuple(site_from_coords(z, self.d) for z in self.offsets))
 
-    # offsets in the package's site representation (ints when d=1)
     def support(self) -> list[tuple[Site, float]]:
-        if self.d == 1:
-            return [(z[0], p) for z, p in zip(self.offsets, self.probs)]
-        return list(zip(self.offsets, self.probs))
+        return list(zip(self.jumps, self.probs))
 
 
 def make_kernel(support, d: int | None = None) -> Kernel:
     """support: iterable of (offset, prob); offsets as ints (d=1) or tuples."""
     items = []
     for z, p in support:
-        zc = site_coords(z) if not isinstance(z, (list,)) else tuple(int(c) for c in z)
-        items.append((zc, float(p)))
+        items.append((tuple(int(c) for c in site_coords(z)), float(p)))
     if d is None:
         if not items:
             raise ConfigError("kernel support is empty")
@@ -118,26 +116,16 @@ def mean_drift(kernel: Kernel) -> tuple[float, ...]:
 
 def is_nearest_neighbour_1d(kernel: Kernel):
     """(p, q) if the kernel is d=1 with support inside {-1, +1}, else None."""
-    if kernel.d != 1:
+    w = dict(zip(kernel.jumps, kernel.probs))
+    if kernel.d != 1 or not set(w) <= {-1, 1}:
         return None
-    p = q = 0.0
-    for z, w in zip(kernel.offsets, kernel.probs):
-        if z == (1,):
-            p = w
-        elif z == (-1,):
-            q = w
-        else:
-            return None
-    return (p, q)
+    return (w.get(1, 0.0), w.get(-1, 0.0))
 
 
 def sample_jump(kernel: Kernel, u: float) -> Site:
     """Inverse CDF over the lexicographically ordered support; u in [0, 1)."""
-    i = bisect_right(kernel.cum, u)
-    if i >= len(kernel.offsets):  # u == 1 - eps rounding guard
-        i = len(kernel.offsets) - 1
-    z = kernel.offsets[i]
-    return z[0] if kernel.d == 1 else z
+    # min(): the rounding guard for a mark just below 1
+    return kernel.jumps[min(bisect_right(kernel.cum, u), len(kernel.jumps) - 1)]
 
 
 def kernel_from_json(obj: dict) -> Kernel:

@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 from .configuration import Configuration
 from .errors import CertificationError, ConfigError, RateRangeError
 from .rates import RateFn
-from .sites import Site, box_sites
+from .sites import Site, box_sites, torus_sites
 
 MAX_TRUNCATION = 100_000
 
@@ -112,21 +112,6 @@ def compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def torus_sites(sites_per_dim: int, d: int) -> list[Site]:
-    """Site labels for an L^d torus; centered when L is odd (matching the
-    engine's periodic boxes), 0..L-1 otherwise."""
-    L = sites_per_dim
-    if L % 2 == 1:
-        return box_sites(L // 2, d)
-    rng1 = list(range(L))
-    if d == 1:
-        return rng1
-    sites = [()]
-    for _ in range(d):
-        sites = [s + (c,) for s in sites for c in rng1]
-    return sites
 
 
 @dataclass

@@ -57,7 +57,7 @@ from itertools import accumulate
 import numpy as np
 
 from .parallel import TAG_HARRIS, seed_path
-from .sites import Site
+from .sites import Site, site_coords
 
 TIME_SLAB = 1.0
 
@@ -135,7 +135,7 @@ class HarrisNoise:
         """
         key = self._site_keys.get(site)
         if key is None:  # (h + GAMMA) ^ d after the coordinates, once per site
-            coords = (site,) if isinstance(site, int) else site
+            coords = site_coords(site)
             h = reduce(_fold, [2 * c if c >= 0 else -2 * c - 1 for c in coords], self._key)
             key = self._site_keys[site] = ((h + _GAMMA) & _MASK) ^ len(coords)
         # _fold(h, slab << 16 | band << 8 | d) and each _word(h, i), inline

@@ -52,22 +52,30 @@ def in_box(x: Site, n: int) -> bool:
     return max_norm(x) <= n
 
 
-def fold_into_box(x: Site, n: int) -> Site:
-    """Wrap x onto the torus [-n, n]^d, identifying coordinates mod 2n+1."""
-    side = 2 * n + 1
+def wrap(x: Site, side: int) -> Site:
+    """x on the torus of side `side` per axis, each coordinate taken mod side
+    onto -(side // 2) .. side - 1 - side // 2; [-n, n]^d for side 2n + 1."""
+    h = side // 2
     if isinstance(x, int):
-        return (x + n) % side - n
-    return tuple((a + n) % side - n for a in x)
+        return (x + h) % side - h
+    return tuple((a + h) % side - h for a in x)
+
+
+def torus_sites(side: int, d: int) -> list[Site]:
+    """All sites of the torus of side `side`, in the labels wrap() gives, in
+    lexicographic order."""
+    axis = range(-(side // 2), side - side // 2)
+    if d == 1:
+        return list(axis)
+    sites = [()]
+    for _ in range(d):
+        sites = [s + (c,) for s in sites for c in axis]
+    return sites
 
 
 def box_sites(n: int, d: int) -> list[Site]:
     """All sites of [-n, n]^d in lexicographic order."""
-    if d == 1:
-        return list(range(-n, n + 1))
-    sites = [()]
-    for _ in range(d):
-        sites = [s + (c,) for s in sites for c in range(-n, n + 1)]
-    return sites
+    return torus_sites(2 * n + 1, d)
 
 
 def validate_site(x, d: int) -> Site:
