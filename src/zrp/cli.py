@@ -27,7 +27,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .configuration import (Configuration, config_from_json, events_csv_string,
@@ -277,6 +276,7 @@ DIAGNOSTICS = {
 
 
 def _cmd_run(args) -> int:
+    import scipy  # for the manifest's version only
     path = Path(args.config)
     try:
         cfg = json.loads(path.read_text())

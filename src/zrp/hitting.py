@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, logsumexp
 
 from .configuration import Configuration, enumerate_particles, snapshots
 from .diagnostics import Report, _mean_se
@@ -206,6 +205,7 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
     names the tail "none" when K covers every particle. By default K counts
     the particles within max-norm distance 30 of z (8 when d > 1).
     """
+    from scipy.special import gammainc
     if eta.d != kernel.d:
         raise ConfigError("configuration and kernel dimensions differ")
     if t < 0:
@@ -278,6 +278,7 @@ def exp_moment_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
     upper limit per grid point; the bound uses the certified upper bracket of
     mbar. The first moment is checked against mbar directly as well.
     """
+    from scipy.special import logsumexp
     if theta <= 0:
         raise ConfigError("need theta > 0")
     if replicas < 1:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .configuration import Configuration
 from .errors import CertificationError, ConfigError, RateRangeError
@@ -51,6 +50,7 @@ def fugacity_measure(rate: RateFn, phi: float, tol: float = 1e-12) -> FugacityMe
     """The fugacity-phi marginal on 0..K, K the certified support cut, with
     log_z its log normalization and tail_bound the relative mass bound for
     everything beyond K."""
+    from scipy.special import logsumexp
     if not (phi > 0) or not math.isfinite(phi):
         raise ConfigError(f"fugacity must be positive and finite, got {phi!r}")
     if not (0 < tol < 1e-2):
