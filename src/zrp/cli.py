@@ -172,8 +172,7 @@ class Experiment:
 
 def _run_worker(r, exp: Experiment, out_dir: Path, fmt: str):
     """Simulate replica r, audit it, write its events_r{r} file and return
-    (its summary.json entry, its event count, its torus row or None off a
-    filled torus)."""
+    (its summary.json entry, its torus row or None off a filled torus)."""
     eta0 = exp.initial_for(r)
     traj = simulate(eta0, exp.rate, exp.kernel, exp.policy, exp.T,
                     HarrisNoise(exp.seed, (r,)))
@@ -184,10 +183,7 @@ def _run_worker(r, exp: Experiment, out_dir: Path, fmt: str):
         (out_dir / f"events_r{r}.json").write_text(events_json_string(traj))
     else:
         (out_dir / f"events_r{r}.csv").write_text(events_csv_string(traj))
-    # indented as json.dumps(list, indent=1) indents a list item, so the
-    # parent joins the entries and holds no per-replica dict
-    entry = json.dumps(trajectory_summary(traj), sort_keys=True, indent=1)
-    return entry.replace("\n", "\n "), traj.event_count(), row
+    return trajectory_summary(traj), row
 
 
 def _torus_product(exp: Experiment) -> str | None:
@@ -296,13 +292,13 @@ def _cmd_run(args) -> int:
     t0 = time.monotonic()
     results = replica_map(_run_worker, exp.replicas, threads=threads,
                           args=(exp, out_dir, args.format))
-    entries, event_counts, rows = zip(*results)
+    entries, rows = zip(*results)
     reports = [DIAGNOSTICS[name][1](exp, rows, threads)
                for name in exp.diagnostics]
     wall = time.monotonic() - t0
 
     (out_dir / "summary.json").write_text(
-        "[\n " + ",\n ".join(entries) + "\n]\n")
+        json.dumps(list(entries), sort_keys=True, indent=1) + "\n")
     for rep in reports:
         (out_dir / f"report_{rep['test']}.json").write_text(
             json.dumps(rep, sort_keys=True, indent=1) + "\n")
@@ -329,7 +325,7 @@ def _cmd_run(args) -> int:
                 else f"statistic={rep.get('statistic', 0.0):.6g}")
         print(f"{rep['test']}: {status} ({note})")
     print(f"wrote {out_dir}/ ({exp.replicas} replicas, "
-          f"{sum(event_counts)} events)")
+          f"{sum(e['event_count'] for e in entries)} events)")
     return 2 if failed else 0
 
 

@@ -68,7 +68,7 @@ def test_run_writes_artifacts(tmp_path):
     assert man["seed"] == 11
     header = (out / "events_r0.csv").read_text().splitlines()[0]
     assert header == "time,src,dst,kind,marginal"
-    # the workers render the summary entries; the file keeps the json.dumps form
+    # summary.json is the json.dumps form of its entries
     text = (out / "summary.json").read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
 
