@@ -239,7 +239,7 @@ def simulate_truncation_schedule(base: Configuration, schedule, rate: RateFn,
         raise ConfigError("schedule must be strictly increasing with >= 2 levels")
     d = kernel.d
     if snapshot_times is None:
-        snapshot_times = tuple((i + 1) * T / 10.0 for i in range(10))
+        snapshot_times = tuple((i + 1) / 10 * T for i in range(10))  # the last is T
     snapshot_times = tuple(float(t) for t in snapshot_times)
 
     trajs = [simulate(truncate(base, n), rate, kernel, OPEN, T, noise, tag=f"n={n}")

@@ -52,6 +52,9 @@ def test_truncate_keeps_box():
     assert truncate(c, 3).occ == {0: 2, 3: 1}
     c2 = Configuration(2, {(0, 0): 1, (2, 1): 1})
     assert truncate(c2, 1).occ == {(0, 0): 1}
+    # radius 0 keeps the origin alone
+    assert truncate(c, 0).occ == {0: 2}
+    assert truncate(Configuration(2, {(0, 0): 3, (0, 1): 1}), 0).occ == {(0, 0): 3}
 
 
 def test_leq_partial_order():

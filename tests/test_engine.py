@@ -156,6 +156,46 @@ def test_truncation_schedule_monotone():
     assert totals == sorted(totals)
 
 
+class _Atoms:
+    """Noise holding only the given atoms (t, site, y, u), all in band 0 of
+    slab 0."""
+    master, path = 0, ()
+
+    def __init__(self, atoms):
+        self.atoms = sorted(atoms)
+
+    def slab_atoms(self, sites, counts, slab, t_lo, t_hi):
+        return [a for a in self.atoms
+                if slab == 0 and a[1] in sites and t_lo < a[0] <= t_hi]
+
+    def window(self, site, band, slab, t_lo, t_hi):
+        mine = [a for a in self.atoms
+                if a[1] == site and band == slab == 0 and t_lo < a[0] <= t_hi]
+        return [a[0] for a in mine], [a[2] for a in mine], [a[3] for a in mine]
+
+
+@pytest.mark.parametrize("atoms,fraction,origin_ok", [
+    # level n=2 alone holds site 2, whose particle steps to 1 at t=0.55:
+    # sites -1 and 0 agree with level n=1 at every snapshot, site 1 does not
+    ([(0.55, 2, 0.5, 0.0)], 2 / 3, True),
+    # then on to the origin at t=0.65: only site -1 agrees throughout
+    ([(0.35, 2, 0.5, 0.0), (0.65, 1, 0.5, 0.0)], 1 / 3, False),
+])
+def test_truncation_schedule_stabilized_window(atoms, fraction, origin_ok):
+    # u = 0 jumps left under NN
+    res = simulate_truncation_schedule(Configuration(1, {0: 1, 2: 1}), (1, 2), RATE,
+                                       NN, 1.0, _Atoms(atoms))
+    assert res.stabilized_fraction == fraction
+    assert res.origin_stabilized is origin_ok
+
+
+@pytest.mark.parametrize("T", [0.11, 0.21, 0.49, 0.92, 1.62, 3.36])
+def test_truncation_schedule_default_snapshots_end_at_T(T):
+    res = simulate_truncation_schedule(_ones(2), (1, 2), RATE, NN, T, HarrisNoise(5))
+    assert len(res.snapshot_times) == 10
+    assert res.snapshot_times[-1] == T
+
+
 def test_truncation_schedule_rejects_bad_schedule():
     with pytest.raises(ConfigError):
         simulate_truncation_schedule(_ones(4), (4, 4), RATE, NN, 1.0,
@@ -228,28 +268,18 @@ def test_pq_family_validation():
     with pytest.raises(ConfigError, match="snapshot times decrease"):
         simulate_pq_family(eta0, RATE, 1.0, HarrisNoise(0), [(0.5, 0.5)],
                            snapshot_times=(1.0, 0.5))
-
-
-class _OneAtom:
-    """Noise with a single atom (t=0.5, y=0.5, mark u) at site 0, slab 0."""
-    master, path = 0, ()
-
-    def __init__(self, u):
-        self.u = u
-
-    def slab_atoms(self, sites, counts, slab, t_lo, t_hi):
-        return ([(0.5, 0, 0.5, self.u)]
-                if slab == 0 and 0 in sites and t_lo < 0.5 <= t_hi else [])
-
-    def window(self, site, band, slab, t_lo, t_hi):
-        return [], [], []
+    # p + q may miss 1 by up to 1e-12: 2^-39 is past that, 2^-40 within
+    with pytest.raises(ConfigError):
+        simulate_pq_family(eta0, RATE, 1.0, HarrisNoise(0), [(0.5, 0.5 + 2.0 ** -39)])
+    res = simulate_pq_family(eta0, RATE, 1.0, HarrisNoise(0), [(0.5, 0.5 + 2.0 ** -40)])
+    assert (0.5, 0.5 + 2.0 ** -40) in res.pq_values
 
 
 def test_pq_family_mark_convention():
     # sample_jump's inverse cdf over the support (-1, +1): u >= q goes right
     for u, dst in ((0.24, -1), (0.25, 1), (0.26, 1)):
         res = simulate_pq_family(Configuration(1, {0: 1}), power_rate(1.0), 1.0,
-                                 _OneAtom(u), [(0.75, 0.25)])
+                                 _Atoms([(0.5, 0, 0.5, u)]), [(0.75, 0.25)])
         assert [ev[:3] for ev in res.trajectories[(0.75, 0.25)].events] == [(0.5, 0, dst)]
 
 
@@ -263,6 +293,15 @@ def test_batched_slab_starts_leave_events_unchanged(policy, monkeypatch):
                              HarrisNoise(47, (1,))).events)
     assert len(runs[0]) > 100
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("run", [
+    lambda eta0, T: simulate(eta0, RATE, NN, OPEN, T, HarrisNoise(0)),
+    lambda eta0, T: simulate_gillespie(eta0, RATE, NN, OPEN, T, np.random.default_rng(0)),
+])
+def test_engines_reject_a_zero_horizon(run):
+    with pytest.raises(ConfigError, match="horizon T must be positive"):
+        run(Configuration(1, {0: 1}), 0.0)
 
 
 class _SlabLog:
