@@ -39,7 +39,7 @@ from .errors import (CertificationError, ConfigError, InvariantViolation,
 from .kernel import is_nearest_neighbour_1d, kernel_from_json
 from .localfn import capped_occupancy
 from .measures import fugacity_measure, sample_box_config
-from .noise import HarrisNoise
+from .noise import HarrisNoise, bands_for
 from .parallel import TAG_SAMPLE, derived_rng, replica_map, resolve_threads
 from .rates import check_corollary_conditions, rate_from_json
 from .sites import in_box, origin, site_from_coords
@@ -149,7 +149,10 @@ class Experiment:
                 if not in_box(x, box):
                     raise ConfigError(f"config field '{where}': site {x!r} lies "
                                       f"outside the {self.policy.describe()} box")
-            _load("rate", self.rate.g, max(self.init_config.occ.values(), default=0))
+        # a product start never holds more than its measure's K on one site
+        k_max = (self.init_measure.K if self.init_mode == "product"
+                 else max(self.init_config.occ.values(), default=0))
+        _load("rate", lambda: bands_for(self.rate.g(k_max)))
         self.diagnostics = tuple(_field(cfg, "diagnostics", list,
                                         required=False, default=[]))
         for name in self.diagnostics:

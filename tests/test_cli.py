@@ -357,6 +357,20 @@ def test_explicit_start_past_float_range_is_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("initial", [
+    {"mode": "point", "n_particles": 60},          # g(60) = e^60: band 87
+    {"mode": "product", "phi": 1e5, "n": 2},       # the measure's K = 18: band 27
+])
+def test_start_past_the_band_budget_is_config_error(tmp_path, initial):
+    cfg = dict(TORUS, rate={"family": "exp", "c": 1, "theta": 1}, initial=initial)
+    p = _write_cfg(tmp_path, cfg)
+    code, text = _run(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "config error: config field 'rate': rate " in text
+    assert "past MAX_BAND = 20" in text
+    assert not (tmp_path / "out").exists()
+
+
 def test_uncertifiable_product_start_is_config_error(tmp_path):
     cfg = dict(TORUS, rate={"family": "table", "values": [0, 1, 3, 4]},
                initial={"mode": "product", "phi": 0.8, "n": 2})

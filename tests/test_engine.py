@@ -16,11 +16,11 @@ from zrp.engine import (
     simulate_pq_family,
     simulate_truncation_schedule,
 )
-from zrp.errors import ConfigError, InvariantViolation
+from zrp.errors import ConfigError, InvariantViolation, RateRangeError
 from zrp.kernel import make_kernel, nn_kernel_1d, symmetric_nn_kernel
 from zrp.noise import HarrisNoise
 from zrp.parallel import TAG_GILLESPIE, derived_rng
-from zrp.rates import power_rate
+from zrp.rates import exp_rate, power_rate
 from zrp.sites import box_sites
 
 RATE = power_rate(2.0)
@@ -328,6 +328,14 @@ def test_no_slab_at_or_past_the_horizon_is_drawn(T):
     traj = simulate(_ones(30), RATE, nn_kernel_1d(0.6), periodic(30), T, noise)
     assert traj.event_count() > 0
     assert noise.slabs == set(range(math.ceil(T)))
+
+
+def test_start_past_the_band_budget_fails_before_any_slab():
+    # g(60) = e^60 needs band 87; the budget check runs before slab 0
+    noise = _SlabLog(HarrisNoise(0))
+    with pytest.raises(RateRangeError, match="MAX_BAND"):
+        simulate(Configuration(1, {0: 60}), exp_rate(1, 1), NN, OPEN, 1.0, noise)
+    assert noise.slabs == set()
 
 
 @pytest.mark.parametrize("T", [-1.0, math.inf, math.nan])

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, kstest, poisson
 
-from zrp.noise import (_BATCH_MIN, TIME_SLAB, HarrisNoise, _band, _fold,
-                       _word, band_bounds, bands_for)
+from zrp.errors import RateRangeError
+from zrp.noise import (_BATCH_MIN, MAX_BAND, TIME_SLAB, HarrisNoise, _band,
+                       _fold, _word, band_bounds, bands_for)
 from zrp.parallel import (TAG_HARRIS, derived_rng, replica_map,
                           resolve_threads, seed_path)
 
@@ -36,6 +37,15 @@ def test_bands_for_covers_cap():
     for cap in (0.5, 1.0, 7.0, 9.0, 100.0):
         m = bands_for(cap)
         assert band_bounds(m - 1)[1] >= cap
+
+
+def test_bands_past_the_budget_are_refused():
+    assert bands_for(2.0 ** MAX_BAND) == MAX_BAND + 1
+    with pytest.raises(RateRangeError, match="needs noise band 21"):
+        bands_for(2.0 ** MAX_BAND * 1.001)
+    # g(60) = e^60 would need band 87, a CDF list of about 2^86 floats
+    with pytest.raises(RateRangeError, match="noise band 87 is past MAX_BAND"):
+        HarrisNoise(0).window(0, 87, 0)
 
 
 def test_band_intervals_tile_the_halfline():
