@@ -10,6 +10,10 @@ whose cumulative weight exceeds u. For the d=1 nearest-neighbour kernel
 nn_kernel_1d(p) that is a right jump iff u >= 1 - p. These right-jump sets
 are nested in p, so an atom that sends a particle right under p does so under
 every larger p, which keeps the coupled (p,q) family order-preserving.
+
+offsets holds the support as coordinate tuples, which fix its order; jumps
+holds the same offsets as sites (sites.site_from_coords), and support() and
+sample_jump hand those out, so no caller spells a site itself.
 """
 from __future__ import annotations
 

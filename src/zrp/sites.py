@@ -4,6 +4,11 @@ Convention used across the package: in d=1 a site is a plain int, in d>=2 a
 site is a d-tuple of ints. JSON/CSV always spell a site as a coordinate list,
 e.g. [0] or [1, -2]; the loaders convert back. Keeping ints in d=1 keeps the
 event loop's dict and heap operations cheap.
+
+This module alone decides that spelling and the torus labels. Other modules
+convert with site_from_coords and site_coords and never branch on the site
+type. A torus of side L is labelled -(L // 2) .. L - 1 - L // 2 on every axis,
+and wrap() folds a site onto it; the periodic box [-n, n]^d has side 2n + 1.
 """
 from __future__ import annotations
 
