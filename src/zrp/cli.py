@@ -397,6 +397,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
+    except RateRangeError as e:  # a run that piles particles past MAX_BAND
+        print(f"config error: config field 'rate': {e}", file=sys.stderr)
+        return 1
     except InvariantViolation as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return 3

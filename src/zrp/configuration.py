@@ -62,11 +62,19 @@ class Configuration:
         return isinstance(other, Configuration) and self.d == other.d and self.occ == other.occ
 
 
+def _trusted(d: int, occ: dict[Site, int]) -> Configuration:
+    """Configuration(d, occ), unchecked and uncopied, for a dict built valid."""
+    cfg = object.__new__(Configuration)
+    object.__setattr__(cfg, "d", d)
+    object.__setattr__(cfg, "occ", occ)
+    return cfg
+
+
 def truncate(cfg: Configuration, n: int) -> Configuration:
     """Zero out everything outside the max-norm box [-n, n]^d."""
     if n < 0:
         raise ConfigError("box radius must be >= 0")
-    return Configuration(cfg.d, {x: k for x, k in cfg.occ.items() if max_norm(x) <= n})
+    return _trusted(cfg.d, {x: k for x, k in cfg.occ.items() if max_norm(x) <= n})
 
 
 def enumerate_particles(cfg: Configuration, z: Site) -> list[Site]:
@@ -190,7 +198,7 @@ def snapshots(traj: Trajectory, times) -> list[Configuration]:
         while i < len(events) and events[i][0] <= t:
             _apply_event(occ, events[i])
             i += 1
-        out.append(Configuration(traj.d, dict(occ)))
+        out.append(_trusted(traj.d, dict(occ)))
     return out
 
 
@@ -212,10 +220,6 @@ def intervals(traj: Trajectory):
         yield t0, traj.T, occ
 
 
-def _fmt_time(t: float) -> str:
-    return repr(float(t))
-
-
 def _fmt_site(x: Site) -> str:
     return ";".join(str(c) for c in site_coords(x))
 
@@ -226,7 +230,7 @@ def events_csv_string(traj: Trajectory) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["time", "src", "dst", "kind", "marginal"])
     for t, src, dst, kind, tag in traj.events:
-        w.writerow([_fmt_time(t), _fmt_site(src), _fmt_site(dst), kind, tag])
+        w.writerow([repr(float(t)), _fmt_site(src), _fmt_site(dst), kind, tag])
     return buf.getvalue()
 
 

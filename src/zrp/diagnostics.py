@@ -109,10 +109,10 @@ class Report:
 
 # ------------------------------------------------------- martingale residual
 
-def _martingale_worker(r, f, eta0, rate, kernel, policy, T, seed, grid):
+def _martingale_worker(r, f, eta0, rate, kernel, policy, T, seed, grid, table):
+    """table caches (Lf, sum of g at the sources) by the sources' occupancies."""
     noise = HarrisNoise(seed, (r,))
     traj = simulate(eta0, rate, kernel, policy, T, noise)
-    g = rate.g
     sources = _candidate_sources(f, kernel, policy)
     f0 = f.value(eta0.occ)
     integral = 0.0
@@ -120,13 +120,17 @@ def _martingale_worker(r, f, eta0, rate, kernel, policy, T, seed, grid):
     gi = 0
     m_grid = np.empty(len(grid))
     for t0, t1, occ in intervals(traj):
-        lf = _generator_apply_dict(f, occ, rate, kernel, policy, sources)
+        key = tuple(occ.get(x, 0) for x in sources)
+        if key not in table:
+            table[key] = (_generator_apply_dict(f, occ, rate, kernel, policy, sources),
+                          sum(map(rate.g, key)))
+        lf, mass = table[key]
         while gi < len(grid) and t0 <= grid[gi] < t1:
             m_grid[gi] = f.value(occ) - f0 - (integral + lf * (grid[gi] - t0))
             gi += 1
         dt = t1 - t0
         integral += lf * dt
-        rate_mass += dt * sum(g(occ.get(x, 0)) for x in sources)
+        rate_mass += dt * mass
     fT = f.value(traj.final.occ)
     m_grid[gi:] = fT - f0 - integral
     return m_grid, rate_mass, fT
@@ -148,7 +152,7 @@ def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
         raise ConfigError("the martingale residual needs replicas >= 2")
     grid = np.linspace(T / 8, T, 8)
     rows = replica_map(_martingale_worker, replicas, threads=threads,
-                       args=(f, eta0, rate, kernel, policy, T, seed, grid))
+                       args=(f, eta0, rate, kernel, policy, T, seed, grid, {}))
     M = np.stack([row[0] for row in rows])
     mass = np.array([row[1] for row in rows])
     mT = M[:, -1]

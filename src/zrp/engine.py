@@ -37,8 +37,8 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .configuration import (Configuration, Trajectory, move, snapshots,
-                            truncate)
+from .configuration import (Configuration, Trajectory, _trusted, move,
+                            snapshots, truncate)
 from .errors import ConfigError, InvariantViolation
 from .kernel import Kernel, nn_kernel_1d, sample_jump
 from .noise import HarrisNoise, TIME_SLAB, bands_for
@@ -160,7 +160,7 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
                             heappush(heap, (ta, dst, ya, ua))
 
     return Trajectory(d=eta0.d, initial=eta0, events=events,
-                      final=Configuration(eta0.d, occ), T=T,
+                      final=_trusted(eta0.d, occ), T=T,
                       policy=policy.describe(),
                       seed_desc=f"harris:{noise.master}:{noise.path}")
 
@@ -198,7 +198,7 @@ def simulate_gillespie(eta0: Configuration, rate: RateFn, kernel: Kernel,
         _fire(occ, events, moves, policy, kernel, t, x, rng.random(), "")
 
     return Trajectory(d=eta0.d, initial=eta0, events=events,
-                      final=Configuration(eta0.d, occ), T=T,
+                      final=_trusted(eta0.d, occ), T=T,
                       policy=policy.describe(), seed_desc="gillespie")
 
 

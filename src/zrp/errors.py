@@ -2,7 +2,8 @@
 JSON loaders share.
 
 The CLI maps these to exit codes: ConfigError -> 1, diagnostic failures
-(reported, not raised) -> 2, InvariantViolation -> 3.
+(reported, not raised) -> 2, InvariantViolation -> 3. RateRangeError is a
+config error on 'rate' (1) that can arrive mid-run and leave what a 3 leaves.
 """
 from numbers import Integral, Real
 

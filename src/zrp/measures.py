@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import Configuration
+from .configuration import Configuration, _trusted
 from .errors import CertificationError, ConfigError, RateRangeError
 from .rates import RateFn
 from .sites import Site, box_sites, torus_sites
@@ -98,8 +98,7 @@ def sample_box_config(measure: FugacityMeasure, n: int, d: int,
     sites = box_sites(n, d)
     u = rng.random(len(sites))
     ks = np.minimum(np.searchsorted(measure.cdf, u, side="right"), measure.K)
-    occ = {x: int(k) for x, k in zip(sites, ks) if k > 0}
-    return Configuration(d, occ)
+    return _trusted(d, {x: int(k) for x, k in zip(sites, ks) if k > 0})
 
 
 # ------------------------------------------------------- canonical (fixed N)

@@ -17,7 +17,7 @@ couplings (truncation levels, two-marginal order, the (p,q) family).
 
 Derivation. The field is counter-based (Salmon et al., SC'11): a window is
 hashed from its key on every request; nothing is seeded, and the only state
-is each site's folded key prefix, kept per noise object. The
+is folded key prefixes, per site and per (master, len(path)). The
 SplitMix64 finaliser mix64 (Steele, Lea & Flood, OOPSLA'14), a bijection of
 64-bit words, is folded over the key words as h <- mix64((h + GAMMA) ^ w):
 master, TAG_HARRIS, len(path) and the path components, each as its count of
@@ -126,6 +126,18 @@ def _band(band: int) -> tuple[list[float], float, float]:
             lo, hi - lo)
 
 
+def _fold_int(h: int, v: int) -> int:
+    """h folded over v's count of 64-bit limbs, then the limbs."""
+    limbs = [(v >> s) & _MASK for s in range(0, max(v.bit_length(), 1), 64)]
+    return reduce(_fold, limbs, _fold(h, len(limbs)))
+
+
+@lru_cache(maxsize=64)
+def _prefix(master: int, n: int) -> int:
+    """The fold of (master, TAG_HARRIS, n), shared by every path of length n."""
+    return reduce(_fold_int, (master, TAG_HARRIS, n), 0)
+
+
 @dataclass(frozen=True)
 class HarrisNoise:
     master: int
@@ -134,12 +146,8 @@ class HarrisNoise:
     _site_keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = 0
-        for v in seed_path(self.master, TAG_HARRIS, len(self.path), *self.path):
-            limbs = [(v >> s) & _MASK for s in range(0, max(v.bit_length(), 1), 64)]
-            for w in [len(limbs)] + limbs:
-                h = _fold(h, w)
-        object.__setattr__(self, "_key", h)
+        master, *path = seed_path(self.master, *self.path)
+        object.__setattr__(self, "_key", reduce(_fold_int, path, _prefix(master, len(path))))
 
     def window(self, site: Site, band: int, slab: int, t_lo=-math.inf, t_hi=math.inf):
         """(times, heights, marks) of the atoms t_lo < t <= t_hi of one window,

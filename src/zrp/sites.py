@@ -13,6 +13,7 @@ and wrap() folds a site onto it; the periodic box [-n, n]^d has side 2n + 1.
 from __future__ import annotations
 
 from numbers import Integral
+from operator import add, sub
 
 from .errors import ConfigError, json_number
 
@@ -37,19 +38,19 @@ def site_from_coords(coords, d: int) -> Site:
 def site_add(x: Site, z: Site) -> Site:
     if isinstance(x, int):
         return x + z
-    return tuple(a + b for a, b in zip(x, z))
+    return tuple(map(add, x, z))
 
 
 def site_sub(x: Site, z: Site) -> Site:
     if isinstance(x, int):
         return x - z
-    return tuple(a - b for a, b in zip(x, z))
+    return tuple(map(sub, x, z))
 
 
 def max_norm(x: Site) -> int:
     if isinstance(x, int):
         return abs(x)
-    return max(abs(a) for a in x)
+    return max(map(abs, x))
 
 
 def in_box(x: Site, n: int) -> bool:
@@ -88,6 +89,6 @@ def validate_site(x, d: int) -> Site:
         if isinstance(x, bool) or not isinstance(x, int):
             raise ConfigError(f"d=1 sites must be ints, got {x!r}")
         return x
-    if not (isinstance(x, tuple) and len(x) == d and all(isinstance(c, int) for c in x)):
+    if not (isinstance(x, tuple) and len(x) == d and all(type(c) is int for c in x)):
         raise ConfigError(f"d={d} sites must be {d}-tuples of ints, got {x!r}")
     return x

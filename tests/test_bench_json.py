@@ -35,3 +35,15 @@ def test_pairwise_counts_wins_in_each_direction():
     assert out["w/wall_s"]["ratio_of_medians"] == pytest.approx(0.9)
     assert out["w/events_per_s"]["wins"] == 2
     assert out["w/events_per_s"]["ratio_of_medians"] == pytest.approx(1.1)
+
+
+def test_summarise_takes_every_key_over_the_rows_that_have_it():
+    rows = [{"AC1": 1.0, "total": 10.0}, {"AC1": 3.0, "total": 12.0},
+            {"AC1": 2.0, "AC2": 5.0, "total": 11.0}, {}]
+    out = bench_json.summarise(rows)
+    assert list(out) == ["AC1", "total", "AC2"]
+    assert out["AC1"] == {"median": 2.0, "q1": 1.5, "q3": 2.5,
+                          "values": [1.0, 3.0, 2.0]}
+    assert out["total"]["median"] == 11.0
+    assert out["AC2"] == {"median": 5.0, "q1": 5.0, "q3": 5.0, "values": [5.0]}
+    assert bench_json.summarise([]) == {}

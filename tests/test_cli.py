@@ -371,6 +371,20 @@ def test_start_past_the_band_budget_is_config_error(tmp_path, initial):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_past_the_band_budget_midway_is_config_error(tmp_path):
+    # the start needs band 1 only; a 14th particle on site 0 needs band 21
+    cfg = dict(BASE, kernel={"d": 1, "support": [{"z": [-1], "p": 1.0}]},
+               rate={"family": "table", "values": [0] + [1] * 13 + [2 ** 21]},
+               T=2.0, replicas=1, seed=1, initial={
+                   "mode": "explicit", "config": {"d": 1, "sites": [
+                       {"x": [0], "n": 13}, {"x": [1], "n": 1}]}})
+    p = _write_cfg(tmp_path, cfg)
+    code, text = _run(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "config error: config field 'rate': rate 2097152.0 needs noise band 21" in text
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_uncertifiable_product_start_is_config_error(tmp_path):
     cfg = dict(TORUS, rate={"family": "table", "values": [0, 1, 3, 4]},
                initial={"mode": "product", "phi": 0.8, "n": 2})

@@ -38,6 +38,12 @@ def test_configuration_validation():
         Configuration(1, {0: 1.5})
     with pytest.raises(ConfigError):
         Configuration(2, {0: 1})  # site dim mismatch
+    for occ in ({0: True}, {True: 1}, {1.0: 1}, {np.int64(0): 1}):
+        with pytest.raises(ConfigError):
+            Configuration(1, occ)
+    for occ in ({(0,): 1}, {(0, 1.0): 1}, {(0, True): 1}, {(0, 0): -2}):
+        with pytest.raises(ConfigError):
+            Configuration(2, occ)
 
 
 def test_configuration_drops_empty_sites():

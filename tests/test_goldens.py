@@ -5,8 +5,9 @@ seeded runs across the open, killed and periodic policies in d=1 and d=2, the
 Gillespie sampler's logs for four of those runs, a longer torus run from a
 sampled product start (a batched slab start, rises into band 4, wraps), the two coupled-run drivers,
 the sorted particle positions of the (p,q) family at its snapshots, and the
-JSON of one small run of the engine cross-check, the moment check and the
-occupancy bound under each tail method. A refactor of the event loop or of
+JSON of one small run of the engine cross-check, the moment check, the
+occupancy bound under each tail method and the martingale residual of AC6's
+capped-occupancy combinations in d=1 and d=2. A refactor of the event loop or of
 the diagnostics must leave them unchanged; only a deliberate change of the
 noise format or of the jump rule may regenerate them, and it must say so.
 """
@@ -17,11 +18,12 @@ import numpy as np
 import pytest
 
 from zrp.configuration import Configuration, events_csv_string
-from zrp.diagnostics import engine_agreement_check
+from zrp.diagnostics import engine_agreement_check, martingale_residual
 from zrp.engine import (OPEN, killed, periodic, simulate, simulate_gillespie,
                         simulate_pq_family, simulate_truncation_schedule)
 from zrp.hitting import exp_moment_check, mbar
 from zrp.kernel import nn_kernel_1d, symmetric_nn_kernel
+from zrp.localfn import capped_occupancy
 from zrp.measures import fugacity_measure, sample_box_config
 from zrp.noise import HarrisNoise
 from zrp.parallel import TAG_GILLESPIE, TAG_SAMPLE, derived_rng
@@ -161,6 +163,12 @@ def test_pq_positions_match_golden(name):
 
 
 MBAR_ETA = Configuration(1, {0: 1, 2: 1, -3: 2, 40: 1})
+# the capped-occupancy combinations of AC6 in d=1 and d=2, 40 replicas
+MARTINGALE_D1 = (capped_occupancy(0, 10), Configuration(1, {-1: 2, 0: 1, 1: 2}),
+                 power_rate(2), nn_kernel_1d(0.5), OPEN, 1.0, 40, 203)
+MARTINGALE_D2 = (capped_occupancy((0, 0), 10),
+                 Configuration(2, {(0, 0): 2, (1, 0): 1, (0, -1): 1}),
+                 power_rate(2), symmetric_nn_kernel(2), OPEN, 1.0, 40, 204)
 
 REPORTS = {
     "engine-agreement": lambda: engine_agreement_check(
@@ -173,6 +181,10 @@ REPORTS = {
                                  nn_kernel_1d(0.5), K=3),
     "mbar-none": lambda: mbar(MBAR_ETA, 0, 1.0, power_rate(2),
                               nn_kernel_1d(0.5), K=MBAR_ETA.total()),
+    "martingale-d1-capped": lambda threads=1: martingale_residual(*MARTINGALE_D1,
+                                                                 threads=threads),
+    "martingale-d2-capped": lambda threads=1: martingale_residual(*MARTINGALE_D2,
+                                                                 threads=threads),
 }
 
 REPORT_GOLDEN = {
@@ -180,11 +192,22 @@ REPORT_GOLDEN = {
     "exp-moment": "7e9cbea672e43e79db58bc62721f1eb72698504ffaedfd7f8cf0d73689dafb51",
     "mbar-exp-sum": "521194e94c8800424b1d076b18ce750048c99d4f882d51d9e488878783c5dd38",
     "mbar-none": "80ac367dad7d0e42c8bfdc1c0e0747abf0d9abf04bd6baecc509f37ff888df9b",
+    "martingale-d1-capped": "3f98d9d9c9e523dc0526fd42cb6e23ab2e7c9aeb8e584b58cc8418cfb919e450",
+    "martingale-d2-capped": "9cc5178c732c4853488572112288e8d359fca8f05d5e4a2f5e32c8f3d5d78ac7",
 }
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_matches_golden(name):
     blob = json.dumps(REPORTS[name]().to_json(), sort_keys=True,
+                      allow_nan=False)
+    assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["martingale-d1-capped", "martingale-d2-capped"])
+def test_martingale_report_does_not_depend_on_threads(name):
+    # in one process the replicas share one Lf table, in a pool each chunk
+    # has its own; the sums must not tell
+    blob = json.dumps(REPORTS[name](threads=2).to_json(), sort_keys=True,
                       allow_nan=False)
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_GOLDEN[name]

@@ -15,7 +15,7 @@ from scipy.stats import chisquare, kstest, poisson
 
 from zrp.errors import RateRangeError
 from zrp.noise import (_BATCH_MIN, MAX_BAND, TIME_SLAB, HarrisNoise, _band,
-                       _fold, _word, band_bounds, bands_for)
+                       _fold, _prefix, _word, band_bounds, bands_for)
 from zrp.parallel import (TAG_HARRIS, derived_rng, replica_map,
                           resolve_threads, seed_path)
 
@@ -209,12 +209,18 @@ def _reference_window(master, path, site, band, slab, t_lo, t_hi):
 
 def test_window_matches_the_reference_derivation():
     rnd = random.Random(14)
-    noises = {}
+    # more (master, len(path)) prefixes than the memo holds, single-limb and
+    # 70-bit masters alike, so prefixes are evicted and folded again
+    size = _prefix.cache_info().maxsize
+    masters = [0, 7] + [rnd.getrandbits(rnd.choice([40, 70])) for _ in range(size)]
+    _prefix.cache_clear()
+    prefixes = set()
     for trial in range(600):
-        master = rnd.choice([0, 7, rnd.getrandbits(40), rnd.getrandbits(70)])
+        master = rnd.choice(masters)
         path = tuple(rnd.getrandbits(rnd.choice([3, 64, 66]))
                      for _ in range(rnd.randrange(3)))
-        noise = noises.setdefault((master, path), HarrisNoise(master, path))
+        prefixes.add((master, len(path)))
+        noise = HarrisNoise(master, path)
         coords = [rnd.choice([rnd.randint(-50, 50), rnd.randint(-2 ** 70, 2 ** 70),
                               rnd.choice([2 ** 63, -2 ** 63 - 1, 2 ** 64, -2 ** 64])])
                   for _ in range(rnd.choice([1, 2]))]
@@ -228,6 +234,8 @@ def test_window_matches_the_reference_derivation():
         assert list(zip(*got)) == want, (master, path, site, band, slab)
         # a second request reads the site's folded key from the noise object
         assert noise.window(site, band, slab, t_lo, t_hi) == got
+    info = _prefix.cache_info()  # a miss past the distinct prefixes is a re-fold
+    assert info.misses > len(prefixes) > size and info.hits > 0
 
 
 def _time_ranges(atoms, slab):

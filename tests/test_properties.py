@@ -12,13 +12,16 @@ from itertools import combinations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from zrp.configuration import Configuration
+from zrp.configuration import Configuration, snapshots, truncate
 from zrp.diagnostics import _j_dicts
-from zrp.engine import simulate_pq_family
-from zrp.kernel import make_kernel, sample_jump
-from zrp.measures import fugacity_measure
+from zrp.engine import (OPEN, BoundaryPolicy, simulate, simulate_gillespie,
+                        simulate_pq_family)
+from zrp.kernel import make_kernel, nn_kernel_1d, sample_jump, symmetric_nn_kernel
+from zrp.measures import fugacity_measure, sample_box_config
 from zrp.noise import HarrisNoise
+from zrp.parallel import TAG_GILLESPIE, TAG_SAMPLE, derived_rng
 from zrp.rates import power_rate
+from zrp.sites import box_sites
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -105,3 +108,30 @@ def test_pq_members_are_ordered_in_p_at_every_snapshot(occ, T, ps, seed):
                              HarrisNoise(seed), [(p, 1.0 - p) for p in ps])
     for a, b in combinations(sorted(res.pq_values), 2):
         assert np.all(res.positions[a] <= res.positions[b])
+
+
+@SETTINGS
+@given(st.sampled_from([1, 2]), st.sampled_from(["open", "killed", "periodic"]),
+       st.integers(0, 2), st.floats(0.1, 3.0), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_configurations_built_unchecked_are_valid(d, kind, n, T, seed, data):
+    # the engines' finals, snapshots, truncate and sample_box_config skip the
+    # public constructor's checks; each result must pass them unchanged
+    occ = data.draw(st.dictionaries(st.sampled_from(box_sites(n, d)),
+                                    st.integers(1, 3), min_size=1, max_size=5))
+    eta0 = Configuration(d, occ)
+    rate = power_rate(2.0)
+    kernel = nn_kernel_1d(0.7) if d == 1 else symmetric_nn_kernel(2)
+    policy = OPEN if kind == "open" else BoundaryPolicy(kind, n)
+    trajs = [simulate(eta0, rate, kernel, policy, T, HarrisNoise(seed)),
+             simulate_gillespie(eta0, rate, kernel, policy, T,
+                                derived_rng(seed, TAG_GILLESPIE))]
+    built = [traj.final for traj in trajs]
+    for traj in trajs:
+        built += snapshots(traj, [0.0, T / 3, T])
+    built += [truncate(c, m) for c in list(built) for m in (0, 1)]
+    built.append(sample_box_config(fugacity_measure(rate, 1.0), n, d,
+                                   derived_rng(seed, TAG_SAMPLE)))
+    for c in built:
+        assert Configuration(c.d, dict(c.occ)) == c
+        assert all(type(k) is int and k > 0 for k in c.occ.values())

@@ -9,23 +9,34 @@ alike, and with the order reversed on every other repeat),
 
     python3 perfbench/run.py --workload W --seed S --seconds X --trace 0
 
-and reads its last line (the JSON result) and its ``# machine`` line. For
-each checkout the file records the machine line, the git sha, the line count
-of ``src/``, whether every run passed its output checks, and for each metric
-its median, first and third quartile and the values of all repeats. With
-two checkouts it also records, for each gated end-to-end metric of the
-first checkout's BENCHMARK.json, the ratio of the medians (second over
-first) and in how many repeats the second was better.
+and reads its last line (the JSON result) and its ``# machine`` line. Then
+it runs
 
-Exits 1 when any run fails or reports a failed output check.
+    python -m zrp.cli suite smoke --threads 1
+
+on that checkout's ``src/`` and reads the seconds of each criterion from
+the suite JSON, with the wall time of the whole command as ``total``. For
+each checkout the file records the machine line, the git sha, the line count
+of ``src/``, whether every run passed its output checks, for each metric
+its median, first and third quartile and the values of all repeats, and the
+same summary of the suite seconds under ``suite``. With two checkouts it
+also records, for each gated end-to-end metric of the first checkout's
+BENCHMARK.json, the ratio of the medians (second over first) and in how
+many repeats the second was better.
+
+Exits 1 when any run fails, reports a failed output check or fails a
+criterion of the smoke suite.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 
@@ -35,6 +46,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return med, q1, q3
+
+
+def summarise(rows: list[dict]) -> dict:
+    """{key: median, q1, q3 and values} over the rows that have the key,
+    for every key of any row, in first-seen order."""
+    out = {}
+    for key in dict.fromkeys(k for row in rows for k in row):
+        values = [row[key] for row in rows if key in row]
+        med, q1, q3 = quartiles(values)
+        out[key] = {"median": med, "q1": q1, "q3": q3, "values": values}
+    return out
 
 
 def git_sha(root: Path) -> str | None:
@@ -63,6 +85,26 @@ def run_once(root: Path, args) -> tuple[dict, dict, int]:
         sys.stderr.write(res.stderr)
         result = {"correct": False, "metrics": {}}
     return machine, result, res.returncode
+
+
+def run_suite(root: Path) -> tuple[dict, bool]:
+    """({criterion id: seconds, "total": wall seconds}, passed) of one
+    `zrp suite smoke --threads 1` on root's src/; ({}, False) if it wrote
+    no suite JSON."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.monotonic()
+        res = subprocess.run([sys.executable, "-m", "zrp.cli", "suite", "smoke",
+                              "--threads", "1", "--out", out],
+                             cwd=root, env=env, capture_output=True, text=True)
+        total = time.monotonic() - t0
+        try:
+            suite = json.loads((Path(out) / "suite_smoke.json").read_text())
+        except FileNotFoundError:
+            sys.stderr.write(res.stderr)
+            return {}, False
+    seconds = {row["cid"]: row["seconds"] for row in suite["results"]}
+    return seconds | {"total": total}, res.returncode == 0 and suite["pass"]
 
 
 def pairwise(first: dict, second: dict, spec: dict) -> dict:
@@ -101,33 +143,37 @@ def main(argv=None) -> int:
         roots[label] = Path(path).resolve()
 
     runs = {label: [] for label in roots}
+    suites = {label: [] for label in roots}
     ok = True
     for r in range(args.repeats):
         order = list(roots.items())
         for label, root in order if r % 2 == 0 else order[::-1]:
             machine, result, code = run_once(root, args)
-            ok = ok and code == 0 and result.get("correct", False)
+            seconds, suite_ok = run_suite(root)
+            ok = ok and code == 0 and result.get("correct", False) and suite_ok
             runs[label].append((machine, result))
+            suites[label].append(seconds)
             print(f"repeat {r + 1}/{args.repeats} {label}: exit {code}, "
-                  f"correct {result.get('correct')}", file=sys.stderr)
+                  f"correct {result.get('correct')}, smoke suite "
+                  f"{'pass' if suite_ok else 'FAIL'}", file=sys.stderr)
 
     report = {"command": ["python3", "perfbench/run.py", "--workload",
                           args.workload, "--seed", str(args.seed), "--seconds",
                           str(args.seconds), "--trace", "0"],
+              "suite_command": ["python", "-m", "zrp.cli", "suite", "smoke",
+                                "--threads", "1"],
               "repeats": args.repeats, "checkouts": {}}
     for label, root in roots.items():
-        metrics = {}
-        for key, first in runs[label][0][1]["metrics"].items():
-            values = [res["metrics"][key]["value"] for _, res in runs[label]
-                      if key in res["metrics"]]
-            med, q1, q3 = quartiles(values)
-            metrics[key] = {"unit": first["unit"], "median": med,
-                            "q1": q1, "q3": q3, "values": values}
+        first = runs[label][0][1]["metrics"]
+        metrics = summarise([{key: m["value"] for key, m in res["metrics"].items()
+                              if key in first} for _, res in runs[label]])
+        for key, entry in metrics.items():
+            entry["unit"] = first[key]["unit"]
         report["checkouts"][label] = {
             "machine": runs[label][0][0], "commit": git_sha(root),
             "src_lines": src_lines(root),
             "correct": all(res.get("correct", False) for _, res in runs[label]),
-            "metrics": metrics}
+            "metrics": metrics, "suite": summarise(suites[label])}
     if len(roots) == 2:
         first, second = report["checkouts"].values()
         spec_path = next(iter(roots.values())) / "BENCHMARK.json"
