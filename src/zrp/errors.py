@@ -2,8 +2,8 @@
 JSON loaders share.
 
 The CLI maps these to exit codes: ConfigError -> 1, diagnostic failures
-(reported, not raised) -> 2, InvariantViolation -> 3. RateRangeError is a
-config error on 'rate' (1) that can arrive mid-run and leave what a 3 leaves.
+(reported, not raised) -> 2, InvariantViolation -> 3. RateRangeError -> 1 as
+a config error on 'rate'; mid-run, it leaves the files an exit 3 leaves.
 """
 from numbers import Integral, Real
 
