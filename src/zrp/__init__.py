@@ -39,6 +39,7 @@ from .errors import (
     ConfigError,
     InvariantViolation,
     RateRangeError,
+    WorkerError,
     ZRPError,
 )
 from .hitting import (

@@ -110,7 +110,8 @@ class Report:
 # ------------------------------------------------------- martingale residual
 
 def _martingale_worker(r, f, eta0, rate, kernel, policy, T, seed, grid, table):
-    """table caches (Lf, sum of g at the sources) by the sources' occupancies."""
+    """table caches (Lf, sum of g at the sources) by the sources' occupancies:
+    one copy per worker, shared by that worker's replicas."""
     noise = HarrisNoise(seed, (r,))
     traj = simulate(eta0, rate, kernel, policy, T, noise)
     sources = _candidate_sources(f, kernel, policy)
@@ -146,7 +147,8 @@ def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
     Passes when |mean| <= 4 SE at the horizon and the empirical variance of
     M_T respects the optional-quadratic-variation bound
     8 B^2 E[int sum_{x in Abar} g(eta_s(x)) ds] (within its own 4 SE band).
-    The grid carries the mean path of M with its SEs.
+    The grid carries the mean path of M with its SEs. The Lf table is made
+    once per call, one copy per worker.
     """
     if replicas < 2:
         raise ConfigError("the martingale residual needs replicas >= 2")

@@ -28,6 +28,10 @@ class InvariantViolation(ZRPError, RuntimeError):
     """An internal exactness guarantee failed (replay mismatch, broken coupling order...)."""
 
 
+class WorkerError(ZRPError, RuntimeError):
+    """A replica worker process ended without reporting its results."""
+
+
 def json_number(value, what: str, kind: type = Real):
     """value itself if it is a number of kind (Integral or Real), else a
     ConfigError naming it as what. A JSON true is not a number and a string

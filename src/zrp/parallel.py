@@ -11,12 +11,13 @@ so results never depend on evaluation order or thread count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, WorkerError
 
 # stream tags: keep distinct consumers on distinct subtrees of the seed space
 TAG_HARRIS = 1
@@ -44,12 +45,18 @@ def derived_rng(master: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _forkable(threads: int) -> int:
+    if threads > 1 and not hasattr(os, "fork"):
+        raise ConfigError(f"threads={threads} needs os.fork, missing here")
+    return threads
+
+
 def resolve_threads(requested: int | None = None) -> int:
-    """--threads flag wins, then ZRP_THREADS, then CPU count."""
+    """--threads flag wins, then ZRP_THREADS, then CPU count (1 without os.fork)."""
     if requested is not None:
         if requested < 1:
             raise ConfigError("threads must be >= 1")
-        return requested
+        return _forkable(requested)
     env = os.environ.get("ZRP_THREADS")
     if env:
         try:
@@ -58,31 +65,63 @@ def resolve_threads(requested: int | None = None) -> int:
             raise ConfigError(f"ZRP_THREADS={env!r} is not an integer") from None
         if n < 1:
             raise ConfigError("ZRP_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
+        return _forkable(n)
+    return (os.cpu_count() or 1) if hasattr(os, "fork") else 1
 
 
-def _chunk_worker(payload):
-    fn, indices, args = payload
-    return [fn(i, *args) for i in indices]
+def _share(fn, indices, args) -> tuple:
+    """(None, results) of the replicas in indices, or (i, exception) of the
+    first of them to raise."""
+    out = []
+    for i in indices:
+        try:
+            out.append(fn(i, *args))
+        except Exception as e:
+            return i, e
+    return None, out
 
 
 def replica_map(fn: Callable[..., Any], n_replicas: int, *, threads: int = 1,
                 args: Sequence[Any] = ()) -> list[Any]:
     """[fn(0, *args), ..., fn(n-1, *args)] with results in replica order.
 
-    fn must be a module-level function when threads > 1 (it is pickled).
-    Replica index is the only thing that varies, so the output is identical
-    for every thread count.
+    With w = min(threads, n_replicas) > 1 the caller forks w - 1 children
+    and runs worker 0 itself; worker k runs the replicas i % w == k. fn may
+    be a closure and sees monkeypatches made before the call; its results
+    and exceptions must be picklable. The lowest raising replica's exception
+    is raised, as at threads=1. Every child is reaped before the call ends;
+    one that ends without reporting raises WorkerError with its exit status.
     """
     args = tuple(args)
-    if threads <= 1 or n_replicas <= 1:
-        return [fn(i, *args) for i in range(n_replicas)]
-    n_chunks = min(n_replicas, 4 * threads)
-    bounds = np.linspace(0, n_replicas, n_chunks + 1).astype(int)
-    payloads = [(fn, range(lo, hi), args) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    out: list[Any] = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for chunk in pool.map(_chunk_worker, payloads):
-            out.extend(chunk)
-    return out
+    workers = max(1, min(_forkable(threads), n_replicas))
+    children, shares, codes = [], [], []  # children: (pid, read end of pipe)
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # worker k reports through its pipe, never returns
+                try:
+                    with open(w, "wb") as pipe:
+                        pickle.dump(_share(fn, range(k, n_replicas, workers), args), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        shares.append(_share(fn, range(0, n_replicas, workers), args))
+        shares += [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            if len(shares) < workers:  # the caller failed: stop the children
+                os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for k, code in enumerate(codes, 1):
+        if code or not shares[k]:
+            raise WorkerError(f"replica worker {k} ended with exit status "
+                              f"{code} before reporting")
+        shares[k] = pickle.loads(shares[k])
+    failed = [s for s in shares if s[0] is not None]
+    if failed:
+        raise min(failed)[1]  # indices differ: no exception is compared
+    return [shares[i % workers][1][i // workers] for i in range(n_replicas)]

@@ -14,7 +14,7 @@ import pytest
 from zrp import cli
 from zrp.cli import main
 from zrp.diagnostics import Report
-from zrp.errors import ConfigError
+from zrp.errors import ConfigError, InvariantViolation, RateRangeError
 
 BASE = {
     "kernel": {"d": 1, "support": [{"z": [1], "p": 0.7}, {"z": [-1], "p": 0.3}]},
@@ -292,6 +292,30 @@ def test_failing_diagnostic_exits_two(tmp_path, monkeypatch):
     code, text = _run(["run", "--config", str(p), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "FAIL" in text
+
+
+@pytest.mark.parametrize("error,code,message", [
+    (InvariantViolation, 3, "invariant violation: odd replica"),
+    (RateRangeError, 1, "config error: config field 'rate': odd replica"),
+])
+def test_error_in_a_child_replica_keeps_its_exit_code(tmp_path, monkeypatch,
+                                                      error, code, message):
+    """At --threads 2 replica 1 runs in a forked child, which inherits the
+    patched simulate; its exception must reach main with its exit code."""
+    real = cli.simulate
+
+    def odd_fails(eta0, rate, kernel, policy, T, noise):
+        if noise.path[0] % 2:
+            raise error("odd replica")
+        return real(eta0, rate, kernel, policy, T, noise)
+    monkeypatch.setattr(cli, "simulate", odd_fails)
+    p = _write_cfg(tmp_path, BASE)
+    got, text = _run(["run", "--config", str(p), "--out", str(tmp_path / "o"),
+                      "--threads", "2"])
+    assert got == code, text
+    assert message in text
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_suite_unknown_selection(tmp_path):

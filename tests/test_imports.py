@@ -1,5 +1,6 @@
 """What `import zrp` loads. scipy is loaded inside the functions that use
-it, so a run that computes no statistics never pays for it."""
+it, so a run that computes no statistics never pays for it. Replica workers
+are plain forks, so no process-pool machinery is loaded either."""
 
 import os
 import subprocess
@@ -9,10 +10,18 @@ from pathlib import Path
 import zrp
 
 
-def test_import_zrp_loads_no_scipy():
+def _loaded_by_import_zrp(tops):
     env = dict(os.environ, PYTHONPATH=str(Path(zrp.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, zrp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"import sys, zrp; print(sorted(m for m in sys.modules if m.split('.')[0] in {tops!r}))"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_zrp_loads_no_scipy():
+    assert _loaded_by_import_zrp(("scipy",)) == "[]"
+
+
+def test_import_zrp_loads_no_process_pool():
+    assert _loaded_by_import_zrp(("concurrent", "multiprocessing")) == "[]"

@@ -16,8 +16,7 @@ from scipy.stats import chisquare, kstest, poisson
 from zrp.errors import RateRangeError
 from zrp.noise import (_BATCH_MIN, MAX_BAND, TIME_SLAB, HarrisNoise, _band,
                        _fold, _prefix, _word, band_bounds, bands_for)
-from zrp.parallel import (TAG_HARRIS, derived_rng, replica_map,
-                          resolve_threads, seed_path)
+from zrp.parallel import TAG_HARRIS, derived_rng, resolve_threads, seed_path
 
 
 def test_band_layout():
@@ -302,27 +301,7 @@ def test_seed_path_rejects_junk():
         seed_path(-1)
 
 
-def test_replica_map_order_and_thread_independence():
-    res1 = replica_map(_cube, 8, threads=1)
-    res2 = replica_map(_cube, 8, threads=2)
-    assert res1 == [k ** 3 for k in range(8)]
-    assert res1 == res2
-
-
-def test_replica_map_passes_args():
-    res = replica_map(_affine, 4, threads=1, args=(10,))
-    assert res == [10, 11, 12, 13]
-
-
 def test_resolve_threads():
     assert resolve_threads(1) == 1
     assert resolve_threads(4) == 4
     assert resolve_threads() >= 1
-
-
-def _cube(i):
-    return i ** 3
-
-
-def _affine(i, base):
-    return base + i
