@@ -67,8 +67,7 @@ def _n(full: int, smoke: bool, floor: int) -> int:
 def criterion_fugacity_identity(seed: int, threads: int = 1,
                                 smoke: bool = False) -> CriterionResult:
     """Mean emission rate under the product marginal equals the fugacity."""
-    tbl = table_rate([0.0] + [math.exp(0.5 * k) for k in range(1, 200)],
-                     label="exp-table")
+    tbl = table_rate([0.0] + [math.exp(0.5 * k) for k in range(1, 200)])
     worst = 0.0
     for rate, phi in iproduct((power_rate(1), power_rate(2), tbl),
                               (0.1, 1.0, 3.0, 10.0)):
@@ -144,17 +143,6 @@ def criterion_statistical_stationarity(seed: int, threads: int = 1,
 
 # 5 ------------------------------------------------------------------------
 
-def _truncation_worker(r, ri, rate, base, schedule, seed):
-    """Whether the origin stabilized, or None for a monotonicity violation."""
-    try:
-        res = simulate_truncation_schedule(base, schedule, rate,
-                                           nn_kernel_1d(0.5), 1.0,
-                                           HarrisNoise(seed, (ri, r)))
-    except InvariantViolation:
-        return None
-    return res.origin_stabilized
-
-
 def criterion_truncation_monotone(seed: int, threads: int = 1,
                                   smoke: bool = False) -> CriterionResult:
     """Growing the box never lowers any occupancy under shared noise."""
@@ -162,10 +150,18 @@ def criterion_truncation_monotone(seed: int, threads: int = 1,
     rates = (power_rate(1), power_rate(2), exp_rate(1.0, 0.4))
     schedule = (5, 10, 20, 40)
     base = Configuration(1, {x: 1 for x in box_sites(schedule[-1], 1)})
-    rows = []
-    for ri, rate in enumerate(rates):
-        rows += replica_map(_truncation_worker, R, threads=threads,
-                            args=(ri, rate, base, schedule, seed))
+
+    def replica(i):
+        """Whether the origin stabilized, or None for a monotonicity violation."""
+        ri, r = divmod(i, R)  # replica r of rates[ri]
+        try:
+            return simulate_truncation_schedule(
+                base, schedule, rates[ri], nn_kernel_1d(0.5), 1.0,
+                HarrisNoise(seed, (ri, r))).origin_stabilized
+        except InvariantViolation:
+            return None
+
+    rows = replica_map(replica, len(rates) * R, threads=threads)
     violations = rows.count(None)
     return CriterionResult("AC5", "truncation monotonicity",
                            violations == 0, float(violations), 0.0,
@@ -274,23 +270,22 @@ def criterion_j_inequality(seed: int, threads: int = 1,
 
 # 9 ------------------------------------------------------------------------
 
-def _pq_worker(r, eta0, pq, seed):
-    """Whether replica r breaks the sandwich."""
-    try:
-        simulate_pq_family(eta0, power_rate(2), 1.5, HarrisNoise(seed, (r,)), pq)
-    except InvariantViolation:
-        return True
-    return False
-
-
 def criterion_pq_sandwich(seed: int, threads: int = 1,
                           smoke: bool = False) -> CriterionResult:
     """Labelled positions stay between the two extreme drifts."""
     R = _n(1_000, smoke, 100)
     eta0 = Configuration(1, {-2: 1, 0: 1, 1: 1})
     pq = [(1.0, 0.0), (0.7, 0.3), (0.5, 0.5), (0.0, 1.0)]
-    total = sum(replica_map(_pq_worker, R, threads=threads,
-                            args=(eta0, pq, seed)))
+
+    def replica(r):
+        """Whether replica r breaks the sandwich."""
+        try:
+            simulate_pq_family(eta0, power_rate(2), 1.5, HarrisNoise(seed, (r,)), pq)
+        except InvariantViolation:
+            return True
+        return False
+
+    total = sum(replica_map(replica, R, threads=threads))
     return CriterionResult("AC9", "drift family sandwich", total == 0,
                            float(total), 0.0,
                            {"replicas": R, "pq": pq, "violations": total})

@@ -35,7 +35,7 @@ from .diagnostics import (chi2_replicas, flux_report, martingale_residual,
                           mass_report, stationarity_report, torus_row)
 from .engine import OPEN, BoundaryPolicy, simulate
 from .errors import (CertificationError, ConfigError, InvariantViolation,
-                     RateRangeError, ZRPError)
+                     RateRangeError, ZRPError, json_number)
 from .kernel import is_nearest_neighbour_1d, kernel_from_json
 from .localfn import capped_occupancy
 from .measures import fugacity_measure, sample_box_config
@@ -103,7 +103,7 @@ class Experiment:
         self.kernel = _load("kernel", kernel_from_json, _field(cfg, "kernel", dict))
         self.rate = _load("rate", rate_from_json, _field(cfg, "rate", dict))
         self.policy = _parse_policy(_field(cfg, "policy", dict))
-        self.T = float(_field(cfg, "T", (int, float)))
+        self.T = _load("T", json_number, _field(cfg, "T"), "value")
         if not (self.T > 0) or not math.isfinite(self.T):
             raise ConfigError("config field 'T' must be positive and finite")
         self.replicas = int(_field(cfg, "replicas", int, required=False, default=1))
@@ -136,7 +136,8 @@ class Experiment:
             self.init_config = Configuration(
                 d, {_load(where, site_from_coords, site, d): count})
         else:
-            self.init_phi = float(_field(init, "initial.phi", (int, float)))
+            self.init_phi = _load("initial.phi", json_number,
+                                  _field(init, "initial.phi"), "value")
             self.init_n = int(_field(init, "initial.n", int))
             if not 0 <= self.init_n <= box:
                 raise ConfigError(f"config field 'initial.n' must lie in [0, {box}] "
@@ -293,8 +294,8 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.monotonic()
-    results = replica_map(_run_worker, exp.replicas, threads=threads,
-                          args=(exp, out_dir, args.format))
+    results = replica_map(lambda r: _run_worker(r, exp, out_dir, args.format),
+                          exp.replicas, threads=threads)
     entries, rows = zip(*results)
     reports = [DIAGNOSTICS[name][1](exp, rows, threads)
                for name in exp.diagnostics]

@@ -101,14 +101,14 @@ def config_from_json(obj: dict) -> Configuration:
         d, entries = obj["d"], obj["sites"]
     except (KeyError, TypeError) as e:
         raise ConfigError(f"configuration spec needs 'd' and 'sites': {e}") from None
-    d = int(json_number(d, "dimension", Integral))
+    d = json_number(d, "dimension", Integral)
     if not isinstance(entries, list):
         raise ConfigError(f"configuration sites {entries!r} are not a list")
     occ: dict[Site, int] = {}
     for ent in entries:
         try:
             x = site_from_coords(ent["x"], d)
-            n = int(json_number(ent["n"], "occupancy", Integral))
+            n = json_number(ent["n"], "occupancy", Integral)
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad site entry {ent!r}: {e}") from None
         if x in occ:

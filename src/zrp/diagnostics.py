@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configuration import Configuration, _apply_event, intervals, move
-from .engine import OPEN, BoundaryPolicy, periodic, route, simulate
+from .engine import OPEN, BoundaryPolicy, periodic, route, simulate, simulate_gillespie
 from .errors import ConfigError, InvariantViolation
 from .kernel import Kernel, is_nearest_neighbour_1d, nn_kernel_1d
 from .localfn import LocalFunction
@@ -109,34 +109,6 @@ class Report:
 
 # ------------------------------------------------------- martingale residual
 
-def _martingale_worker(r, f, eta0, rate, kernel, policy, T, seed, grid, table):
-    """table caches (Lf, sum of g at the sources) by the sources' occupancies:
-    one copy per worker, shared by that worker's replicas."""
-    noise = HarrisNoise(seed, (r,))
-    traj = simulate(eta0, rate, kernel, policy, T, noise)
-    sources = _candidate_sources(f, kernel, policy)
-    f0 = f.value(eta0.occ)
-    integral = 0.0
-    rate_mass = 0.0  # integral of sum_{x in Abar} g(eta_s(x)) ds
-    gi = 0
-    m_grid = np.empty(len(grid))
-    for t0, t1, occ in intervals(traj):
-        key = tuple(occ.get(x, 0) for x in sources)
-        if key not in table:
-            table[key] = (_generator_apply_dict(f, occ, rate, kernel, policy, sources),
-                          sum(map(rate.g, key)))
-        lf, mass = table[key]
-        while gi < len(grid) and t0 <= grid[gi] < t1:
-            m_grid[gi] = f.value(occ) - f0 - (integral + lf * (grid[gi] - t0))
-            gi += 1
-        dt = t1 - t0
-        integral += lf * dt
-        rate_mass += dt * mass
-    fT = f.value(traj.final.occ)
-    m_grid[gi:] = fT - f0 - integral
-    return m_grid, rate_mass, fT
-
-
 def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
                         kernel: Kernel, policy: BoundaryPolicy, T: float,
                         replicas: int, seed: int,
@@ -148,13 +120,38 @@ def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
     M_T respects the optional-quadratic-variation bound
     8 B^2 E[int sum_{x in Abar} g(eta_s(x)) ds] (within its own 4 SE band).
     The grid carries the mean path of M with its SEs. The Lf table is made
-    once per call, one copy per worker.
+    once per call and shared by a worker's replicas, one copy per worker.
     """
     if replicas < 2:
         raise ConfigError("the martingale residual needs replicas >= 2")
     grid = np.linspace(T / 8, T, 8)
-    rows = replica_map(_martingale_worker, replicas, threads=threads,
-                       args=(f, eta0, rate, kernel, policy, T, seed, grid, {}))
+    sources = _candidate_sources(f, kernel, policy)
+    f0 = f.value(eta0.occ)
+    table = {}  # (Lf, sum of g at the sources) by the sources' occupancies
+
+    def replica(r):
+        traj = simulate(eta0, rate, kernel, policy, T, HarrisNoise(seed, (r,)))
+        integral = 0.0
+        rate_mass = 0.0  # integral of sum_{x in Abar} g(eta_s(x)) ds
+        gi = 0
+        m_grid = np.empty(len(grid))
+        for t0, t1, occ in intervals(traj):
+            key = tuple(occ.get(x, 0) for x in sources)
+            if key not in table:
+                table[key] = (_generator_apply_dict(f, occ, rate, kernel, policy,
+                                                    sources), sum(map(rate.g, key)))
+            lf, mass = table[key]
+            while gi < len(grid) and t0 <= grid[gi] < t1:
+                m_grid[gi] = f.value(occ) - f0 - (integral + lf * (grid[gi] - t0))
+                gi += 1
+            dt = t1 - t0
+            integral += lf * dt
+            rate_mass += dt * mass
+        fT = f.value(traj.final.occ)
+        m_grid[gi:] = fT - f0 - integral
+        return m_grid, rate_mass, fT
+
+    rows = replica_map(replica, replicas, threads=threads)
     M = np.stack([row[0] for row in rows])
     mass = np.array([row[1] for row in rows])
     mT = M[:, -1]
@@ -240,18 +237,22 @@ def torus_row(eta0: Configuration, traj) -> tuple[int, int, int]:
     return eta0.count(o), traj.final.count(o), crossings
 
 
-def _torus_worker(r, measure, rate, kernel, torus_n, T, seed, start, N):
-    """torus_row of one torus replica from a product start ("grand") or from
-    a pile of N particles at the origin ("point")."""
-    d = kernel.d
-    if start == "grand":
-        eta0 = sample_box_config(measure, torus_n, d,
-                                 derived_rng(seed, TAG_SAMPLE, r))
-    else:
-        eta0 = Configuration(d, {origin(d): N})
-    noise = HarrisNoise(seed, (r,))
-    traj = simulate(eta0, rate, kernel, periodic(torus_n), T, noise)
-    return torus_row(eta0, traj)
+def _torus_rows(measure, rate: RateFn, kernel: Kernel, torus_n: int, T: float,
+                replicas: int, seed: int, threads: int, N: int | None = None):
+    """torus_row of each torus replica, from a product start of measure or,
+    when N is given, from a pile of N particles at the origin."""
+    d, policy = kernel.d, periodic(torus_n)
+
+    def replica(r):
+        if N is None:
+            eta0 = sample_box_config(measure, torus_n, d,
+                                     derived_rng(seed, TAG_SAMPLE, r))
+        else:
+            eta0 = Configuration(d, {origin(d): N})
+        traj = simulate(eta0, rate, kernel, policy, T, HarrisNoise(seed, (r,)))
+        return torus_row(eta0, traj)
+
+    return replica_map(replica, replicas, threads=threads)
 
 
 # -------------------------------------------------- statistical stationarity
@@ -310,10 +311,9 @@ def stationarity_statistical(rate: RateFn, kernel: Kernel, phi: float,
                           "a chi-square needs two or more")
     if replicas < (R := chi2_replicas(measure.pmf, replicas)):
         raise ConfigError(f"a chi-square cell expects under 5: need replicas >= {R}")
-    M = (2 * torus_n + 1) ** d
-    N = int(round(measure.density() * M))
-    rows = replica_map(_torus_worker, replicas, threads=threads,
-                       args=(measure, rate, kernel, torus_n, T, seed, start, N))
+    N = round(measure.density() * (2 * torus_n + 1) ** d)
+    rows = _torus_rows(measure, rate, kernel, torus_n, T, replicas, seed,
+                       threads, N if start == "point" else None)
     return stationarity_report(rows, measure, phi, torus_n, T, seed, start,
                                alpha)
 
@@ -367,17 +367,6 @@ def chi2_joint_two_sample(cells_a: dict, cells_b: dict):
     return stat, dof, float(chi2.sf(stat, dof))
 
 
-def _engine_pair_worker(r, eta0, rate, kernel, policy, T, seed, window):
-    from .engine import simulate_gillespie
-    noise = HarrisNoise(seed, (r,))
-    th = simulate(eta0, rate, kernel, policy, T, noise)
-    rng = derived_rng(seed, TAG_GILLESPIE, r)
-    tg = simulate_gillespie(eta0, rate, kernel, policy, T, rng)
-    key_h = tuple(th.final.count(x) for x in window)
-    key_g = tuple(tg.final.count(x) for x in window)
-    return key_h, key_g
-
-
 def engine_agreement_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
                            policy: BoundaryPolicy, T: float, replicas: int,
                            seed: int, alpha: float = 0.001,
@@ -389,8 +378,15 @@ def engine_agreement_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
     if replicas < 1:
         raise ConfigError("engine agreement needs replicas >= 1")
     window = box_sites(1, kernel.d)
-    rows = replica_map(_engine_pair_worker, replicas, threads=threads,
-                       args=(eta0, rate, kernel, policy, T, seed, tuple(window)))
+
+    def replica(r):
+        th = simulate(eta0, rate, kernel, policy, T, HarrisNoise(seed, (r,)))
+        tg = simulate_gillespie(eta0, rate, kernel, policy, T,
+                                derived_rng(seed, TAG_GILLESPIE, r))
+        return (tuple(th.final.count(x) for x in window),
+                tuple(tg.final.count(x) for x in window))
+
+    rows = replica_map(replica, replicas, threads=threads)
     cells_h: dict = {}
     cells_g: dict = {}
     for kh, kg in rows:
@@ -466,8 +462,8 @@ def j_inequality_check(zeta0: Configuration, psi0: Configuration, rate: RateFn,
         raise ConfigError("the discrepancy inequality needs a d=1 nearest-neighbour kernel")
     if replicas < 1:
         raise ConfigError("the discrepancy inequality needs replicas >= 1")
-    rows = replica_map(_j_worker, replicas, threads=threads,
-                       args=(zeta0, psi0, rate, kernel, T, seed))
+    rows = replica_map(lambda r: _j_worker(r, zeta0, psi0, rate, kernel, T, seed),
+                       replicas, threads=threads)
     total = int(sum(rows))
     return Report(test="j_inequality", passed=total == 0, statistic=float(total),
                   threshold=0.0, seed=seed, n_replicas=replicas,
@@ -494,10 +490,8 @@ def poisson_flux_check(rate: RateFn, phi: float, torus_n: int, T: float,
         raise ConfigError("need torus radius >= 1")
     if replicas < 2:
         raise ConfigError("the flux dispersion needs replicas >= 2")
-    measure = fugacity_measure(rate, phi)
-    rows = replica_map(_torus_worker, replicas, threads=threads,
-                       args=(measure, rate, nn_kernel_1d(1.0), torus_n, T, seed,
-                             "grand", 0))
+    rows = _torus_rows(fugacity_measure(rate, phi), rate, nn_kernel_1d(1.0),
+                       torus_n, T, replicas, seed, threads)
     return flux_report(rows, phi, torus_n, T, seed)
 
 
@@ -534,8 +528,7 @@ def mass_conservation_check(rate: RateFn, kernel: Kernel, phi: float,
     if replicas < 1:
         raise ConfigError("mass conservation needs replicas >= 1")
     measure = fugacity_measure(rate, phi)
-    rows = replica_map(_torus_worker, replicas, threads=threads,
-                       args=(measure, rate, kernel, torus_n, T, seed, "grand", 0))
+    rows = _torus_rows(measure, rate, kernel, torus_n, T, replicas, seed, threads)
     return mass_report(rows, measure, phi, seed)
 
 

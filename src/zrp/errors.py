@@ -33,10 +33,14 @@ class WorkerError(ZRPError, RuntimeError):
 
 
 def json_number(value, what: str, kind: type = Real):
-    """value itself if it is a number of kind (Integral or Real), else a
-    ConfigError naming it as what. A JSON true is not a number and a string
-    is not converted; numpy numbers are accepted."""
+    """value as an int (kind Integral) or a float (kind Real), else a
+    ConfigError naming it as what. A JSON true is not a number, a string is
+    not converted and an integer past float range is not a Real; numpy
+    numbers are accepted."""
     if isinstance(value, bool) or not isinstance(value, kind):
         want = "an integer" if kind is Integral else "a number"
         raise ConfigError(f"{what} {value!r} is not {want}")
-    return value
+    try:
+        return int(value) if kind is Integral else float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is past float range") from None

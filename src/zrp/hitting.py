@@ -261,13 +261,6 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
 
 # ------------------------------------------------------ exponential moments
 
-def _exp_moment_worker(r, eta0, rate, kernel, T, seed, grid, z):
-    noise = HarrisNoise(seed, (r,))
-    traj = simulate(eta0, rate, kernel, OPEN, T, noise)
-    snaps = snapshots(traj, grid)
-    return np.array([snap.count(z) for snap in snaps], dtype=np.int64)
-
-
 def exp_moment_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
                      z: Site, theta: float, T: float, replicas: int,
                      seed: int, threads: int = 1) -> Report:
@@ -284,8 +277,13 @@ def exp_moment_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
     if replicas < 1:
         raise ConfigError("the moment check needs replicas >= 1")
     grid = np.linspace(T / 4, T, 4)
-    rows = replica_map(_exp_moment_worker, replicas, threads=threads,
-                       args=(eta0, rate, kernel, T, seed, grid, z))
+
+    def replica(r):
+        traj = simulate(eta0, rate, kernel, OPEN, T, HarrisNoise(seed, (r,)))
+        return np.array([snap.count(z) for snap in snapshots(traj, grid)],
+                        dtype=np.int64)
+
+    rows = replica_map(replica, replicas, threads=threads)
     vals = np.stack(rows).astype(float)  # (R, G)
 
     mlo = np.empty(len(grid))

@@ -37,8 +37,8 @@ class Kernel:
     offsets: tuple[tuple[int, ...], ...]
     probs: tuple[float, ...]
     # derived, filled in __post_init__
-    cum: tuple[float, ...] = field(default=(), compare=False)
-    range: int = field(default=0, compare=False)
+    cum: tuple[float, ...] = field(init=False, compare=False)
+    range: int = field(init=False, compare=False)
     jumps: tuple[Site, ...] = field(init=False, compare=False)  # offsets as sites
 
     def __post_init__(self):
@@ -137,14 +137,14 @@ def kernel_from_json(obj: dict) -> Kernel:
         d, raw = obj["d"], obj["support"]
     except (KeyError, TypeError) as e:
         raise ConfigError(f"kernel spec needs 'd' and 'support': {e}") from None
-    d = int(json_number(d, "kernel dimension", Integral))
+    d = json_number(d, "kernel dimension", Integral)
     if not isinstance(raw, list):
         raise ConfigError(f"kernel support {raw!r} is not a list")
     items = []
     for ent in raw:
         try:
             z = site_from_coords(ent["z"], d)
-            p = float(json_number(ent["p"], "probability"))
+            p = json_number(ent["p"], "probability")
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad kernel support entry {ent!r}: {e}") from None
         items.append((z, p))

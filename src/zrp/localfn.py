@@ -4,8 +4,8 @@ A LocalFunction declares its support A (the only sites it reads) and a sup
 bound B. Evaluation takes any occupancy mapping (Configuration.occ or the
 engine's working dict) and must use occ.get(x, 0) semantics.
 
-Built-ins are assembled from module-level evaluators via functools.partial so
-instances stay picklable for process-parallel replica maps.
+Built-ins are assembled from module-level evaluators via functools.partial.
+No instance needs to be picklable: replica workers are forked and inherit it.
 """
 from __future__ import annotations
 
@@ -72,10 +72,7 @@ def capped_occupancy(site: Site, cap: int) -> LocalFunction:
 def product_local(factors: dict[Site, tuple[Callable[[int], float], float]],
                   label: str = "product") -> LocalFunction:
     """f(eta) = prod_x f_x(eta(x)) with declared per-factor sup bounds.
-
-    Factor callables must be picklable (module-level) if the function is used
-    with process-parallel replica maps.
-    """
+    A factor may be any callable, a lambda or a closure included."""
     if not factors:
         raise ConfigError("product needs at least one factor")
     items = tuple(sorted(((site, fn) for site, (fn, _b) in factors.items()),

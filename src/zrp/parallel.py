@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -52,47 +52,39 @@ def _forkable(threads: int) -> int:
 
 
 def resolve_threads(requested: int | None = None) -> int:
-    """--threads flag wins, then ZRP_THREADS, then CPU count (1 without os.fork)."""
-    if requested is not None:
-        if requested < 1:
-            raise ConfigError("threads must be >= 1")
-        return _forkable(requested)
-    env = os.environ.get("ZRP_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"ZRP_THREADS={env!r} is not an integer") from None
-        if n < 1:
-            raise ConfigError("ZRP_THREADS must be >= 1")
-        return _forkable(n)
-    return (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    """The --threads flag, else the CPU count (1 without os.fork)."""
+    if requested is None:
+        return (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    if requested < 1:
+        raise ConfigError("threads must be >= 1")
+    return _forkable(requested)
 
 
-def _share(fn, indices, args) -> tuple:
+def _share(fn, indices) -> tuple:
     """(None, results) of the replicas in indices, or (i, exception) of the
     first of them to raise."""
     out = []
     for i in indices:
         try:
-            out.append(fn(i, *args))
+            out.append(fn(i))
         except Exception as e:
             return i, e
     return None, out
 
 
-def replica_map(fn: Callable[..., Any], n_replicas: int, *, threads: int = 1,
-                args: Sequence[Any] = ()) -> list[Any]:
-    """[fn(0, *args), ..., fn(n-1, *args)] with results in replica order.
+def replica_map(fn: Callable[[int], Any], n_replicas: int, *,
+                threads: int = 1) -> list[Any]:
+    """[fn(0), ..., fn(n-1)] with results in replica order.
 
-    With w = min(threads, n_replicas) > 1 the caller forks w - 1 children
-    and runs worker 0 itself; worker k runs the replicas i % w == k. fn may
-    be a closure and sees monkeypatches made before the call; its results
-    and exceptions must be picklable. The lowest raising replica's exception
-    is raised, as at threads=1. Every child is reaped before the call ends;
-    one that ends without reporting raises WorkerError with its exit status.
+    fn(r) depends on r alone, its random streams keyed by r; it is typically
+    a closure over its caller's inputs. With w = min(threads, n_replicas) > 1
+    the caller forks w - 1 children and runs worker 0 itself; worker k runs
+    the replicas r % w == k. fn sees monkeypatches made before the call; its
+    results and exceptions must be picklable. The lowest raising replica's
+    exception is raised, as at threads=1. Every child is reaped before the
+    call ends; one that ends without reporting raises WorkerError with its
+    exit status.
     """
-    args = tuple(args)
     workers = max(1, min(_forkable(threads), n_replicas))
     children, shares, codes = [], [], []  # children: (pid, read end of pipe)
     try:
@@ -102,13 +94,13 @@ def replica_map(fn: Callable[..., Any], n_replicas: int, *, threads: int = 1,
             if pid == 0:  # worker k reports through its pipe, never returns
                 try:
                     with open(w, "wb") as pipe:
-                        pickle.dump(_share(fn, range(k, n_replicas, workers), args), pipe)
+                        pickle.dump(_share(fn, range(k, n_replicas, workers)), pipe)
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        shares.append(_share(fn, range(0, n_replicas, workers), args))
+        shares.append(_share(fn, range(0, n_replicas, workers)))
         shares += [pipe.read() for _, pipe in children]
     finally:
         for pid, pipe in children:

@@ -28,8 +28,7 @@ class RateFn:
     c: float | None = None            # exp: g(k) = c * e**(theta k), k >= 1
     theta: float | None = None
     table: tuple[float, ...] | None = None
-    label: str = ""
-    _memo: list[float] = field(default_factory=list, repr=False)
+    _memo: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family == "power":
@@ -101,16 +100,15 @@ class RateFn:
 
 
 def power_rate(a: float) -> RateFn:
-    return RateFn(family="power", a=float(a), label=f"k^{a:g}")
+    return RateFn(family="power", a=float(a))
 
 
 def exp_rate(c: float, theta: float) -> RateFn:
-    return RateFn(family="exp", c=float(c), theta=float(theta),
-                  label=f"{c:g}*e^({theta:g}k)")
+    return RateFn(family="exp", c=float(c), theta=float(theta))
 
 
-def table_rate(values, label: str = "table") -> RateFn:
-    return RateFn(family="table", table=tuple(float(v) for v in values), label=label)
+def table_rate(values) -> RateFn:
+    return RateFn(family="table", table=tuple(float(v) for v in values))
 
 
 def rate_from_json(obj: dict) -> RateFn:

@@ -29,7 +29,7 @@ def site_coords(x: Site) -> tuple[int, ...]:
 
 
 def site_from_coords(coords, d: int) -> Site:
-    coords = tuple(int(json_number(c, "site coordinate", Integral)) for c in coords)
+    coords = tuple(json_number(c, "site coordinate", Integral) for c in coords)
     if len(coords) != d:
         raise ConfigError(f"site {list(coords)} has {len(coords)} coordinates, expected d={d}")
     return coords[0] if d == 1 else coords

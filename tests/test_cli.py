@@ -256,13 +256,10 @@ def test_negative_or_boolean_seed_is_config_error(tmp_path, how):
     assert "Traceback" not in text
 
 
-@pytest.mark.parametrize("flag,env", [("0", None), (None, "zero"), (None, "0")])
-def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, flag, env):
-    if env is not None:
-        monkeypatch.setenv("ZRP_THREADS", env)
+def test_bad_thread_count_is_config_error(tmp_path):
     p = _write_cfg(tmp_path, BASE)
-    args = ["run", "--config", str(p), "--out", str(tmp_path / "out")]
-    code, text = _run(args + (["--threads", flag] if flag else []))
+    code, text = _run(["run", "--config", str(p), "--out", str(tmp_path / "out"),
+                       "--threads", "0"])
     assert code == 1
     assert "config error:" in text
     assert "threads" in text.lower()
@@ -457,6 +454,15 @@ KILLED = dict(BASE, policy={"kind": "killed", "n": 2})
     ("policy.n", dict(BASE, policy={"kind": "open", "n": 2})),
     ("initial.phi", dict(BASE, initial={"mode": "point", "n_particles": 1,
                                         "phi": 1.0})),
+    # a JSON integer past float range
+    ("T", dict(BASE, T=10 ** 400)),
+    ("initial.phi", dict(TORUS, initial={"mode": "product", "phi": 10 ** 400,
+                                         "n": 2})),
+    ("rate", dict(BASE, rate={"family": "power", "a": 10 ** 400})),
+    ("rate", dict(BASE, rate={"family": "exp", "c": 10 ** 400, "theta": 1})),
+    ("rate", dict(BASE, rate={"family": "exp", "c": 1, "theta": 10 ** 400})),
+    ("rate", dict(BASE, rate={"family": "table", "values": [0, 10 ** 400]})),
+    ("kernel", dict(BASE, kernel={"d": 1, "support": [{"z": [1], "p": 10 ** 400}]})),
 ])
 def test_config_the_engine_rejects_fails_before_output(tmp_path, field, cfg):
     p = _write_cfg(tmp_path, cfg)
@@ -539,7 +545,7 @@ PINNED_EVENTS_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_every_diagnostic_report_is_pinned(tmp_path, threads):
     """Every diagnostic the CLI offers, on one tiny torus config, writes the
     same bytes: a refactor of the CLI or of the diagnostics must keep them."""
@@ -570,7 +576,8 @@ def _events_sha256(out, fmt):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+# 40 replicas: 20/20 at 2 workers, 14/13/13 at 3
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_json_event_files_are_pinned(tmp_path, threads):
     p = _write_cfg(tmp_path, PINNED)
     out = tmp_path / "out"

@@ -320,7 +320,7 @@ def test_mass_conservation_equal_counts_have_finite_z(monkeypatch):
     # marginal Poisson(3), so the exact SE is sqrt(3 / 5). A torus replica
     # returns (origin at 0, origin at T, crossings).
     monkeypatch.setattr(diagnostics, "replica_map",
-                        lambda fn, n, threads, args: [(4, 4, 0)] * n)
+                        lambda fn, n, threads: [(4, 4, 0)] * n)
     rep = mass_conservation_check(power_rate(1.0), nn_kernel_1d(0.5), 3.0, 5,
                                   1.0, 5, 19)
     assert rep.statistic == pytest.approx(1.0 / math.sqrt(0.6), rel=1e-9)

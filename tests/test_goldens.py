@@ -171,12 +171,12 @@ MARTINGALE_D2 = (capped_occupancy((0, 0), 10),
                  power_rate(2), symmetric_nn_kernel(2), OPEN, 1.0, 40, 204)
 
 REPORTS = {
-    "engine-agreement": lambda: engine_agreement_check(
+    "engine-agreement": lambda threads=1: engine_agreement_check(
         Configuration(1, {0: 2, 1: 1}), power_rate(2), nn_kernel_1d(0.7),
-        killed(2), 0.75, 60, 201),
-    "exp-moment": lambda: exp_moment_check(
+        killed(2), 0.75, 60, 201, threads=threads),
+    "exp-moment": lambda threads=1: exp_moment_check(
         Configuration(1, {-1: 1, 0: 1, 1: 1}), power_rate(2),
-        nn_kernel_1d(0.5), 0, 0.5, 1.0, 40, 202),
+        nn_kernel_1d(0.5), 0, 0.5, 1.0, 40, 202, threads=threads),
     "mbar-exp-sum": lambda: mbar(MBAR_ETA, 0, 1.0, power_rate(2),
                                  nn_kernel_1d(0.5), K=3),
     "mbar-none": lambda: mbar(MBAR_ETA, 0, 1.0, power_rate(2),
@@ -197,17 +197,27 @@ REPORT_GOLDEN = {
 }
 
 
+def _report_sha256(name, **kwargs):
+    blob = json.dumps(REPORTS[name](**kwargs).to_json(), sort_keys=True,
+                      allow_nan=False)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_matches_golden(name):
-    blob = json.dumps(REPORTS[name]().to_json(), sort_keys=True,
-                      allow_nan=False)
-    assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_GOLDEN[name]
+    assert _report_sha256(name) == REPORT_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", ["martingale-d1-capped", "martingale-d2-capped"])
 def test_martingale_report_does_not_depend_on_threads(name):
-    # in one process the replicas share one Lf table, in a pool each chunk
-    # has its own; the sums must not tell
-    blob = json.dumps(REPORTS[name](threads=2).to_json(), sort_keys=True,
-                      allow_nan=False)
-    assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_GOLDEN[name]
+    # in one process the replicas share one Lf table, at 2 and 3 workers
+    # each worker has its own copy; the sums must not tell
+    for threads in (2, 3):
+        assert _report_sha256(name, threads=threads) == REPORT_GOLDEN[name]
+
+
+# exp-moment's 40 replicas split 14/13/13 at 3 workers
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("name", ["engine-agreement", "exp-moment"])
+def test_report_does_not_depend_on_threads(name, threads):
+    assert _report_sha256(name, threads=threads) == REPORT_GOLDEN[name]

@@ -5,6 +5,7 @@ import pytest
 
 from zrp.errors import ConfigError
 from zrp.kernel import (
+    Kernel,
     is_nearest_neighbour_1d,
     kernel_from_json,
     make_kernel,
@@ -72,6 +73,12 @@ def test_make_kernel_validation():
 def test_kernel_range_is_max_norm():
     assert make_kernel([((2, 1), 0.5), ((0, -1), 0.5)]).range == 2
     assert make_kernel([(-2, 0.25), (1, 0.5), (3, 0.25)]).range == 3
+
+
+@pytest.mark.parametrize("derived", [{"cum": (1.0,)}, {"range": 5}])
+def test_derived_fields_are_not_constructor_arguments(derived):
+    with pytest.raises(TypeError):
+        Kernel(d=1, offsets=((1,),), probs=(1.0,), **derived)
 
 
 def test_sample_jump_is_cdf_inversion():

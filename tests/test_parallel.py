@@ -18,10 +18,6 @@ def _cube(i):
     return i ** 3
 
 
-def _affine(i, base):
-    return base + i
-
-
 class Odd(Exception):
     pass
 
@@ -58,11 +54,6 @@ def test_replica_map_order_and_thread_independence(threads, n):
     _assert_no_children()
 
 
-def test_replica_map_passes_args():
-    for threads in (1, 2):
-        assert replica_map(_affine, 4, threads=threads, args=(10,)) == [10, 11, 12, 13]
-
-
 def test_closure_runs_at_two_threads():
     scale = 7
     assert replica_map(lambda i: scale * i, 5, threads=2) == [0, 7, 14, 21, 28]
@@ -80,7 +71,7 @@ def test_results_larger_than_a_pipe_buffer():
 def test_lowest_replica_exception_is_raised(bad, first):
     for threads in (1, 2):
         with pytest.raises(Odd, match=f"^replica {first}$"):
-            replica_map(_raise_at, 8, threads=threads, args=(bad,))
+            replica_map(lambda i: _raise_at(i, bad), 8, threads=threads)
         _assert_no_children()
 
 
@@ -95,7 +86,7 @@ def _die(i, how):
 @pytest.mark.parametrize("how,status", [("signal", -signal.SIGKILL), ("exit", 3)])
 def test_child_that_dies_without_reporting(how, status):
     with _deadline(60), pytest.raises(WorkerError, match=f"exit status {status} "):
-        replica_map(_die, 4, threads=2, args=(how,))
+        replica_map(lambda i: _die(i, how), 4, threads=2)
     _assert_no_children()
 
 
@@ -125,14 +116,9 @@ def test_caller_interrupted_stops_the_children():
 
 def test_no_fork_is_a_config_error(monkeypatch):
     monkeypatch.delattr(os, "fork")
-    monkeypatch.delenv("ZRP_THREADS", raising=False)
     with pytest.raises(ConfigError, match="os.fork"):
         resolve_threads(2)
     with pytest.raises(ConfigError, match="os.fork"):
         replica_map(_cube, 4, threads=2)
-    monkeypatch.setenv("ZRP_THREADS", "2")
-    with pytest.raises(ConfigError, match="os.fork"):
-        resolve_threads()
-    monkeypatch.delenv("ZRP_THREADS")
     assert resolve_threads() == 1
     assert replica_map(_cube, 4, threads=1) == [0, 1, 8, 27]

@@ -6,6 +6,7 @@ import pytest
 from zrp.errors import ConfigError, RateRangeError
 from zrp.kernel import nn_kernel_1d, symmetric_nn_kernel
 from zrp.rates import (
+    RateFn,
     check_corollary_conditions,
     exp_rate,
     power_rate,
@@ -32,6 +33,15 @@ def test_exp_family_applies_above_zero_only():
     assert r.g(0) == 0.0
     assert r.g(1) == pytest.approx(2.0 * math.exp(0.5))
     assert r.g(4) == pytest.approx(2.0 * math.exp(2.0))
+
+
+def test_memo_is_not_a_constructor_argument_and_not_compared():
+    with pytest.raises(TypeError):
+        RateFn(family="power", a=2.0, _memo=[0.0, 5.0])
+    a, b = power_rate(2), power_rate(2)
+    a.g(5)
+    assert a == b
+    assert a != power_rate(3)
 
 
 def test_table_lookup_and_domain():
