@@ -19,7 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation, json_number
+from .errors import ConfigError, InvariantViolation, brief, json_number
 from .sites import (Site, max_norm, site_coords, site_from_coords, site_sub,
                     validate_site)
 
@@ -103,14 +103,14 @@ def config_from_json(obj: dict) -> Configuration:
         raise ConfigError(f"configuration spec needs 'd' and 'sites': {e}") from None
     d = json_number(d, "dimension", Integral)
     if not isinstance(entries, list):
-        raise ConfigError(f"configuration sites {entries!r} are not a list")
+        raise ConfigError(f"configuration sites {brief(entries)} are not a list")
     occ: dict[Site, int] = {}
     for ent in entries:
         try:
             x = site_from_coords(ent["x"], d)
             n = json_number(ent["n"], "occupancy", Integral)
         except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad site entry {ent!r}: {e}") from None
+            raise ConfigError(f"bad site entry {brief(ent)}: {e}") from None
         if x in occ:
             raise ConfigError(f"duplicate site {ent['x']!r}")
         occ[x] = n

@@ -283,16 +283,22 @@ def chi2_replicas(probs: np.ndarray, replicas: int) -> int:
     return max(replicas, math.ceil(5.0 / min(top, 1.0 - top)))
 
 
+def _chi2_sf(stat: float, dof: int) -> float:
+    """scipy.stats' chi2.sf(stat, dof) bit for bit, from the scipy.special
+    kernel it calls: nan at dof < 1, as there."""
+    from scipy.special import chdtrc
+    return float(chdtrc(dof, stat)) if dof >= 1 else math.nan
+
+
 def _chi2_one_sample(counts: np.ndarray, probs: np.ndarray):
     """Chi-square of counts against probs, the cells under 5 expected merged
     by _sparse_merge; every cell expects >= 5 from chi2_replicas replicas on."""
-    from scipy.stats import chi2
     exp = probs * counts.sum()
     keep = _sparse_merge(exp, 5.0)
     obs, ex = _merged(counts, keep), _merged(exp, keep)
     stat = float(np.sum((obs - ex) ** 2 / ex))
     dof = len(obs) - 1
-    return stat, dof, float(chi2.sf(stat, dof))
+    return stat, dof, _chi2_sf(stat, dof)
 
 
 def stationarity_statistical(rate: RateFn, kernel: Kernel, phi: float,
@@ -348,7 +354,6 @@ def chi2_joint_two_sample(cells_a: dict, cells_b: dict):
     """Homogeneity chi-square over categorical cells (dict key -> count).
     Rare cells (pooled count < _MIN_POOLED) are merged by _sparse_merge,
     the cells taken by descending pooled count, then by str(key)."""
-    from scipy.stats import chi2
     keys = sorted(set(cells_a) | set(cells_b),
                   key=lambda k: (-(cells_a.get(k, 0) + cells_b.get(k, 0)), str(k)))
     a = np.array([cells_a.get(k, 0) for k in keys], dtype=float)
@@ -364,7 +369,7 @@ def chi2_joint_two_sample(cells_a: dict, cells_b: dict):
     stat = float(np.sum((o1[mask] - e1[mask]) ** 2 / e1[mask])
                  + np.sum((o2[mask] - e2[mask]) ** 2 / e2[mask]))
     dof = int(mask.sum()) - 1
-    return stat, dof, float(chi2.sf(stat, dof))
+    return stat, dof, _chi2_sf(stat, dof)
 
 
 def engine_agreement_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
@@ -474,9 +479,11 @@ def j_inequality_check(zeta0: Configuration, psi0: Configuration, rate: RateFn,
 
 def _chi2_two_sided_z(stat: float, dof: int) -> float:
     """The normal |z| whose two-sided tail area equals that of stat under
-    chi2(dof)."""
-    from scipy.stats import chi2, norm
-    return float(norm.isf(min(chi2.cdf(stat, dof), chi2.sf(stat, dof))))
+    chi2(dof): scipy.stats' norm.isf(min(chi2.cdf, chi2.sf)), bit for bit."""
+    from scipy.special import chdtr, ndtri
+    q = min(float(chdtr(dof, stat)), _chi2_sf(stat, dof)) if dof >= 1 else math.nan
+    # 0.0 - rather than a bare minus: norm.isf(0.5) is +0.0, not -0.0
+    return float(0.0 - ndtri(q))
 
 
 def poisson_flux_check(rate: RateFn, phi: float, torus_n: int, T: float,

@@ -32,6 +32,15 @@ class WorkerError(ZRPError, RuntimeError):
     """A replica worker process ended without reporting its results."""
 
 
+def brief(value, limit: int = 80) -> str:
+    """repr(value), its middle cut out past limit characters, so that an
+    error echoing a spec stays short."""
+    text = repr(value)
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit // 2]} ... {text[-(limit // 2):]}"
+
+
 def json_number(value, what: str, kind: type = Real):
     """value as an int (kind Integral) or a float (kind Real), else a
     ConfigError naming it as what. A JSON true is not a number, a string is
@@ -39,7 +48,7 @@ def json_number(value, what: str, kind: type = Real):
     numbers are accepted."""
     if isinstance(value, bool) or not isinstance(value, kind):
         want = "an integer" if kind is Integral else "a number"
-        raise ConfigError(f"{what} {value!r} is not {want}")
+        raise ConfigError(f"{what} {brief(value)} is not {want}")
     try:
         return int(value) if kind is Integral else float(value)
     except OverflowError:

@@ -32,6 +32,19 @@ _MAX_EXACT_STATES = 25_000
 
 # ------------------------------------------------------------ exact bracket
 
+def _poisson_weights(s: float, tol: float) -> np.ndarray:
+    """Poisson(s) pmf at 0..n, n one past the isf at tol/2: scipy.stats'
+    poisson.isf and poisson.pmf written out in scipy.special, bit for bit."""
+    from scipy.special import gammaln, pdtr, pdtrik, xlogy
+    n = 0
+    if s > 0:
+        q = 1.0 - tol / 2.0
+        top = math.ceil(pdtrik(q, s))
+        n = (top - 1 if top >= 1 and pdtr(top - 1, s) >= q else top) + 1
+    k = np.arange(n + 1)
+    return np.exp(xlogy(k, s) - gammaln(k + 1) - s)
+
+
 def exact_F_small(z: Site, s: float, kernel: Kernel,
                   tol: float = 1e-12) -> tuple[float, float]:
     """Deterministic bracket [lower, upper] for F_z(s) by uniformization.
@@ -43,7 +56,6 @@ def exact_F_small(z: Site, s: float, kernel: Kernel,
     escapes the box or sits in the Poisson tail is counted as a possible hit.
     """
     from scipy import sparse
-    from scipy.stats import poisson
     d = kernel.d
     z = validate_site(z, d)
     if s < 0 or not math.isfinite(s):
@@ -72,10 +84,11 @@ def exact_F_small(z: Site, s: float, kernel: Kernel,
                 cols.append(idx[y])
                 data.append(p)
             # else: escapes the box; tracked implicitly as lost mass
-    P = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    # v @ P would transpose P on every step; PT @ v is the same arithmetic
+    PT = sparse.csr_matrix((data, (rows, cols)), shape=(n, n)).T
 
-    n_max = int(poisson.isf(tol / 2.0, s)) + 1 if s > 0 else 0
-    w = poisson.pmf(np.arange(n_max + 1), s)
+    w = _poisson_weights(s, tol)
+    n_max = len(w) - 1
     v = np.zeros(n)
     v[idx[z]] = 1.0
     hit_cum = 0.0
@@ -86,7 +99,7 @@ def exact_F_small(z: Site, s: float, kernel: Kernel,
         survive_mass += w[k] * float(v.sum())
         if k < n_max:
             hit_cum += float(v @ hvec)
-            v = v @ P
+            v = PT @ v
     upper = 1.0 - survive_mass
     return float(lower), float(min(1.0, max(upper, lower)))
 

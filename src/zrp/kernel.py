@@ -24,7 +24,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, json_number
+from .errors import ConfigError, brief, json_number
 from .sites import Site, site_coords, site_from_coords
 
 PROB_TOL = 1e-12
@@ -139,13 +139,13 @@ def kernel_from_json(obj: dict) -> Kernel:
         raise ConfigError(f"kernel spec needs 'd' and 'support': {e}") from None
     d = json_number(d, "kernel dimension", Integral)
     if not isinstance(raw, list):
-        raise ConfigError(f"kernel support {raw!r} is not a list")
+        raise ConfigError(f"kernel support {brief(raw)} is not a list")
     items = []
     for ent in raw:
         try:
             z = site_from_coords(ent["z"], d)
             p = json_number(ent["p"], "probability")
         except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad kernel support entry {ent!r}: {e}") from None
+            raise ConfigError(f"bad kernel support entry {brief(ent)}: {e}") from None
         items.append((z, p))
     return make_kernel(items, d)

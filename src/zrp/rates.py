@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import ConfigError, RateRangeError, json_number
+from .errors import ConfigError, RateRangeError, brief, json_number
 from .kernel import Kernel, mean_drift
 
 MAX_RATE = 1e300  # beyond this, refuse rather than hand out inf
@@ -125,11 +125,12 @@ def rate_from_json(obj: dict) -> RateFn:
         if fam == "table":
             values = obj["values"]
             if not isinstance(values, list):
-                raise ConfigError(f"table values {values!r} are not a list")
-            return table_rate([json_number(v, "table value") for v in values])
+                raise ConfigError(f"table values {brief(values)} are not a list")
+            return table_rate([json_number(v, f"values[{k}]")
+                               for k, v in enumerate(values)])
     except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad rate spec {obj!r}: {e}") from None
-    raise ConfigError(f"unknown rate family {fam!r}")
+        raise ConfigError(f"bad rate spec {brief(obj)}: {e}") from None
+    raise ConfigError(f"unknown rate family {brief(fam)}")
 
 
 @dataclass(frozen=True)

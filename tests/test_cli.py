@@ -496,6 +496,21 @@ def test_loader_errors_name_the_field(tmp_path, cfg, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,spec", [
+    ("rate", {"family": "exp", "c": 10 ** 400, "theta": 1}),
+    ("rate", {"family": "table", "values": list(range(1500)) + [0]
+              + list(range(1501, 3000))}),
+    ("kernel", {"d": 1, "support": [{"z": [1], "p": 10 ** 400}]}),
+])
+def test_config_error_echoes_a_short_spec(tmp_path, field, spec):
+    # the error names the field and cuts the echoed spec, however long it is
+    p = _write_cfg(tmp_path, dict(BASE, **{field: spec}))
+    code, text = _run(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert text.startswith(f"config error: config field '{field}'")
+    assert len(text) < 300, text
+
+
 def test_point_initial_mode(tmp_path):
     cfg = dict(BASE)
     cfg["initial"] = {"mode": "point", "n_particles": 3, "site": [0]}
@@ -678,27 +693,39 @@ def test_config_fuzz(tmp_path):
     assert 20 <= accepted <= 180
 
 
-def test_run_without_statistics_loads_no_scipy_stats(tmp_path):
-    """import zrp, and zrp run with replay and mass only, load neither
-    scipy.stats nor scipy.sparse: in a fresh process the two cost about 1 s
-    and 45 MB, and only a statistical check or the exact hitting bracket
-    uses them."""
-    p = _write_cfg(tmp_path, dict(PINNED, replicas=2,
-                                  diagnostics=["replay", "mass"]))
+def test_run_and_every_check_load_no_scipy_stats(tmp_path):
+    """import zrp, zrp run with every diagnostic it offers, and the
+    statistical checks and moment bounds of the library load no scipy.stats
+    module: in a fresh process it costs about 0.9 s and 45 MB, and every
+    forked replica worker would carry it. The p-values come from
+    scipy.special; scipy.sparse still loads, for the exact hitting bracket
+    of mbar and the moment check only."""
+    p = _write_cfg(tmp_path, PINNED)
     script = (
         "import sys\n"
-        "def loaded():\n"
+        "def loaded(sub):\n"
         "    return sorted(m for m in sys.modules\n"
-        "                  if m.split('.')[:2] in (['scipy', 'stats'],\n"
-        "                                          ['scipy', 'sparse']))\n"
+        "                  if m.split('.')[:2] == ['scipy', sub])\n"
         "import zrp\n"
-        "print(loaded())\n"
+        "print(loaded('stats'), loaded('sparse'))\n"
         "from zrp import cli\n"
         f"code = cli.main(['run', '--config', {str(p)!r}, '--out',\n"
         f"                 {str(tmp_path / 'out')!r}, '--threads', '1'])\n"
-        "print(code, loaded())\n")
+        "print(code, loaded('stats'), loaded('sparse'))\n"
+        "from zrp import (Configuration, engine_agreement_check,\n"
+        "                 exp_moment_check, killed, mbar, nn_kernel_1d,\n"
+        "                 poisson_flux_check, power_rate,\n"
+        "                 stationarity_statistical)\n"
+        "g, nn = power_rate(2.0), nn_kernel_1d(0.5)\n"
+        "stationarity_statistical(g, nn, 1.0, 2, 0.5, 12, 1)\n"
+        "engine_agreement_check(Configuration(1, {0: 2, 1: 1}), g,\n"
+        "                       nn_kernel_1d(0.7), killed(2), 0.75, 60, 201)\n"
+        "poisson_flux_check(power_rate(1.0), 1.0, 2, 1.0, 5, 3)\n"
+        "exp_moment_check(Configuration(1, {-1: 1, 0: 1, 1: 1}), g, nn,\n"
+        "                 0, 0.5, 1.0, 5, 4)\n"
+        "mbar(Configuration(1, {0: 1, 2: 1, -3: 2}), 0, 1.0, g, nn, K=2)\n"
+        "print(loaded('stats'), 'scipy.sparse' in sys.modules)\n")
     res = _python(["-c", script], tmp_path)
     assert res.returncode == 0, res.stderr
-    lines = res.stdout.splitlines()
-    assert lines[0] == "[]"
-    assert lines[-1] == "0 []"
+    lines = res.stdout.splitlines()  # the run prints its verdicts between
+    assert [lines[0], *lines[-2:]] == ["[] []", "0 [] []", "[] True"]

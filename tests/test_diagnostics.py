@@ -13,6 +13,7 @@ from scipy.stats import chi2, norm
 from zrp import diagnostics, hitting
 from zrp.configuration import Configuration
 from zrp.diagnostics import (
+    _chi2_sf,
     _chi2_two_sided_z,
     _generator_apply_dict,
     _j_dicts,
@@ -313,6 +314,38 @@ def test_dispersion_z_at_the_4se_tail():
         assert _chi2_two_sided_z(q, 99) == pytest.approx(4.0, rel=1e-9)
     assert _chi2_two_sided_z(99.0, 99) < 0.1
     assert _chi2_two_sided_z(math.inf, 99) == math.inf
+
+
+def _same_bits(a, b):
+    return (math.isnan(a) and math.isnan(b)) or (
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+# the statistics a chi-square can produce: none negative, inf and nan included
+CHI2_STATS = (0.0, 1e-300, 1e-12, 1e-3, 0.5, 1.0, 2.0, 3.5, 7.0, 10.0, 30.0,
+              99.0, 150.0, 400.0, 1e3, 1e4, math.inf, math.nan)
+
+
+def test_chi2_kernels_equal_scipy_stats_bit_for_bit():
+    # the p-values and the dispersion z come from scipy.special; scipy.stats
+    # is the reference, at every dof the checks can reach up to 200 and at
+    # statistics around each dof's median too
+    for dof in range(1, 201):
+        median = float(chi2.median(dof))
+        for stat in CHI2_STATS + (median, math.nextafter(median, 0.0),
+                                  max(0.0, dof - math.sqrt(2 * dof)), float(dof)):
+            assert _same_bits(_chi2_sf(stat, dof), float(chi2.sf(stat, dof))), (dof, stat)
+            ref = float(norm.isf(min(chi2.cdf(stat, dof), chi2.sf(stat, dof))))
+            assert _same_bits(_chi2_two_sided_z(stat, dof), ref), (dof, stat)
+
+
+def test_chi2_at_zero_dof_is_nan():
+    # scipy.stats answers nan at dof = 0, where chdtrc gives 0.0 and the z
+    # inf; the kernels keep nan, so a one-cell test can never read as a pass
+    for stat in CHI2_STATS:
+        assert math.isnan(chi2.sf(stat, 0))
+        assert math.isnan(_chi2_sf(stat, 0))
+        assert math.isnan(_chi2_two_sided_z(stat, 0))
 
 
 def test_mass_conservation_equal_counts_have_finite_z(monkeypatch):

@@ -10,10 +10,12 @@ import math
 import numpy as np
 import pytest
 from scipy.special import gammainc
+from scipy.stats import poisson
 
 from zrp.configuration import Configuration
 from zrp.errors import ConfigError
 from zrp.hitting import (
+    _poisson_weights,
     estimate_F,
     exact_F_small,
     exp_moment_check,
@@ -29,6 +31,22 @@ def test_exact_bracket_tasep_closed_form():
         truth = 1.0 - math.exp(-t)
         assert lo <= truth <= hi
         assert hi - lo < 1e-10
+
+
+def test_poisson_weights_equal_scipy_stats_bit_for_bit():
+    # the exact bracket's jump-count law, against scipy.stats' poisson.isf
+    # and poisson.pmf on means up to _MAX_EXACT_TIME, integers included
+    rng = np.random.default_rng(20)
+    grid = np.concatenate([np.arange(1, 601), np.arange(1, 1200) / 2,
+                           np.geomspace(1e-9, 600.0, 300),
+                           rng.uniform(0.0, 600.0, 300)])
+    for tol in (1e-12, 1e-14):
+        for s in grid:
+            w = _poisson_weights(s, tol)
+            n = int(poisson.isf(tol / 2.0, s)) + 1
+            assert len(w) == n + 1, (s, tol)
+            assert w.tobytes() == poisson.pmf(np.arange(n + 1), s).tobytes(), (s, tol)
+    assert _poisson_weights(0.0, 1e-12).tolist() == [1.0]
 
 
 def test_exact_bracket_two_steps():
