@@ -32,13 +32,11 @@ class WorkerError(ZRPError, RuntimeError):
     """A replica worker process ended without reporting its results."""
 
 
-def brief(value, limit: int = 80) -> str:
-    """repr(value), its middle cut out past limit characters, so that an
-    error echoing a spec stays short."""
+def brief(value) -> str:
+    """repr(value), its middle cut out past 80 characters, so that an error
+    echoing a spec stays short."""
     text = repr(value)
-    if len(text) <= limit:
-        return text
-    return f"{text[:limit // 2]} ... {text[-(limit // 2):]}"
+    return text if len(text) <= 80 else f"{text[:40]} ... {text[-40:]}"
 
 
 def json_number(value, what: str, kind: type = Real):

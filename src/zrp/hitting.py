@@ -60,6 +60,8 @@ def exact_F_small(z: Site, s: float, kernel: Kernel,
     z = validate_site(z, d)
     if s < 0 or not math.isfinite(s):
         raise ConfigError("need a finite nonnegative time")
+    if not 0 < tol < 1:
+        raise ConfigError(f"need a tolerance 0 < tol < 1, got {tol!r}")
     o = origin(d)
     if z == o:
         return 1.0, 1.0

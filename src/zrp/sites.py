@@ -15,7 +15,7 @@ from __future__ import annotations
 from numbers import Integral
 from operator import add, sub
 
-from .errors import ConfigError, brief, json_number
+from .errors import ConfigError, json_number
 
 Site = int | tuple[int, ...]
 
@@ -87,8 +87,8 @@ def box_sites(n: int, d: int) -> list[Site]:
 def validate_site(x, d: int) -> Site:
     if d == 1:
         if isinstance(x, bool) or not isinstance(x, int):
-            raise ConfigError(f"d=1 sites must be ints, got {brief(x)}")
+            raise ConfigError(f"d=1 sites must be ints, got {x!r}")
         return x
     if not (isinstance(x, tuple) and len(x) == d and all(type(c) is int for c in x)):
-        raise ConfigError(f"d={d} sites must be {d}-tuples of ints, got {brief(x)}")
+        raise ConfigError(f"d={d} sites must be {d}-tuples of ints, got {x!r}")
     return x

@@ -84,6 +84,12 @@ def test_exact_bracket_rejects_huge_time():
         exact_F_small(-1, 1e3, nn_kernel_1d(0.5))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, 1.0, 2.0, math.nan])
+def test_exact_bracket_rejects_a_tolerance_outside_0_1(tol):
+    with pytest.raises(ConfigError, match="tolerance"):
+        exact_F_small(1, 1.0, nn_kernel_1d(0.5), tol=tol)
+
+
 @pytest.mark.parametrize("z, kernel", [((1, 0), nn_kernel_1d(0.5)),
                                        (1, symmetric_nn_kernel(2))])
 def test_exact_bracket_rejects_a_start_of_the_wrong_dimension(z, kernel):
