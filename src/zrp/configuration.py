@@ -4,7 +4,8 @@ A configuration is a sparse map site -> occupancy (>= 1 entries only). All
 operations are pure: they return new configurations.
 
 A trajectory is the initial configuration plus the ordered event list; the
-final state is redundant by design so that replay() can audit every run.
+final state is redundant by design so that replay() can audit every run;
+every other reader walks the log forward through states(), the one such walk.
 Event kinds: "jump" (mass moved src -> dst), "kill" (mass left the system at
 src; dst records where it would have landed), "periodic-wrap" (a jump whose
 target was folded back onto the torus).
@@ -182,9 +183,10 @@ def replay(traj: Trajectory) -> Configuration:
     return final
 
 
-def snapshots(traj: Trajectory, times) -> list[Configuration]:
-    """States at the given non-decreasing times within [0, T]."""
-    out = []
+def states(traj: Trajectory, times):
+    """Yield the state after every event at or before each of the
+    non-decreasing times within [0, T]. Each yield is one live dict, updated
+    in place: copy it to keep it. The walk allocates nothing per event."""
     occ = dict(traj.initial.occ)
     i = 0
     events = traj.events
@@ -198,26 +200,12 @@ def snapshots(traj: Trajectory, times) -> list[Configuration]:
         while i < len(events) and events[i][0] <= t:
             _apply_event(occ, events[i])
             i += 1
-        out.append(_trusted(traj.d, dict(occ)))
-    return out
+        yield occ
 
 
-def intervals(traj: Trajectory):
-    """Yield (t0, t1, occ) over the piecewise-constant path.
-
-    occ is a live working dict reused between yields: read it during the
-    iteration step only, and copy it if you keep it. In exchange the walk
-    costs no allocation per event, which matters in replica loops."""
-    occ = dict(traj.initial.occ)
-    t0 = 0.0
-    for ev in traj.events:
-        t1 = ev[0]
-        if t1 > t0:
-            yield t0, t1, occ
-        _apply_event(occ, ev)
-        t0 = t1
-    if traj.T > t0:
-        yield t0, traj.T, occ
+def snapshots(traj: Trajectory, times) -> list[Configuration]:
+    """States at the given non-decreasing times within [0, T]."""
+    return [_trusted(traj.d, dict(occ)) for occ in states(traj, times)]
 
 
 def _fmt_site(x: Site) -> str:

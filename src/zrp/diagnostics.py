@@ -8,11 +8,13 @@ raise InvariantViolation or report zero-tolerance violation counts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configuration import Configuration, _apply_event, intervals, move
+from .configuration import Configuration, move, states
 from .engine import OPEN, BoundaryPolicy, periodic, route, simulate, simulate_gillespie
 from .errors import ConfigError, InvariantViolation
 from .kernel import Kernel, is_nearest_neighbour_1d, nn_kernel_1d
@@ -135,7 +137,8 @@ def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
         rate_mass = 0.0  # integral of sum_{x in Abar} g(eta_s(x)) ds
         gi = 0
         m_grid = np.empty(len(grid))
-        for t0, t1, occ in intervals(traj):
+        starts = [0.0] + [ev[0] for ev in traj.events]
+        for t0, t1, occ in zip(starts, starts[1:] + [T], states(traj, starts)):
             key = tuple(occ.get(x, 0) for x in sources)
             if key not in table:
                 table[key] = (_generator_apply_dict(f, occ, rate, kernel, policy,
@@ -392,11 +395,8 @@ def engine_agreement_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
                 tuple(tg.final.count(x) for x in window))
 
     rows = replica_map(replica, replicas, threads=threads)
-    cells_h: dict = {}
-    cells_g: dict = {}
-    for kh, kg in rows:
-        cells_h[kh] = cells_h.get(kh, 0) + 1
-        cells_g[kg] = cells_g.get(kg, 0) + 1
+    cells_h = Counter(kh for kh, _ in rows)
+    cells_g = Counter(kg for _, kg in rows)
     stat, dof, p = chi2_joint_two_sample(cells_h, cells_g)
     return Report(test="engine_agreement", passed=bool(p >= alpha),
                   statistic=stat, threshold=alpha, seed=seed,
@@ -431,28 +431,13 @@ def _j_worker(r, zeta0, psi0, rate, kernel, T, seed):
     noise = HarrisNoise(seed, (r,))
     tz = simulate(zeta0, rate, kernel, OPEN, T, noise, tag="zeta")
     tp = simulate(psi0, rate, kernel, OPEN, T, noise, tag="psi")
-    occz = dict(zeta0.occ)
-    occp = dict(psi0.occ)
-    j0 = _j_dicts(occz, occp)
-    ez, ep = tz.events, tp.events
-    iz = ip = 0
-    n_off_origin = 0
+    # a shared atom fires in both runs at one float time: check each instant whole
+    times = sorted({ev[0] for ev in tz.events} | {ev[0] for ev in tp.events})
+    departures = [ev[0] for ev in tp.events if ev[1] == 0]
+    j0 = _j_dicts(zeta0.occ, psi0.occ)
     violations = 0
-    while iz < len(ez) or ip < len(ep):
-        tz_next = ez[iz][0] if iz < len(ez) else math.inf
-        tp_next = ep[ip][0] if ip < len(ep) else math.inf
-        t = min(tz_next, tp_next)
-        # a shared atom fires in both runs at the identical float time; apply
-        # the whole instant before checking the inequality
-        while iz < len(ez) and ez[iz][0] == t:
-            _apply_event(occz, ez[iz])
-            iz += 1
-        while ip < len(ep) and ep[ip][0] == t:
-            if ep[ip][1] == 0:
-                n_off_origin += 1
-            _apply_event(occp, ep[ip])
-            ip += 1
-        if _j_dicts(occz, occp) > j0 + n_off_origin:
+    for t, occz, occp in zip(times, states(tz, times), states(tp, times)):
+        if _j_dicts(occz, occp) > j0 + bisect_right(departures, t):
             violations += 1
     return violations
 

@@ -30,6 +30,11 @@ _MAX_EXACT_TIME = 600.0
 _MAX_EXACT_STATES = 25_000
 
 
+def _exact_radius(d: int) -> int:
+    """Default max-norm radius of the exact bracket (exact_F_small, mbar)."""
+    return 30 if d == 1 else 8
+
+
 # ------------------------------------------------------------ exact bracket
 
 def _poisson_weights(s: float, tol: float) -> np.ndarray:
@@ -67,7 +72,7 @@ def exact_F_small(z: Site, s: float, kernel: Kernel,
         return 1.0, 1.0
     if s > _MAX_EXACT_TIME:
         raise ConfigError(f"time {s:g} too large for the exact bracket")
-    radius = max(30 if d == 1 else 8, max_norm(z) + 2)
+    radius = max(_exact_radius(d), max_norm(z) + 2)
     live = [x for x in box_sites(radius, d) if x != o]
     if len(live) > _MAX_EXACT_STATES:
         raise ConfigError(f"{len(live)} states exceeds the exact-bracket budget")
@@ -228,9 +233,8 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
     parts = enumerate_particles(eta, z)
     n = len(parts)
     dists = [max_norm(site_sub(x, z)) for x in parts]
-    exact_radius = 30 if kernel.d == 1 else 8
     if K is None:
-        K = sum(1 for dd in dists if dd <= exact_radius)
+        K = sum(1 for dd in dists if dd <= _exact_radius(kernel.d))
     elif K < 0:
         raise ConfigError(f"K must be >= 0, got {K}")
     K = min(int(K), n)

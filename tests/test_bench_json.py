@@ -37,6 +37,19 @@ def test_pairwise_counts_wins_in_each_direction():
     assert out["w/events_per_s"]["ratio_of_medians"] == pytest.approx(1.1)
 
 
+def test_prefixed_names_each_metric_by_its_workload(tmp_path):
+    metrics = {"wall_s": {"value": 1.5, "unit": "s"},
+               "peak_rss_mb": {"value": 80.0, "unit": "MB"}}
+    assert bench_json.prefixed("verify-replicas", metrics) == {
+        "verify-replicas/wall_s": {"value": 1.5, "unit": "s"},
+        "verify-replicas/peak_rss_mb": {"value": 80.0, "unit": "MB"}}
+    assert bench_json.prefixed("w", {}) == {}
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"workloads": [{"name": "a"}, {"name": "b"}]}')
+    assert bench_json.workload_names(tmp_path, "all") == ["a", "b"]
+    assert bench_json.workload_names(tmp_path, "b") == ["b"]
+
+
 def test_summarise_takes_every_key_over_the_rows_that_have_it():
     rows = [{"AC1": 1.0, "total": 10.0}, {"AC1": 3.0, "total": 12.0},
             {"AC1": 2.0, "AC2": 5.0, "total": 11.0}, {}]

@@ -10,9 +10,9 @@ from zrp.configuration import (
     config_to_json,
     enumerate_particles,
     events_csv_string,
-    intervals,
     replay,
     snapshots,
+    states,
     trajectory_summary,
     truncate,
 )
@@ -152,21 +152,23 @@ def test_snapshots_at_times():
         snapshots(t, [2.0, 0.5])
 
 
-def test_intervals_walk_is_consistent():
+def test_states_yield_one_dict_updated_in_place():
     t = _traj(T=2.0)
-    tot = 0.0
-    last_end = 0.0
-    seen_initial = False
-    for t0, t1, occ in intervals(t):
-        assert t1 > t0
-        assert t0 == pytest.approx(last_end)
-        if t0 == 0.0:
-            assert occ == t.initial.occ
-            seen_initial = True
-        tot += t1 - t0
-        last_end = t1
-    assert seen_initial
-    assert tot == pytest.approx(t.T)
+    assert len(t.events) > 2
+    times = [0.0, 0.0] + [ev[0] for ev in t.events] + [t.T]
+    expected = [s.occ for s in snapshots(t, times)]
+    seen = []
+    for occ, want in zip(states(t, times), expected, strict=True):
+        assert occ == want
+        seen.append(occ)
+    assert all(occ is seen[0] for occ in seen)
+    assert seen[0] == t.final.occ
+    assert t.initial.occ == expected[0]   # the walk never writes the log
+    for bad, msg in (([2.5], "outside"), ([2.0, 0.5], "decrease: 2.0 -> 0.5")):
+        with pytest.raises(ConfigError, match=msg):
+            list(states(t, bad))
+        with pytest.raises(ConfigError, match=msg):
+            snapshots(t, bad)
 
 
 def test_events_csv_layout():

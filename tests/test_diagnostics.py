@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import chi2, norm
 
 from zrp import diagnostics, hitting
-from zrp.configuration import Configuration
+from zrp.configuration import Configuration, Trajectory
 from zrp.diagnostics import (
     _chi2_sf,
     _chi2_two_sided_z,
@@ -95,6 +95,30 @@ def test_j_inequality_small_run():
     assert rep.statistic == 0
     assert rep.extras["violations"] == 0
     assert rep.n_replicas == 400
+
+
+@pytest.mark.parametrize("psi_events, psi_final, expected", [
+    ([], {-1: 1, 0: 1}, 1),
+    ([(0.5, 0, 1, "jump", "psi")], {-1: 1, 1: 1}, 0),
+    ([(0.6, 0, 1, "jump", "psi")], {-1: 1, 1: 1}, 1),
+])
+def test_j_inequality_counts_a_planted_violation(monkeypatch, psi_events,
+                                                 psi_final, expected):
+    # zeta's -1 -> 0 at t=0.5 raises J from 0 to 1; only a psi departure
+    # from the origin at that same instant or earlier pays for it
+    zeta0 = Configuration(1, {-1: 1, 1: 1})
+    psi0 = Configuration(1, {-1: 1, 0: 1})
+    logs = {"zeta": ([(0.5, -1, 0, "jump", "zeta")], {0: 1, 1: 1}),
+            "psi": (psi_events, psi_final)}
+
+    def hand_built(eta0, rate, kernel, policy, T, noise, tag):
+        events, final = logs[tag]
+        return Trajectory(1, eta0, events, Configuration(1, final), T)
+
+    monkeypatch.setattr(diagnostics, "simulate", hand_built)
+    rep = j_inequality_check(zeta0, psi0, SQ, nn_kernel_1d(0.5), 1.0, 1, 0)
+    assert rep.extras["violations"] == expected
+    assert rep.passed == (expected == 0)
 
 
 def test_stationarity_exact_small_tori():

@@ -5,12 +5,14 @@ medians and quartiles of every metric to a JSON file.
         --checkout change=. --seed 1 --seconds 3 --repeats 5 --out BENCH_n.json
 
 Each repeat runs, in every checkout in turn (so host drift hits all of them
-alike, and with the order reversed on every other repeat),
+alike, and with the order reversed on every other repeat), for each workload
+W (every workload of the checkout's BENCHMARK.json under ``--workload all``)
 
     python3 perfbench/run.py --workload W --seed S --seconds X --trace 0
 
-and reads its last line (the JSON result) and its ``# machine`` line. Then
-it runs
+in a process of its own, so that its ``peak_rss_mb`` carries no other
+workload. It reads the last line (the JSON result) and the ``# machine``
+line of each, and prefixes W's metrics ``W/``. Then it runs
 
     python -m zrp.cli suite smoke --threads 1
 
@@ -70,21 +72,42 @@ def src_lines(root: Path) -> int:
                for p in sorted((root / "src").rglob("*.py")))
 
 
+def workload_names(root: Path, workload: str) -> list[str]:
+    """[workload], or for 'all' every workload root's BENCHMARK.json lists."""
+    if workload != "all":
+        return [workload]
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return [w["name"] for w in spec["workloads"]]
+
+
+def prefixed(name: str, metrics: dict) -> dict:
+    """The metrics of workload name, each key prefixed 'name/'."""
+    return {f"{name}/{key}": value for key, value in metrics.items()}
+
+
 def run_once(root: Path, args) -> tuple[dict, dict, int]:
-    """(machine info, result JSON, exit code) of one benchmark run."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", "0"]
-    res = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    lines = res.stdout.splitlines()
-    machine = next((json.loads(line[len("# machine "):]) for line in lines
-                    if line.startswith("# machine ")), {})
-    try:
-        result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        sys.stderr.write(res.stderr)
-        result = {"correct": False, "metrics": {}}
-    return machine, result, res.returncode
+    """(machine info, result JSON, exit code) of one benchmark pass: each
+    workload in its own process, the results merged, the first nonzero exit
+    code kept."""
+    machine, merged, code = {}, {"correct": True, "metrics": {}}, 0
+    for name in workload_names(root, args.workload):
+        cmd = [sys.executable, "perfbench/run.py", "--workload", name,
+               "--seed", str(args.seed), "--seconds", str(args.seconds),
+               "--trace", "0"]
+        res = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+        lines = res.stdout.splitlines()
+        machine = machine or next(
+            (json.loads(line[len("# machine "):]) for line in lines
+             if line.startswith("# machine ")), {})
+        try:
+            result = json.loads(lines[-1])
+        except (IndexError, json.JSONDecodeError):
+            sys.stderr.write(res.stderr)
+            result = {"correct": False, "metrics": {}}
+        merged["correct"] = merged["correct"] and result.get("correct", False)
+        merged["metrics"].update(prefixed(name, result["metrics"]))
+        code = code or res.returncode
+    return machine, merged, code
 
 
 def run_suite(root: Path) -> tuple[dict, bool]:
@@ -157,9 +180,11 @@ def main(argv=None) -> int:
                   f"correct {result.get('correct')}, smoke suite "
                   f"{'pass' if suite_ok else 'FAIL'}", file=sys.stderr)
 
-    report = {"command": ["python3", "perfbench/run.py", "--workload",
-                          args.workload, "--seed", str(args.seed), "--seconds",
+    report = {"command": ["python3", "perfbench/run.py", "--workload", "W",
+                          "--seed", str(args.seed), "--seconds",
                           str(args.seconds), "--trace", "0"],
+              "workloads": workload_names(next(iter(roots.values())),
+                                          args.workload),
               "suite_command": ["python", "-m", "zrp.cli", "suite", "smoke",
                                 "--threads", "1"],
               "repeats": args.repeats, "checkouts": {}}
