@@ -427,21 +427,6 @@ def _j_dicts(a: dict, b: dict) -> int:
     return max(0, best_r + best_l)
 
 
-def _j_worker(r, zeta0, psi0, rate, kernel, T, seed):
-    noise = HarrisNoise(seed, (r,))
-    tz = simulate(zeta0, rate, kernel, OPEN, T, noise, tag="zeta")
-    tp = simulate(psi0, rate, kernel, OPEN, T, noise, tag="psi")
-    # a shared atom fires in both runs at one float time: check each instant whole
-    times = sorted({ev[0] for ev in tz.events} | {ev[0] for ev in tp.events})
-    departures = [ev[0] for ev in tp.events if ev[1] == 0]
-    j0 = _j_dicts(zeta0.occ, psi0.occ)
-    violations = 0
-    for t, occz, occp in zip(times, states(tz, times), states(tp, times)):
-        if _j_dicts(occz, occp) > j0 + bisect_right(departures, t):
-            violations += 1
-    return violations
-
-
 def j_inequality_check(zeta0: Configuration, psi0: Configuration, rate: RateFn,
                        kernel: Kernel, T: float, replicas: int, seed: int,
                        threads: int = 1) -> Report:
@@ -452,8 +437,19 @@ def j_inequality_check(zeta0: Configuration, psi0: Configuration, rate: RateFn,
         raise ConfigError("the discrepancy inequality needs a d=1 nearest-neighbour kernel")
     if replicas < 1:
         raise ConfigError("the discrepancy inequality needs replicas >= 1")
-    rows = replica_map(lambda r: _j_worker(r, zeta0, psi0, rate, kernel, T, seed),
-                       replicas, threads=threads)
+    j0 = _j_dicts(zeta0.occ, psi0.occ)
+
+    def replica(r):
+        noise = HarrisNoise(seed, (r,))
+        tz = simulate(zeta0, rate, kernel, OPEN, T, noise, tag="zeta")
+        tp = simulate(psi0, rate, kernel, OPEN, T, noise, tag="psi")
+        # a shared atom fires in both runs at one float time: check each instant whole
+        times = sorted({ev[0] for ev in tz.events} | {ev[0] for ev in tp.events})
+        departures = [ev[0] for ev in tp.events if ev[1] == 0]
+        return sum(_j_dicts(occz, occp) > j0 + bisect_right(departures, t)
+                   for t, occz, occp in zip(times, states(tz, times), states(tp, times)))
+
+    rows = replica_map(replica, replicas, threads=threads)
     total = int(sum(rows))
     return Report(test="j_inequality", passed=total == 0, statistic=float(total),
                   threshold=0.0, seed=seed, n_replicas=replicas,

@@ -23,8 +23,8 @@ from .kernel import Kernel
 from .noise import HarrisNoise
 from .parallel import TAG_CALIBRATE, TAG_WALK, derived_rng, replica_map
 from .rates import RateFn
-from .sites import (Site, box_sites, max_norm, origin, site_add, site_coords,
-                    site_sub, validate_site)
+from .sites import (Site, box_sites, max_norm, origin, site_coords, site_sub,
+                    validate_site)
 
 _MAX_EXACT_TIME = 600.0
 _MAX_EXACT_STATES = 25_000
@@ -59,45 +59,45 @@ def exact_F_small(z: Site, s: float, kernel: Kernel,
     the probability already absorbed at 0 (-> lower) and the probability
     still alive inside the box (-> upper = 1 - sum of survivors); mass that
     escapes the box or sits in the Poisson tail is counted as a possible hit.
+
+    A jump step scatters the mass along each kernel offset in turn, the
+    largest offset first. Each state's inflow then adds up by increasing
+    source index, the order in which the sparse product P.T @ v sums it, so
+    the bracket equals that product's bit for bit.
     """
-    from scipy import sparse
     d = kernel.d
     z = validate_site(z, d)
     if s < 0 or not math.isfinite(s):
         raise ConfigError("need a finite nonnegative time")
     if not 0 < tol < 1:
         raise ConfigError(f"need a tolerance 0 < tol < 1, got {tol!r}")
-    o = origin(d)
-    if z == o:
+    if z == origin(d):
         return 1.0, 1.0
     if s > _MAX_EXACT_TIME:
         raise ConfigError(f"time {s:g} too large for the exact bracket")
     radius = max(_exact_radius(d), max_norm(z) + 2)
-    live = [x for x in box_sites(radius, d) if x != o]
-    if len(live) > _MAX_EXACT_STATES:
-        raise ConfigError(f"{len(live)} states exceeds the exact-bracket budget")
-    idx = {x: i for i, x in enumerate(live)}
-    n = len(live)
-
-    rows, cols, data = [], [], []
+    side = 2 * radius + 1
+    n = side ** d - 1
+    if n > _MAX_EXACT_STATES:
+        raise ConfigError(f"{n} states exceeds the exact-bracket budget")
+    # live states: the box in lexicographic order, box index (x + radius) @
+    # place, less the origin at mid-box; index i > centre is live index i - 1
+    centre = n // 2
+    place = side ** np.arange(d - 1, -1, -1)
+    live = np.delete([site_coords(x) for x in box_sites(radius, d)], centre, axis=0)
     hvec = np.zeros(n)
-    for x, i in idx.items():
-        for off, p in kernel.support():
-            y = site_add(x, off)
-            if y == o:
-                hvec[i] += p
-            elif y in idx:
-                rows.append(i)
-                cols.append(idx[y])
-                data.append(p)
-            # else: escapes the box; tracked implicitly as lost mass
-    # v @ P would transpose P on every step; PT @ v is the same arithmetic
-    PT = sparse.csr_matrix((data, (rows, cols)), shape=(n, n)).T
+    steps = []
+    for off, p in zip(kernel.offsets[::-1], kernel.probs[::-1]):
+        y = live + off
+        src = np.flatnonzero((np.abs(y) <= radius).all(axis=1))  # else escapes
+        dst = (y[src] + radius) @ place
+        keep = dst != centre
+        hvec[src[~keep]] = p
+        steps.append((src[keep], dst[keep] - (dst[keep] > centre), p))
 
     w = _poisson_weights(s, tol)
     n_max = len(w) - 1
-    v = np.zeros(n)
-    v[idx[z]] = 1.0
+    v = (live == site_coords(z)).all(axis=1).astype(float)
     hit_cum = 0.0
     lower = 0.0
     survive_mass = 0.0
@@ -106,7 +106,10 @@ def exact_F_small(z: Site, s: float, kernel: Kernel,
         survive_mass += w[k] * float(v.sum())
         if k < n_max:
             hit_cum += float(v @ hvec)
-            v = PT @ v
+            nxt = np.zeros(n)
+            for src, dst, p in steps:
+                nxt[dst] += p * v[src]
+            v = nxt
     upper = 1.0 - survive_mass
     return float(lower), float(min(1.0, max(upper, lower)))
 

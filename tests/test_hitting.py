@@ -12,17 +12,20 @@ import pytest
 from scipy.special import gammainc
 from scipy.stats import poisson
 
+from zrp import hitting
 from zrp.configuration import Configuration
 from zrp.errors import ConfigError
 from zrp.hitting import (
+    _exact_radius,
     _poisson_weights,
     estimate_F,
     exact_F_small,
     exp_moment_check,
     mbar,
 )
-from zrp.kernel import nn_kernel_1d, symmetric_nn_kernel
+from zrp.kernel import make_kernel, nn_kernel_1d, symmetric_nn_kernel
 from zrp.rates import exp_rate, power_rate
+from zrp.sites import box_sites, max_norm, origin, site_add
 
 
 def test_exact_bracket_tasep_closed_form():
@@ -95,6 +98,81 @@ def test_exact_bracket_rejects_a_tolerance_outside_0_1(tol):
 def test_exact_bracket_rejects_a_start_of_the_wrong_dimension(z, kernel):
     with pytest.raises(ConfigError):
         exact_F_small(z, 1.0, kernel)
+
+
+def _csr_bracket(z, s, kernel, tol):
+    """The exact bracket with its jump step as the sparse product P.T @ v,
+    P the jump matrix on the box minus the origin: the reference for the
+    scatter step of exact_F_small."""
+    from scipy import sparse
+    o = origin(kernel.d)
+    radius = max(_exact_radius(kernel.d), max_norm(z) + 2)
+    idx = {x: i for i, x in enumerate(x for x in box_sites(radius, kernel.d) if x != o)}
+    rows, cols, data = [], [], []
+    hvec = np.zeros(len(idx))
+    for x, i in idx.items():
+        for off, p in kernel.support():
+            y = site_add(x, off)
+            if y == o:
+                hvec[i] += p
+            elif y in idx:
+                rows.append(i)
+                cols.append(idx[y])
+                data.append(p)
+    PT = sparse.csr_matrix((data, (rows, cols)), shape=(len(idx), len(idx))).T
+    w = _poisson_weights(s, tol)
+    v = np.zeros(len(idx))
+    v[idx[z]] = 1.0
+    hit_cum = lower = survive_mass = 0.0
+    for k in range(len(w)):
+        lower += w[k] * hit_cum
+        survive_mass += w[k] * float(v.sum())
+        if k < len(w) - 1:
+            hit_cum += float(v @ hvec)
+            v = PT @ v
+    return lower, min(1.0, max(1.0 - survive_mass, lower))
+
+
+_RANGE_3 = make_kernel([(-3, 0.1), (-1, 0.25), (1, 0.3), (2, 0.2), (3, 0.15)])
+_NON_NN_2D = make_kernel([((-1, 0), 0.2), ((0, -2), 0.25), ((1, 1), 0.3),
+                          ((2, -1), 0.25)])
+
+
+@pytest.mark.parametrize("kernel, starts", [
+    (nn_kernel_1d(0.5), (1, -2, 17, -28, 41)),
+    (nn_kernel_1d(0.7), (1, -2, 17, -28, 41)),
+    (_RANGE_3, (1, -2, 17, -28, 41)),
+    (symmetric_nn_kernel(2), ((1, 0), (-3, 2), (6, -6), (0, 9))),
+    (_NON_NN_2D, ((1, 0), (-3, 2), (6, -6), (0, 9))),
+])
+def test_exact_bracket_equals_the_sparse_product_bit_for_bit(kernel, starts):
+    # starts out to the default box's edge and past it, where the box grows
+    for z in starts:
+        for s, tol in ((0.5, 1e-12), (3.0, 1e-14), (7.25, 1e-6), (12.0, 1e-12)):
+            got = [x.hex() for x in exact_F_small(z, s, kernel, tol)]
+            assert got == [x.hex() for x in _csr_bracket(z, s, kernel, tol)], (z, s, tol)
+
+
+@pytest.mark.parametrize("z, kernel", [(10**12, nn_kernel_1d(0.5)),
+                                       (12_499, nn_kernel_1d(0.5)),
+                                       ((77, 0), symmetric_nn_kernel(2))])
+def test_a_start_past_the_state_budget_is_refused_before_any_site_list(
+        monkeypatch, z, kernel):
+    # a site list of a far start's box would exhaust memory before the
+    # budget check could refuse it
+    def no_box(*args):
+        raise AssertionError("built the box's sites before checking the budget")
+
+    monkeypatch.setattr(hitting, "box_sites", no_box)
+    with pytest.raises(ConfigError, match="exceeds the exact-bracket budget"):
+        exact_F_small(z, 1.0, kernel)
+
+
+def test_a_start_at_the_state_budget_gets_a_bracket():
+    # (2 * 78 + 1)**2 - 1 = 24_648 states, the widest d=2 box in budget; the
+    # upper end is the chance of leaving the box in 3 jumps
+    lo, hi = exact_F_small((76, 0), 0.25, symmetric_nn_kernel(2))
+    assert lo == 0.0 < hi < 1e-4
 
 
 def test_estimate_F_rejects_a_start_of_the_wrong_dimension():
