@@ -20,6 +20,7 @@ from .diagnostics import Report, _mean_se
 from .engine import OPEN, simulate
 from .errors import ConfigError, RateRangeError
 from .kernel import Kernel
+from .measures import _logsumexp
 from .noise import HarrisNoise
 from .parallel import TAG_CALIBRATE, TAG_WALK, derived_rng, replica_map
 from .rates import RateFn
@@ -293,7 +294,6 @@ def exp_moment_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
     upper limit per grid point; the bound uses the certified upper bracket of
     mbar. The first moment is checked against mbar directly as well.
     """
-    from scipy.special import logsumexp
     if theta <= 0:
         raise ConfigError("need theta > 0")
     if replicas < 1:
@@ -321,10 +321,10 @@ def exp_moment_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
     logmgf_hi = np.empty(len(grid))
     for j in range(len(grid)):
         x = theta * vals[:, j]
-        logmgf[j] = float(logsumexp(x)) - math.log(R)
+        logmgf[j] = float(_logsumexp(x)) - math.log(R)
         # one (200, R) draw reads the stream as 200 draws of R would
         picks = rng.integers(0, R, size=(200, R))
-        bs = logsumexp(x[picks], axis=1) - math.log(R)
+        bs = _logsumexp(x[picks], axis=1) - math.log(R)
         logmgf_hi[j] = float(np.quantile(bs, 0.99))
 
     mgf_margin = float(np.max(logmgf_hi - bounds))

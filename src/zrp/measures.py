@@ -46,11 +46,23 @@ class FugacityMeasure:
         return float(np.dot(gv, self.pmf))
 
 
+def _logsumexp(a, axis=None):
+    """scipy.special.logsumexp(a, axis) bit for bit for finite real a, with
+    no scipy import: the m entries at the maximum stay out of the shifted sum
+    s, and the result is log1p(s / m) + log(m) + max."""
+    a = np.asarray(a, dtype=float)
+    top = a.max(axis=axis, keepdims=True)
+    at_top = a == top
+    m = at_top.sum(axis=axis, keepdims=True, dtype=float)
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=axis, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + top).squeeze(axis)
+
+
 def fugacity_measure(rate: RateFn, phi: float, tol: float = 1e-12) -> FugacityMeasure:
     """The fugacity-phi marginal on 0..K, K the certified support cut, with
     log_z its log normalization and tail_bound the relative mass bound for
     everything beyond K."""
-    from scipy.special import logsumexp
     if not (phi > 0) or not math.isfinite(phi):
         raise ConfigError(f"fugacity must be positive and finite, got {phi!r}")
     if not (0 < tol < 1e-2):
@@ -71,7 +83,7 @@ def fugacity_measure(rate: RateFn, phi: float, tol: float = 1e-12) -> FugacityMe
                 f"g({k + 1}) = 0: weights w(k) are undefined, no product measure exists")
         ratio = phi / g_next
         if ratio <= 0.5:
-            log_z = float(logsumexp(log_terms))
+            log_z = float(_logsumexp(log_terms))
             log_tail = log_terms[-1] + math.log(ratio / (1.0 - ratio)) if ratio > 0 else -math.inf
             tail_rel = math.exp(min(log_tail - log_z, 0.0))
             if tail_rel <= tol:

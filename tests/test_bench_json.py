@@ -37,6 +37,49 @@ def test_pairwise_counts_wins_in_each_direction():
     assert out["w/events_per_s"]["ratio_of_medians"] == pytest.approx(1.1)
 
 
+SPEC = {"end_to_end": [{"name": "peak_rss_mb", "better": "lower"},
+                       {"name": "events_per_s", "better": "higher"}]}
+PARENT = [198.0, 198.2, 198.3, 198.1, 198.4, 198.2, 198.3, 198.0, 198.5, 198.2]
+
+
+def _gain(parent, change, metric="w/peak_rss_mb"):
+    out = bench_json.pairwise({"metrics": {metric: _entry(parent)}},
+                              {"metrics": {metric: _entry(change)}}, SPEC)
+    return out[metric]
+
+
+def test_gain_shown_when_nine_of_ten_win_by_more_than_the_parent_iqr():
+    out = _gain(PARENT, [158.0] * 9 + [199.0])
+    q1, q3 = bench_json.quartiles(PARENT)[1:]
+    assert out["parent_iqr"] == pytest.approx(q3 - q1)
+    assert (out["wins"], out["of"], out["gain_shown"]) == (9, 10, True)
+    up = _gain([10.0, 11.0] * 5, [13.0] * 10, "w/events_per_s")
+    assert (up["wins"], up["parent_iqr"], up["gain_shown"]) == (10, 1.0, True)
+
+
+def test_gain_not_shown_with_eight_of_ten_wins():
+    out = _gain(PARENT, [158.0] * 8 + [199.0, 199.0])
+    assert (out["wins"], out["gain_shown"]) == (8, False)
+
+
+def test_gain_not_shown_when_ties_fill_the_wins():
+    out = _gain(PARENT, [158.0] * 8 + PARENT[8:])    # two ties win for neither
+    assert (out["wins"], out["gain_shown"]) == (8, False)
+
+
+def test_gain_not_shown_within_the_parent_iqr():
+    parent = [100.0, 120.0] * 5                     # IQR 20
+    out = _gain(parent, [v - 5.0 for v in parent])
+    assert (out["wins"], out["parent_iqr"], out["gain_shown"]) == (10, 20.0, False)
+
+
+def test_gain_not_shown_in_the_worse_direction():
+    out = _gain(PARENT, [250.0] * 10)
+    assert (out["wins"], out["gain_shown"]) == (0, False)
+    down = _gain([10.0] * 10, [8.0] * 10, "w/events_per_s")
+    assert (down["wins"], down["parent_iqr"], down["gain_shown"]) == (0, 0.0, False)
+
+
 def test_prefixed_names_each_metric_by_its_workload(tmp_path):
     metrics = {"wall_s": {"value": 1.5, "unit": "s"},
                "peak_rss_mb": {"value": 80.0, "unit": "MB"}}

@@ -12,6 +12,7 @@ import pytest
 from zrp.configuration import Configuration
 from zrp.errors import CertificationError
 from zrp.measures import (
+    _logsumexp,
     canonical_torus_measure,
     compositions,
     fugacity_measure,
@@ -133,6 +134,52 @@ def test_sample_box_config_shape_and_determinism():
     c3 = sample_box_config(m, 1, 2, derived_rng(7, TAG_SAMPLE))
     assert c3.d == 2
     assert all(max(abs(u) for u in x) <= 1 for x in c3.occ)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_logsumexp_is_scipys_bit_for_bit():
+    from scipy.special import logsumexp
+    rng = np.random.default_rng(5)
+    cases = [[0.3], [-7.0], [1.0, 1.0], [2.0, 0.5, 2.0, 2.0, -1.0],
+             [0.0, -800.0, -1e4], [5.0, 5.0, -900.0],     # s underflows to 0
+             list(np.log(np.arange(1, 40.0))), list(rng.normal(size=257) * 30),
+             list(0.5 * rng.integers(0, 4, size=31))]
+    for a in cases:
+        assert _bits(_logsumexp(a)) == _bits(logsumexp(a)), a
+        assert float(_logsumexp(a)) == float(logsumexp(a))
+    for R in (1, 2, 7, 40):      # the bootstrap shape of exp_moment_check
+        x = 0.5 * rng.integers(0, 4, size=R).astype(float)
+        picks = rng.integers(0, R, size=(200, R))
+        ours, theirs = _logsumexp(x[picks], axis=1), logsumexp(x[picks], axis=1)
+        assert ours.shape == theirs.shape == (200,)
+        assert _bits(ours) == _bits(theirs)
+
+
+TABLE = table_rate([0, 1, 3, 8, 20, 50, 120, 300, 800, 2e3, 5e3, 1.2e4, 3e4,
+                    8e4, 2e5, 5e5, 1.2e6])
+
+
+@pytest.mark.parametrize("rate", [power_rate(1.0), power_rate(2.0),
+                                  power_rate(3.0), exp_rate(1.0, 0.4), TABLE],
+                         ids=["k", "k2", "k3", "exp", "table"])
+@pytest.mark.parametrize("phi", [0.05, 0.7, 1.0, 2.5])
+def test_fugacity_measure_matches_a_scipy_reference_bit_for_bit(rate, phi):
+    """log_z, pmf and cdf are those of the same log weights summed by
+    scipy.special.logsumexp."""
+    from scipy.special import logsumexp
+    m = fugacity_measure(rate, phi)
+    log_terms, log_w = [0.0], 0.0
+    for k in range(1, m.K + 1):
+        log_w -= math.log(rate.g(k))
+        log_terms.append(log_w + k * math.log(phi))
+    log_z = float(logsumexp(log_terms))
+    pmf = np.exp(np.array(log_terms) - log_z)
+    assert m.log_z == log_z
+    assert _bits(m.pmf) == _bits(pmf)
+    assert _bits(m.cdf) == _bits(np.cumsum(pmf))
 
 
 def test_compositions_enumerates_simplex():

@@ -23,8 +23,10 @@ of ``src/``, whether every run passed its output checks, for each metric
 its median, first and third quartile and the values of all repeats, and the
 same summary of the suite seconds under ``suite``. With two checkouts it
 also records, for each gated end-to-end metric of the first checkout's
-BENCHMARK.json, the ratio of the medians (second over first) and in how
-many repeats the second was better.
+BENCHMARK.json, the ratio of the medians (second over first), in how many
+repeats the second was better, the first's interquartile range as
+``parent_iqr``, and ``gain_shown``: the second won at least 9 of 10 repeats
+and its median is better than the first's by more than ``parent_iqr``.
 
 Exits 1 when any run fails, reports a failed output check or fails a
 criterion of the smoke suite.
@@ -131,7 +133,10 @@ def run_suite(root: Path) -> tuple[dict, bool]:
 
 
 def pairwise(first: dict, second: dict, spec: dict) -> dict:
-    """Per gated metric: median ratio second/first, and repeats won by second."""
+    """Per gated metric: median ratio second/first, repeats won by second
+    (ties win for neither), the first's interquartile range, and whether a
+    gain of the second is shown: it wins at least 9 of 10 repeats and its
+    median is better by more than that range."""
     better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
     out = {}
     for key, a in first["metrics"].items():
@@ -139,10 +144,14 @@ def pairwise(first: dict, second: dict, spec: dict) -> dict:
         direction = better.get(key.rsplit("/", 1)[-1])
         if b is None or direction is None or not a["median"]:
             continue
-        wins = sum((y < x) if direction == "lower" else (y > x)
-                   for x, y in zip(a["values"], b["values"]))
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (y - x) > 0 for x, y in zip(a["values"], b["values"]))
+        iqr = a["q3"] - a["q1"]
         out[key] = {"ratio_of_medians": b["median"] / a["median"],
-                    "better": direction, "wins": wins, "of": len(a["values"])}
+                    "better": direction, "wins": wins, "of": len(a["values"]),
+                    "parent_iqr": iqr,
+                    "gain_shown": 10 * wins >= 9 * len(a["values"])
+                    and sign * (b["median"] - a["median"]) > iqr}
     return out
 
 
