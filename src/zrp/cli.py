@@ -174,22 +174,6 @@ class Experiment:
                                  rng)
 
 
-def _run_worker(r, exp: Experiment, out_dir: Path, fmt: str):
-    """Simulate replica r, audit it, write its events_r{r} file and return
-    (its summary.json entry, its torus row or None off a filled torus)."""
-    eta0 = exp.initial_for(r)
-    traj = simulate(eta0, exp.rate, exp.kernel, exp.policy, exp.T,
-                    HarrisNoise(exp.seed, (r,)))
-    if "replay" in exp.diagnostics:
-        replay(traj)  # raises InvariantViolation on any mismatch
-    row = torus_row(eta0, traj) if _torus_product(exp) is None else None
-    if fmt == "json":
-        (out_dir / f"events_r{r}.json").write_text(events_json_string(traj))
-    else:
-        (out_dir / f"events_r{r}.csv").write_text(events_csv_string(traj))
-    return trajectory_summary(traj), row
-
-
 def _torus_product(exp: Experiment) -> str | None:
     # the run's own replicas are the diagnostics' replicas, so the product
     # start must fill the torus to be stationary there
@@ -293,12 +277,28 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out) if args.out else Path("zrp-out")
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    def replica(r):
+        """Simulate replica r, audit it, write its events_r{r} file and return
+        (its summary.json entry, its torus row or None off a filled torus)."""
+        eta0 = exp.initial_for(r)
+        traj = simulate(eta0, exp.rate, exp.kernel, exp.policy, exp.T,
+                        HarrisNoise(exp.seed, (r,)))
+        if "replay" in exp.diagnostics:
+            replay(traj)  # raises InvariantViolation on any mismatch
+        row = torus_row(eta0, traj) if _torus_product(exp) is None else None
+        if args.format == "json":
+            (out_dir / f"events_r{r}.json").write_text(events_json_string(traj))
+        else:
+            (out_dir / f"events_r{r}.csv").write_text(events_csv_string(traj))
+        return trajectory_summary(traj), row
+
     t0 = time.monotonic()
-    results = replica_map(lambda r: _run_worker(r, exp, out_dir, args.format),
-                          exp.replicas, threads=threads)
-    entries, rows = zip(*results)
-    reports = [DIAGNOSTICS[name][1](exp, rows, threads)
-               for name in exp.diagnostics]
+    entries, rows = zip(*replica_map(replica, exp.replicas, threads=threads))
+    # martingale forks its own workers: run it before a p-value loads
+    # scipy.special, which every forked worker would carry
+    order = sorted(exp.diagnostics, key=lambda name: name != "martingale")
+    done = {name: DIAGNOSTICS[name][1](exp, rows, threads) for name in order}
+    reports = [done[name] for name in exp.diagnostics]
     wall = time.monotonic() - t0
 
     (out_dir / "summary.json").write_text(

@@ -59,9 +59,6 @@ class Configuration:
     def total(self) -> int:
         return sum(self.occ.values())
 
-    def __eq__(self, other):
-        return isinstance(other, Configuration) and self.d == other.d and self.occ == other.occ
-
 
 def _trusted(d: int, occ: dict[Site, int]) -> Configuration:
     """Configuration(d, occ), unchecked and uncopied, for a dict built valid."""
@@ -155,10 +152,7 @@ def _apply_event(occ: dict[Site, int], ev: Event) -> None:
         raise InvariantViolation(f"event at t={t}: source {src!r} is empty")
     if kind not in EVENT_KINDS:
         raise InvariantViolation(f"unknown event kind {kind!r}")
-    if kind == "kill":
-        move(occ, src, None)
-    elif dst != src:  # a wrap can fold a jump back onto its source; net no-op
-        move(occ, src, dst)
+    move(occ, src, None if kind == "kill" else dst)
 
 
 def replay(traj: Trajectory) -> Configuration:

@@ -55,7 +55,7 @@ def _generator_apply_dict(f: LocalFunction, occ: dict, rate: RateFn,
     g = rate.g
     if sources is None:
         sources = _candidate_sources(f, kernel, policy)
-    support = f.support if isinstance(f.support, set) else set(f.support)
+    support = set(f.support)
     f0 = f.value(occ)
     total = 0.0
     for x in sources:
@@ -70,14 +70,10 @@ def _generator_apply_dict(f: LocalFunction, occ: dict, rate: RateFn,
             if kind is None:
                 continue
             if kind == "kill":
-                if x not in support:
-                    continue
-                v = _perturbed_value(f, occ, x, k, None)
-            else:
-                if x not in support and dst not in support:
-                    continue
-                v = _perturbed_value(f, occ, x, k, dst)
-            total += gx * p * (v - f0)
+                dst = None  # in no support
+            if x not in support and dst not in support:
+                continue
+            total += gx * p * (_perturbed_value(f, occ, x, k, dst) - f0)
     return total
 
 

@@ -4,14 +4,13 @@ A LocalFunction declares its support A (the only sites it reads) and a sup
 bound B. Evaluation takes any occupancy mapping (Configuration.occ or the
 engine's working dict) and must use occ.get(x, 0) semantics.
 
-Built-ins are assembled from module-level evaluators via functools.partial.
-No instance needs to be picklable: replica workers are forked and inherit it.
+Built-ins evaluate through closures over their arguments. No instance is
+pickled: replica workers are forked and inherit it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Mapping
 
 from .errors import ConfigError
@@ -35,37 +34,25 @@ class LocalFunction:
         return self.fn(occ)
 
 
-def _eval_indicator(site, k, occ) -> float:
-    return 1.0 if occ.get(site, 0) == k else 0.0
-
-
-def _eval_capped(site, cap, occ) -> float:
-    n = occ.get(site, 0)
-    return float(n if n < cap else cap)
-
-
-def _eval_product(items, occ) -> float:
-    out = 1.0
-    for site, fn in items:
-        out *= fn(occ.get(site, 0))
-    return out
-
-
 def occupancy_indicator(site: Site, k: int) -> LocalFunction:
     """f(eta) = 1{eta(site) = k}."""
     if k < 0:
         raise ConfigError("occupancy level must be >= 0")
-    return LocalFunction(support=(site,), bound=1.0,
-                         fn=partial(_eval_indicator, site, k),
-                         label=f"1[eta({site})={k}]")
+
+    def fn(occ):
+        return 1.0 if occ.get(site, 0) == k else 0.0
+    return LocalFunction(support=(site,), bound=1.0, fn=fn, label=f"1[eta({site})={k}]")
 
 
 def capped_occupancy(site: Site, cap: int) -> LocalFunction:
     """f(eta) = min(eta(site), cap)."""
     if cap < 1:
         raise ConfigError("cap must be >= 1")
-    return LocalFunction(support=(site,), bound=float(cap),
-                         fn=partial(_eval_capped, site, cap),
+
+    def fn(occ):
+        n = occ.get(site, 0)
+        return float(n if n < cap else cap)
+    return LocalFunction(support=(site,), bound=float(cap), fn=fn,
                          label=f"min(eta({site}),{cap})")
 
 
@@ -82,5 +69,11 @@ def product_local(factors: dict[Site, tuple[Callable[[int], float], float]],
         if not (b > 0 and math.isfinite(b)):
             raise ConfigError("each factor needs a finite positive bound")
         bound *= b
+
+    def fn(occ):
+        out = 1.0
+        for site, f in items:
+            out *= f(occ.get(site, 0))
+        return out
     return LocalFunction(support=tuple(site for site, _ in items), bound=bound,
-                         fn=partial(_eval_product, items), label=label)
+                         fn=fn, label=label)

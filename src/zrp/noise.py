@@ -35,7 +35,9 @@ N^2 L / 2^64, below 1e-5 for a million windows of 16 words.
 
 Batches. Because a window is a pure function of its key, the windows of a
 whole slab start (every occupied site, every band it needs) can be hashed
-together: slab_atoms runs the same _fold and _word on np.uint64 arrays, which
+together: slab_atoms starts from the per-site keys that window() memoises
+(_site_key, folded in Python ints, so coordinates of any width batch), then
+applies the slab and band word, mix64 and _word on np.uint64 arrays, which
 wrap mod 2^64 exactly as the masked Python ints do, inverts each band's CDF
 with searchsorted(side="right") as bisect_right does, and forms times and
 heights with the same float64 operations, so it returns bit-for-bit the atoms
@@ -94,22 +96,23 @@ def bands_for(cap: float) -> int:
     return m
 
 
-def _fold(h, word):
-    """mix64((h + GAMMA) ^ word), mix64 being the SplitMix64 finaliser; on
-    Python ints or elementwise on np.uint64 arrays."""
-    z = ((h + _GAMMA) & _MASK) ^ word
+def _mix(z):
+    """mix64(z), the SplitMix64 finaliser of a 64-bit word; on Python ints or
+    elementwise on np.uint64 arrays, which wrap mod 2^64 as the masks do."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
 
 
+def _fold(h, word):
+    """mix64((h + GAMMA) ^ word)."""
+    return _mix(((h + _GAMMA) & _MASK) ^ word)
+
+
 def _word(h, i):
     """Word i of the stream keyed by h, mix64(h + i * GAMMA), as a uniform
     on [0, 1); on Python ints or elementwise on np.uint64 arrays."""
-    z = (h + i * _GAMMA) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return ((z ^ (z >> 31)) >> 11) * _UNIT
+    return (_mix((h + i * _GAMMA) & _MASK) >> 11) * _UNIT
 
 
 @lru_cache(maxsize=None)
@@ -156,12 +159,9 @@ class HarrisNoise:
         call; the height and mark words of an atom outside (t_lo, t_hi] are
         never hashed.
         """
-        key = self._site_keys.get(site)
-        if key is None:  # (h + GAMMA) ^ d after the coordinates, once per site
-            coords = site_coords(site)
-            h = reduce(_fold, [2 * c if c >= 0 else -2 * c - 1 for c in coords], self._key)
-            key = self._site_keys[site] = ((h + _GAMMA) & _MASK) ^ len(coords)
-        # _fold(h, slab << 16 | band << 8 | d) and each _word(h, i), inline
+        key = self._site_keys.get(site) or self._site_key(site)
+        # _fold(h, slab << 16 | band << 8 | d) and each _word(h, i), inline:
+        # calling _word here made window() 4-7% slower per call
         z = key ^ ((slab << 16) | (band << 8))  # d < 256 shares no bit with them
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -190,29 +190,30 @@ class HarrisNoise:
                 us.append(((z ^ (z >> 31)) >> 11) * _UNIT)
         return ts, ys, us
 
+    def _site_key(self, site: Site) -> int:
+        """(h + GAMMA) ^ d, h the path key folded over the zigzag of each
+        coordinate of site, in Python ints; memoised per site."""
+        coords = site_coords(site)
+        h = reduce(_fold, [2 * c if c >= 0 else -2 * c - 1 for c in coords], self._key)
+        key = self._site_keys[site] = ((h + _GAMMA) & _MASK) ^ len(coords)
+        return key
+
     def slab_atoms(self, sites, counts, slab: int, t_lo, t_hi) -> list:
         """Atoms (t, site, y, u), t_lo < t <= t_hi, of windows (sites[i], b, slab)
         for every i and b < counts[i], sorted: the atoms window() gives, as tuples."""
         if sum(counts) >= _BATCH_MIN:
-            try:
-                coords = np.array(sites, dtype=np.int64).reshape(len(sites), -1)
-            except OverflowError:  # a coordinate past int64: its word needs > 64 bits
-                pass
-            else:
-                return self._slab_batch(coords, sites, counts, slab, t_lo, t_hi)
+            return self._slab_batch(sites, counts, slab, t_lo, t_hi)
         atoms = [(t, x, y, u) for x, m in zip(sites, counts) for b in range(m)
                  for t, y, u in zip(*self.window(x, b, slab, t_lo, t_hi))]
         atoms.sort()
         return atoms
 
-    def _slab_batch(self, coords, sites, counts, slab: int, t_lo, t_hi) -> list:
-        """slab_atoms for int64 coordinates, hashed in np.uint64 arrays."""
-        h = np.full(len(sites), self._key, dtype=np.uint64)
-        for c in coords.T:
-            neg = c < 0
-            h = _fold(h, (np.where(neg, ~c, c).astype(np.uint64) << 1) | neg)
+    def _slab_batch(self, sites, counts, slab: int, t_lo, t_hi) -> list:
+        """slab_atoms hashed in np.uint64 arrays, from the per-site keys."""
+        keys = self._site_keys
+        h = np.array([keys.get(x) or self._site_key(x) for x in sites], dtype=np.uint64)
         site, band = _expand(np.asarray(counts, dtype=np.int64))
-        h = _fold(h[site], (slab << 16) | (band.astype(np.uint64) << 8) | coords.shape[1])
+        h = _mix(h[site] ^ ((slab << 16) | (band.astype(np.uint64) << 8)))
         n_bands = int(band.max()) + 1
         count_u = _word(h, 1)
         num = np.empty(len(h), dtype=np.int64)

@@ -12,7 +12,7 @@ h(i) clock ticks relative to a rate-1 walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RateRangeError, brief, json_number
@@ -143,14 +143,7 @@ class CorollaryReport:
     heuristic: bool = True  # finite-sample evidence, not a proof
 
     def to_json(self) -> dict:
-        return {
-            "a_estimate": self.a_estimate,
-            "condition_a": self.condition_a,
-            "condition_b": self.condition_b,
-            "drift": list(self.drift),
-            "n_max_used": self.n_max_used,
-            "heuristic": self.heuristic,
-        }
+        return asdict(self)  # json.dumps writes the drift tuple as a list
 
 
 SLOPE_MARGIN = 0.1

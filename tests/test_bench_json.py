@@ -1,5 +1,6 @@
 """The summary arithmetic of tools/bench_json.py; CI runs the tool itself."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,19 @@ def test_summarise_takes_every_key_over_the_rows_that_have_it():
     assert out["total"]["median"] == 11.0
     assert out["AC2"] == {"median": 5.0, "q1": 5.0, "q3": 5.0, "values": [5.0]}
     assert bench_json.summarise([]) == {}
+
+
+def test_dirty_paths_names_the_tracked_files_that_differ_from_head(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "a.py").write_text("a = 1\n")
+    (tmp_path / "b.py").write_text("b = 1\n")
+    git("add", "a.py", "b.py")
+    git("commit", "-q", "-m", "first")
+    (tmp_path / "untracked.py").write_text("")     # not tracked: not dirty
+    assert bench_json.dirty_paths(tmp_path) == []
+    (tmp_path / "b.py").write_text("b = 2\n")
+    assert bench_json.dirty_paths(tmp_path) == ["b.py"]

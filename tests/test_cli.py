@@ -729,3 +729,31 @@ def test_run_and_every_check_load_no_scipy_stats(tmp_path):
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()  # the run prints its verdicts between
     assert [lines[0], *lines[-2:]] == ["[] []", "0 [] []", "[] []"]
+
+
+def test_martingale_workers_fork_before_scipy_special_loads(tmp_path):
+    """martingale is the one diagnostic of zrp run that forks its own replica
+    workers. It runs before the p-values of stationarity and flux load
+    scipy.special, so the workers it forks do not carry that module; the
+    verdicts still print in config order."""
+    p = _write_cfg(tmp_path, PINNED)
+    script = (
+        "import sys\n"
+        "from zrp import cli, diagnostics\n"
+        "replica_map = diagnostics.replica_map\n"
+        "def spy(fn, n, *, threads=1):\n"
+        "    print(sys._getframe(1).f_code.co_name, sorted(\n"
+        "        m for m in sys.modules if m.split('.')[:2] == ['scipy', 'special']))\n"
+        "    return replica_map(fn, n, threads=threads)\n"
+        "diagnostics.replica_map = spy\n"
+        f"code = cli.main(['run', '--config', {str(p)!r}, '--out',\n"
+        f"                 {str(tmp_path / 'out')!r}, '--threads', '2'])\n"
+        "print(code)\n")
+    res = _python(["-c", script], tmp_path)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "martingale_residual []"
+    assert lines[-1] == "0"
+    assert [line.split(":")[0] for line in lines[1:-2]] == [
+        "replay", "rate-growth", "stationarity_statistical", "poisson_flux",
+        "mass_conservation", "martingale_residual"]

@@ -126,9 +126,9 @@ def test_d1_torus_long_covers_batches_rises_and_wraps(monkeypatch):
         bands.append(band)
         return window(self, site, band, *args)
 
-    def counted_batch(self, coords, sites, counts, *args):
+    def counted_batch(self, sites, counts, *args):
         batched.append(sum(counts))
-        return slab_batch(self, coords, sites, counts, *args)
+        return slab_batch(self, sites, counts, *args)
 
     monkeypatch.setattr(HarrisNoise, "window", counted_window)
     monkeypatch.setattr(HarrisNoise, "_slab_batch", counted_batch)

@@ -1,5 +1,3 @@
-import pickle
-
 import pytest
 
 from zrp.errors import ConfigError
@@ -46,10 +44,3 @@ def test_validation():
         LocalFunction(support=(), bound=1.0, fn=lambda occ: 0.0)
     with pytest.raises(ConfigError):
         LocalFunction(support=(0,), bound=float("inf"), fn=lambda occ: 0.0)
-
-
-def test_builtins_pickle():
-    for f in (occupancy_indicator(0, 1), capped_occupancy(2, 5),
-              product_local({0: (_ge1, 1.0)})):
-        g = pickle.loads(pickle.dumps(f))
-        assert g.value({0: 1, 2: 3}) == f.value({0: 1, 2: 3})

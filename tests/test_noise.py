@@ -273,11 +273,20 @@ def test_slab_atoms_equal_window(d, slab, n_sites):
 
 
 @pytest.mark.parametrize("wide", [-2 ** 63, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 70])
-def test_slab_atoms_at_and_past_int64(wide):
-    # int64 coordinates batch exactly; wider ones must not differ silently
+def test_slab_atoms_at_and_past_int64(wide, monkeypatch):
+    # coordinates of any width batch, exactly as window() draws them
     sites = [wide] + list(range(_BATCH_MIN))
     noise = HarrisNoise(49)
+    batched = []
+    slab_batch = HarrisNoise._slab_batch
+
+    def counted_batch(self, sites, *args):
+        batched.append(sites[0])
+        return slab_batch(self, sites, *args)
+
+    monkeypatch.setattr(HarrisNoise, "_slab_batch", counted_batch)
     got = noise.slab_atoms(sites, [2] * len(sites), 5, -math.inf, math.inf)
+    assert batched == [wide]
     assert got == _scalar_slab(noise, sites, [2] * len(sites), 5)
     for lo, hi in _time_ranges(got, 5):
         assert noise.slab_atoms(sites, [2] * len(sites), 5, lo, hi) == \

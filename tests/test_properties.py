@@ -6,6 +6,8 @@ implementation.  Derandomized: a given hypothesis version replays the
 same example sequence every run.
 """
 
+import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,9 +20,9 @@ from zrp.engine import (OPEN, BoundaryPolicy, simulate, simulate_gillespie,
                         simulate_pq_family)
 from zrp.kernel import make_kernel, nn_kernel_1d, sample_jump, symmetric_nn_kernel
 from zrp.measures import fugacity_measure, sample_box_config
-from zrp.noise import HarrisNoise
+from zrp.noise import HarrisNoise, bands_for
 from zrp.parallel import TAG_GILLESPIE, TAG_SAMPLE, derived_rng
-from zrp.rates import power_rate
+from zrp.rates import exp_rate, power_rate
 from zrp.sites import box_sites
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -135,3 +137,61 @@ def test_configurations_built_unchecked_are_valid(d, kind, n, T, seed, data):
     for c in built:
         assert Configuration(c.d, dict(c.occ)) == c
         assert all(type(k) is int and k > 0 for k in c.occ.values())
+
+
+def _eager(eta0, rate, kernel, kind, n, T, noise):
+    """The construction written out, with no caps, rises, time ranges or
+    batches: every band any occupancy can need at every site of the box, in
+    every slab that starts before T, sorted once; an atom fires when its
+    height is at most g of its site's occupancy. Its own jump and box rules."""
+    d, side = eta0.d, 2 * n + 1
+    top = bands_for(rate.g(eta0.total()))
+    atoms = sorted((t, x, y, u) for s in range(math.ceil(T)) for x in box_sites(n, d)
+                   for b in range(top) for t, y, u in zip(*noise.window(x, b, s)) if t <= T)
+    occ, events = dict(eta0.occ), []
+    for t, x, y, u in atoms:
+        k = occ.get(x, 0)
+        if k == 0 or y > rate.g(k):
+            continue
+        j = next((j for j, c in enumerate(kernel.cum) if u < c), len(kernel.cum) - 1)
+        xs = (x,) if d == 1 else x
+        raw = tuple(a + b for a, b in zip(xs, kernel.offsets[j]))
+        if kind == "killed":
+            dst, what = raw, "kill" if max(map(abs, raw)) > n else "jump"
+        else:
+            dst = tuple((c + n) % side - n for c in raw)
+            if dst == xs:  # wrapped onto itself: no event
+                continue
+            what = "jump" if dst == raw else "periodic-wrap"
+        dst = dst[0] if d == 1 else dst
+        events.append((t, x, dst, what, ""))
+        occ[x] -= 1
+        if occ[x] == 0:
+            del occ[x]
+        if what != "kill":
+            occ[dst] = occ.get(dst, 0) + 1
+    return events, occ
+
+
+EAGER_KERNELS = {1: [nn_kernel_1d(0.7), make_kernel([(3, 0.5), (-1, 0.5)])],
+                 2: [symmetric_nn_kernel(2),
+                     make_kernel([((2, 0), 0.3), ((-1, 1), 0.3), ((0, -2), 0.4)])]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from([1, 2]), st.sampled_from(["killed", "periodic"]),
+       st.sampled_from([power_rate(1.0), power_rate(2.0), power_rate(3.0),
+                        exp_rate(1.0, 0.4)]),
+       st.one_of(st.integers(1, 3).map(float), st.floats(0.1, 3.0)),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_simulate_equals_the_eager_construction(d, kind, rate, T, seed, data):
+    # the lazy caps, rises, time ranges and batches change no event: the
+    # log and final state equal the construction's, written out eagerly
+    n = data.draw(st.integers(0, 3 if d == 1 else 2))
+    kernel = data.draw(st.sampled_from(EAGER_KERNELS[d]))
+    placed = data.draw(st.lists(st.sampled_from(box_sites(n, d)), min_size=1, max_size=8))
+    eta0 = Configuration(d, dict(Counter(placed)))
+    traj = simulate(eta0, rate, kernel, BoundaryPolicy(kind, n), T, HarrisNoise(seed))
+    events, occ = _eager(eta0, rate, kernel, kind, n, T, HarrisNoise(seed))
+    assert traj.events == events
+    assert traj.final.occ == occ

@@ -18,8 +18,9 @@ line of each, and prefixes W's metrics ``W/``. Then it runs
 
 on that checkout's ``src/`` and reads the seconds of each criterion from
 the suite JSON, with the wall time of the whole command as ``total``. For
-each checkout the file records the machine line, the git sha, the line count
-of ``src/``, whether every run passed its output checks, for each metric
+each checkout the file records the machine line, the git sha, the tracked
+files that differ from that sha (``dirty``, empty for a clean checkout), the
+line count of ``src/``, whether every run passed its output checks, for each metric
 its median, first and third quartile and the values of all repeats, and the
 same summary of the suite seconds under ``suite``. With two checkouts it
 also records, for each gated end-to-end metric of the first checkout's
@@ -67,6 +68,15 @@ def git_sha(root: Path) -> str | None:
     res = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
                          capture_output=True, text=True)
     return res.stdout.strip() or None
+
+
+def dirty_paths(root: Path) -> list[str] | None:
+    """Tracked files of root that differ from its HEAD; None outside git."""
+    res = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                         cwd=root, capture_output=True, text=True)
+    if res.returncode:
+        return None
+    return [line[3:] for line in res.stdout.splitlines()]
 
 
 def src_lines(root: Path) -> int:
@@ -205,6 +215,7 @@ def main(argv=None) -> int:
             entry["unit"] = first[key]["unit"]
         report["checkouts"][label] = {
             "machine": runs[label][0][0], "commit": git_sha(root),
+            "dirty": dirty_paths(root),
             "src_lines": src_lines(root),
             "correct": all(res.get("correct", False) for _, res in runs[label]),
             "metrics": metrics, "suite": summarise(suites[label])}
