@@ -49,8 +49,8 @@ class CriterionResult:
     name: str
     passed: bool
     statistic: float
-    seconds: float
     details: dict = field(default_factory=dict)
+    seconds: float = 0.0  # set by run_suite
 
     def to_json(self) -> dict:
         return {"cid": self.cid, "name": self.name, "pass": bool(self.passed),
@@ -74,9 +74,9 @@ def criterion_fugacity_identity(seed: int, threads: int = 1,
         m = fugacity_measure(rate, phi, tol=1e-14)
         worst = max(worst, abs(m.mean_rate() - phi) / phi)
     return CriterionResult("AC1", "fugacity identity", worst <= 1e-10, worst,
-                           0.0, {"tolerance": 1e-10,
-                                 "rates": ["k", "k^2", "exp-table"],
-                                 "phis": [0.1, 1.0, 3.0, 10.0]})
+                           {"tolerance": 1e-10,
+                            "rates": ["k", "k^2", "exp-table"],
+                            "phis": [0.1, 1.0, 3.0, 10.0]})
 
 
 # 2 ------------------------------------------------------------------------
@@ -93,9 +93,9 @@ def criterion_poisson_marginal(seed: int, threads: int = 1,
             worst_pmf = max(worst_pmf, abs(float(m.pmf[k]) - p_true))
     worst = max(worst_z, worst_pmf)
     return CriterionResult("AC2", "Poisson special case", worst <= 1e-12,
-                           worst, 0.0, {"z_rel_err": worst_z,
-                                        "pmf_abs_err": worst_pmf,
-                                        "k_range": 20})
+                           worst, {"z_rel_err": worst_z,
+                                   "pmf_abs_err": worst_pmf,
+                                   "k_range": 20})
 
 
 # 3 ------------------------------------------------------------------------
@@ -112,8 +112,8 @@ def criterion_exact_balance(seed: int, threads: int = 1,
         worst = max(worst, rep.statistic)
         combos += 1
     return CriterionResult("AC3", "exact canonical balance", worst <= 1e-12,
-                           worst, 0.0, {"combinations": combos,
-                                        "tolerance": 1e-12})
+                           worst, {"combinations": combos,
+                                   "tolerance": 1e-12})
 
 
 # 4 ------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def criterion_statistical_stationarity(seed: int, threads: int = 1,
                                     threads=threads)
     passed = rep.passed and not ctrl.passed
     return CriterionResult("AC4", "statistical stationarity", passed,
-                           rep.extras["p_value"], 0.0,
+                           rep.extras["p_value"],
                            {"p_value": rep.extras["p_value"], "alpha": 0.01,
                             "replicas": R,
                             "control_p": ctrl.extras["p_value"],
@@ -164,7 +164,7 @@ def criterion_truncation_monotone(seed: int, threads: int = 1,
     rows = replica_map(replica, len(rates) * R, threads=threads)
     violations = rows.count(None)
     return CriterionResult("AC5", "truncation monotonicity",
-                           violations == 0, float(violations), 0.0,
+                           violations == 0, float(violations),
                            {"replicas_per_rate": R, "schedule": list(schedule),
                             "violations": violations,
                             "origin_stabilized_fraction":
@@ -216,7 +216,7 @@ def criterion_martingale(seed: int, threads: int = 1,
     closed_ok = abs(mean_f - math.exp(-T)) <= 4 * se_f and rep.statistic <= 4
     passed = zmax <= 4.0 and qv_ok and closed_ok
     return CriterionResult("AC6", "martingale residual", passed,
-                           max(zmax, rep.statistic), 0.0,
+                           max(zmax, rep.statistic),
                            {"z_scores": zs, "replicas": R, "qv_ok": qv_ok,
                             "closed_form_mean": mean_f,
                             "closed_form_target": math.exp(-T),
@@ -244,8 +244,7 @@ def criterion_engine_agreement(seed: int, threads: int = 1,
         ps.append(rep.extras["p_value"])
     pmin = min(ps)
     return CriterionResult("AC7", "engine cross-validation", pmin >= 0.001,
-                           pmin, 0.0,
-                           {"p_values": ps, "alpha": 0.001, "replicas": R})
+                           pmin, {"p_values": ps, "alpha": 0.001, "replicas": R})
 
 
 # 8 ------------------------------------------------------------------------
@@ -263,7 +262,7 @@ def criterion_j_inequality(seed: int, threads: int = 1,
                                  threads=threads)
         total += rep.extras["violations"]
     return CriterionResult("AC8", "discrepancy inequality", total == 0,
-                           float(total), 0.0,
+                           float(total),
                            {"replicas_per_kernel": R, "kernels": [0.5, 0.8],
                             "violations": total})
 
@@ -287,7 +286,7 @@ def criterion_pq_sandwich(seed: int, threads: int = 1,
 
     total = sum(replica_map(replica, R, threads=threads))
     return CriterionResult("AC9", "drift family sandwich", total == 0,
-                           float(total), 0.0,
+                           float(total),
                            {"replicas": R, "pq": pq, "violations": total})
 
 
@@ -311,7 +310,7 @@ def criterion_hitting_curve(seed: int, threads: int = 1,
                 for t, lo, hi in zip(curve.times, curve.lower, curve.upper))
     passed = exact_ok and worst_exact <= 1e-10 and mc_ok
     return CriterionResult("AC10", "hitting curve closed form", passed,
-                           worst_exact, 0.0,
+                           worst_exact,
                            {"times": list(times), "n_walks": n_walks,
                             "exact_within": 1e-10, "mc_bands_contain": mc_ok})
 
@@ -338,9 +337,9 @@ def criterion_moment_bound(seed: int, threads: int = 1,
         worst = max(worst, rep.statistic)
         all_ok = all_ok and rep.passed
     return CriterionResult("AC11", "occupancy moment bound", all_ok, worst,
-                           0.0, {"replicas": R, "thetas": [0.25, 0.5],
-                                 "configs": 3, "max_margin": worst,
-                                 "margins": margins})
+                           {"replicas": R, "thetas": [0.25, 0.5],
+                            "configs": 3, "max_margin": worst,
+                            "margins": margins})
 
 
 # 12 -----------------------------------------------------------------------
@@ -363,7 +362,7 @@ def criterion_poisson_flux(seed: int, threads: int = 1,
                         "target": rep.extras["target_mean"],
                         "dispersion": rep.extras["dispersion"]})
     return CriterionResult("AC12", "Poisson flux law", zmax <= 4.0, zmax,
-                           0.0, {"replicas": R, "sets": details})
+                           {"replicas": R, "sets": details})
 
 
 # 13 -----------------------------------------------------------------------
@@ -399,8 +398,7 @@ def criterion_determinism(seed: int, threads: int = 1,
                                  str(nthreads)])
             if code != 0:
                 return CriterionResult("AC13", "seeded determinism", False,
-                                       float(code), 0.0,
-                                       {"error": f"run exited {code}"})
+                                       float(code), {"error": f"run exited {code}"})
             outs.append(out)
         names = sorted(p.name for p in outs[0].iterdir()
                        if p.name != "manifest.json")
@@ -409,9 +407,8 @@ def criterion_determinism(seed: int, threads: int = 1,
             if not (blobs[0] == blobs[1] == blobs[2]):
                 diffs.append(name)
     return CriterionResult("AC13", "seeded determinism", not diffs,
-                           float(len(diffs)), 0.0,
-                           {"files_compared": len(names),
-                            "differing": diffs})
+                           float(len(diffs)),
+                           {"files_compared": len(names), "differing": diffs})
 
 
 CRITERIA = (

@@ -5,9 +5,9 @@
     zrp suite {acceptance,smoke} [--seed N] [--threads N] [--out DIR]
 
 `zrp run` simulates each replica once, in a worker that replays it when
-asked, writes its events_r{r} file and returns its summary.json entry and,
-on a filled torus, its torus row; the stationarity, flux and mass
-diagnostics reduce those rows, so the parent holds O(replicas) small rows
+asked, writes its events_r{r} file and returns its summary.json entry, its
+torus row on a filled torus and its martingale row when asked; every
+diagnostic reduces those rows, so the parent holds O(replicas) small rows
 and no trajectory.
 
 Exit codes: 0 pass, 1 config error, 2 diagnostic failure, 3 internal
@@ -31,8 +31,9 @@ import numpy as np
 from . import __version__
 from .configuration import (Configuration, config_from_json, events_csv_string,
                             events_json_string, replay, trajectory_summary)
-from .diagnostics import (chi2_replicas, flux_report, martingale_residual,
-                          mass_report, stationarity_report, torus_row)
+from .diagnostics import (chi2_replicas, flux_report, martingale_report,
+                          martingale_walk, mass_report, stationarity_report,
+                          torus_row)
 from .engine import OPEN, BoundaryPolicy, simulate
 from .errors import (CertificationError, ConfigError, InvariantViolation,
                      RateRangeError, ZRPError, json_number)
@@ -210,45 +211,47 @@ def _two_replicas(exp: Experiment) -> str | None:
     return "replicas >= 2" if exp.replicas < 2 else None
 
 
-def _replay_all(exp: Experiment, rows, threads: int) -> dict:
+def _replay_all(exp: Experiment, rows, walks) -> dict:
     # every worker replayed its trajectory; a mismatch raised there
     return {"test": "replay", "pass": True, "statistic": 0.0,
             "threshold": 0.0, "n_replicas": len(rows)}
 
 
-def _rate_growth(exp: Experiment, rows, threads: int) -> dict:
+def _rate_growth(exp: Experiment, rows, walks) -> dict:
     out = check_corollary_conditions(exp.rate, exp.kernel).to_json()
     out.update({"test": "rate-growth", "pass": True, "advisory": True})
     return out
 
 
-def _stationarity(exp: Experiment, rows, threads: int) -> dict:
+def _stationarity(exp: Experiment, rows, walks) -> dict:
     return stationarity_report(rows, exp.init_measure, exp.init_phi,
                                exp.policy.n, exp.T, exp.seed).to_json()
 
 
-def _flux(exp: Experiment, rows, threads: int) -> dict:
+def _flux(exp: Experiment, rows, walks) -> dict:
     return flux_report(rows, exp.init_phi, exp.policy.n, exp.T,
                        exp.seed).to_json()
 
 
-def _mass(exp: Experiment, rows, threads: int) -> dict:
+def _mass(exp: Experiment, rows, walks) -> dict:
     return mass_report(rows, exp.init_measure, exp.init_phi,
                        exp.seed).to_json()
 
 
-def _martingale(exp: Experiment, rows, threads: int) -> dict:
-    f = capped_occupancy(origin(exp.kernel.d), 10)
-    return martingale_residual(f, exp.initial_for(0), exp.rate, exp.kernel,
-                               exp.policy, exp.T, exp.replicas, exp.seed,
-                               threads=threads).to_json()
+def _martingale(exp: Experiment, rows, walks) -> dict:
+    return martingale_report(walks, _martingale_f(exp), exp.T,
+                             exp.seed).to_json()
+
+
+def _martingale_f(exp: Experiment):
+    return capped_occupancy(origin(exp.kernel.d), 10)
 
 
 # name -> (prerequisite, runner). A prerequisite returns what the experiment
 # lacks, or None; Experiment checks them before any replica runs. A runner
-# takes the run's per-replica torus rows (None off a filled torus) and
-# returns the report's JSON; it looks its diagnostic up in this module's
-# globals when called, so a test or a tracer can replace it here.
+# takes (exp, rows, walks), the run's per-replica torus rows (None off a
+# filled torus) and martingale_walk rows (None unless asked for), returns the
+# report's JSON and is looked up here when called, so a test can replace it.
 DIAGNOSTICS = {
     "replay": (None, _replay_all),
     "rate-growth": (None, _rate_growth),
@@ -259,14 +262,26 @@ DIAGNOSTICS = {
 }
 
 
+def _make_dir(path: Path) -> Path:
+    """path, made with its parents if missing; an --out that cannot be a
+    directory is a config error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # an existing file, or a parent that is one
+        raise ConfigError(f"--out {path}: {e.strerror}")
+    return path
+
+
 def _cmd_run(args) -> int:
     import scipy  # for the manifest's version only
     path = Path(args.config)
     try:
-        cfg = json.loads(path.read_text())
+        cfg = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
+    except OSError as e:  # a directory, say
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config is not a JSON object")
@@ -274,12 +289,13 @@ def _cmd_run(args) -> int:
         cfg["seed"] = args.seed
     exp = Experiment(cfg)
     threads = resolve_threads(args.threads)
-    out_dir = Path(args.out) if args.out else Path("zrp-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(Path(args.out) if args.out else Path("zrp-out"))
+    walk = "martingale" in exp.diagnostics and martingale_walk(
+        _martingale_f(exp), exp.rate, exp.kernel, exp.policy, exp.T)
 
     def replica(r):
         """Simulate replica r, audit it, write its events_r{r} file and return
-        (its summary.json entry, its torus row or None off a filled torus)."""
+        (summary entry, torus row, martingale row), each row None if unused."""
         eta0 = exp.initial_for(r)
         traj = simulate(eta0, exp.rate, exp.kernel, exp.policy, exp.T,
                         HarrisNoise(exp.seed, (r,)))
@@ -290,15 +306,13 @@ def _cmd_run(args) -> int:
             (out_dir / f"events_r{r}.json").write_text(events_json_string(traj))
         else:
             (out_dir / f"events_r{r}.csv").write_text(events_csv_string(traj))
-        return trajectory_summary(traj), row
+        return trajectory_summary(traj), row, walk(traj) if walk else None
 
     t0 = time.monotonic()
-    entries, rows = zip(*replica_map(replica, exp.replicas, threads=threads))
-    # martingale forks its own workers: run it before a p-value loads
-    # scipy.special, which every forked worker would carry
-    order = sorted(exp.diagnostics, key=lambda name: name != "martingale")
-    done = {name: DIAGNOSTICS[name][1](exp, rows, threads) for name in order}
-    reports = [done[name] for name in exp.diagnostics]
+    entries, rows, walks = zip(*replica_map(replica, exp.replicas,
+                                            threads=threads))
+    reports = [DIAGNOSTICS[name][1](exp, rows, walks)
+               for name in exp.diagnostics]
     wall = time.monotonic() - t0
 
     (out_dir / "summary.json").write_text(
@@ -338,6 +352,7 @@ def _cmd_suite(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be a non-negative integer")
     threads = resolve_threads(args.threads)
+    out_dir = _make_dir(Path(args.out)) if args.out else None
     results = run_suite(args.which, seed=args.seed, threads=threads)
     rows = []
     ok = True
@@ -349,9 +364,7 @@ def _cmd_suite(args) -> int:
         rows.append(res.to_json())
     payload = json.dumps({"suite": args.which, "results": rows,
                           "pass": ok}, sort_keys=True, indent=1) + "\n"
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir:
         (out_dir / f"suite_{args.which}.json").write_text(payload)
     else:
         print(payload, end="")

@@ -23,7 +23,8 @@ from .measures import canonical_torus_measure, fugacity_measure, sample_box_conf
 from .noise import HarrisNoise
 from .parallel import TAG_GILLESPIE, TAG_SAMPLE, derived_rng, replica_map
 from .rates import RateFn
-from .sites import Site, box_sites, origin, site_add, site_coords, site_sub, wrap
+from .sites import (Site, box_sites, origin, site_add, site_coords, site_sub,
+                    validate_site, wrap)
 
 # --------------------------------------------------------------- generator
 
@@ -107,28 +108,19 @@ class Report:
 
 # ------------------------------------------------------- martingale residual
 
-def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
-                        kernel: Kernel, policy: BoundaryPolicy, T: float,
-                        replicas: int, seed: int,
-                        threads: int = 1) -> Report:
-    """E[M_t] for M_t = f(eta_t) - f(eta_0) - int_0^t (Lf)(eta_s) ds, on the
-    grid t = T/8, 2T/8, ..., T.
-
-    Passes when |mean| <= 4 SE at the horizon and the empirical variance of
-    M_T respects the optional-quadratic-variation bound
-    8 B^2 E[int sum_{x in Abar} g(eta_s(x)) ds] (within its own 4 SE band).
-    The grid carries the mean path of M with its SEs. The Lf table is made
-    once per call and shared by a worker's replicas, one copy per worker.
-    """
-    if replicas < 2:
-        raise ConfigError("the martingale residual needs replicas >= 2")
+def martingale_walk(f: LocalFunction, rate: RateFn, kernel: Kernel,
+                    policy: BoundaryPolicy, T: float):
+    """walk(traj) -> (M on the grid T/8, 2T/8, ..., T, int_0^T sum_{x in Abar}
+    g(eta_s(x)) ds, f(eta_T)) along one trajectory. The Lf table is made once
+    and shared by the trajectories a walk reads, one copy per worker."""
+    for x in f.support:
+        validate_site(x, kernel.d)
     grid = np.linspace(T / 8, T, 8)
     sources = _candidate_sources(f, kernel, policy)
-    f0 = f.value(eta0.occ)
     table = {}  # (Lf, sum of g at the sources) by the sources' occupancies
 
-    def replica(r):
-        traj = simulate(eta0, rate, kernel, policy, T, HarrisNoise(seed, (r,)))
+    def walk(traj):
+        f0 = f.value(traj.initial.occ)
         integral = 0.0
         rate_mass = 0.0  # integral of sum_{x in Abar} g(eta_s(x)) ds
         gi = 0
@@ -150,7 +142,30 @@ def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
         m_grid[gi:] = fT - f0 - integral
         return m_grid, rate_mass, fT
 
-    rows = replica_map(replica, replicas, threads=threads)
+    return walk
+
+
+def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
+                        kernel: Kernel, policy: BoundaryPolicy, T: float,
+                        replicas: int, seed: int, threads: int = 1) -> Report:
+    """martingale_report of the martingale_walk rows of replicas from eta0."""
+    if replicas < 2:
+        raise ConfigError("the martingale residual needs replicas >= 2")
+    walk = martingale_walk(f, rate, kernel, policy, T)
+    rows = replica_map(lambda r: walk(simulate(eta0, rate, kernel, policy, T,
+                                               HarrisNoise(seed, (r,)))),
+                       replicas, threads=threads)
+    return martingale_report(rows, f, T, seed)
+
+
+def martingale_report(rows, f: LocalFunction, T: float, seed: int) -> Report:
+    """E[M_t] for M_t = f(eta_t) - f(eta_0) - int_0^t (Lf)(eta_s) ds on the
+    grid t = T/8, 2T/8, ..., T, from martingale_walk rows. Passes when
+    |mean| <= 4 SE at the horizon and the empirical variance of M_T respects
+    the optional-quadratic-variation bound 8 B^2 E[int sum_{x in Abar}
+    g(eta_s(x)) ds] (within its own 4 SE band). The grid carries the mean
+    path of M with its SEs."""
+    grid = np.linspace(T / 8, T, 8)
     M = np.stack([row[0] for row in rows])
     mass = np.array([row[1] for row in rows])
     mT = M[:, -1]
@@ -164,10 +179,10 @@ def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
     qv_ok = var <= qv_bound + 4.0 * se_var
 
     grid_mean = M.mean(axis=0)
-    grid_se = M.std(axis=0, ddof=1) / math.sqrt(replicas)
+    grid_se = M.std(axis=0, ddof=1) / math.sqrt(len(rows))
     return Report(
         test="martingale_residual", passed=bool(z <= 4.0 and qv_ok),
-        statistic=z, threshold=4.0, seed=seed, n_replicas=replicas,
+        statistic=z, threshold=4.0, seed=seed, n_replicas=len(rows),
         extras={"mean": mean, "se": se, "grid": grid.tolist(),
                 "grid_mean": grid_mean.tolist(), "grid_se": grid_se.tolist(),
                 "var_MT": var, "qv_bound": qv_bound, "qv_ok": bool(qv_ok),

@@ -294,8 +294,9 @@ def exp_moment_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
     upper limit per grid point; the bound uses the certified upper bracket of
     mbar. The first moment is checked against mbar directly as well.
     """
-    if theta <= 0:
-        raise ConfigError("need theta > 0")
+    z = validate_site(z, eta0.d)
+    if not 0 < theta < math.inf:
+        raise ConfigError(f"need 0 < theta < inf, got {theta!r}")
     if replicas < 1:
         raise ConfigError("the moment check needs replicas >= 1")
     grid = np.linspace(T / 4, T, 4)

@@ -133,6 +133,36 @@ def test_missing_file_is_config_error(tmp_path):
     assert "not found" in text
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "--config", "a_dir", "--out", "out"],
+    ["run", "--config", "latin1.json", "--out", "out"],
+    ["run", "--config", "exp.json", "--out", "a_file"],
+    ["run", "--config", "exp.json", "--out", "a_file/x"],
+    ["suite", "smoke", "--threads", "1", "--out", "a_file"],
+    ["suite", "smoke", "--threads", "1", "--out", "a_file/x"],
+], ids=["config-is-a-directory", "config-is-not-utf8", "run-out-is-a-file",
+        "run-out-under-a-file", "suite-out-is-a-file", "suite-out-under-a-file"])
+def test_unusable_path_is_config_error(tmp_path, monkeypatch, args):
+    """A --config that cannot be read as UTF-8 text, or an --out that cannot
+    be a directory, fails as a config error before any replica or criterion
+    runs."""
+    from zrp import acceptance
+
+    def nothing_runs(*args, **kwargs):
+        raise AssertionError("work started before the paths were checked")
+    monkeypatch.setattr(cli, "replica_map", nothing_runs)
+    monkeypatch.setattr(acceptance, "run_suite", nothing_runs)
+    _write_cfg(tmp_path, BASE)
+    (tmp_path / "latin1.json").write_bytes(b'{"T": "\xe9"}')
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "a_dir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, text = _run(args)
+    assert code == 1
+    assert text.startswith("config error: "), text
+    assert "Traceback" not in text
+
+
 def test_nonmonotone_table_names_index(tmp_path):
     cfg = dict(BASE)
     cfg["rate"] = {"family": "table", "values": [0, 3, 1]}
@@ -212,9 +242,9 @@ def test_prerequisites_fail_before_any_replica(tmp_path, monkeypatch, name, cfg)
 
 
 def test_torus_diagnostics_reduce_the_run_replicas(tmp_path, monkeypatch):
-    """stationarity, flux and mass read the rows of the run's own replicas:
-    one replica_map call, one simulation per replica, and no Trajectory
-    sent back to the parent."""
+    """All six diagnostics, martingale included, read the rows of the run's
+    own replicas: one replica_map call, one simulation per replica, and no
+    Trajectory sent back to the parent."""
     from zrp import diagnostics
     from zrp.configuration import Trajectory
     results, simulated = [], []
@@ -233,11 +263,11 @@ def test_torus_diagnostics_reduce_the_run_replicas(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "replica_map", recording_map)
     monkeypatch.setattr(cli, "simulate", counting_simulate)
     monkeypatch.setattr(diagnostics, "replica_map", no_second_pass)
-    cfg = dict(PINNED, diagnostics=["stationarity", "flux", "mass"])
-    p = _write_cfg(tmp_path, cfg)
+    p = _write_cfg(tmp_path, PINNED)
     code, text = _run(["run", "--config", str(p), "--out",
                        str(tmp_path / "out"), "--threads", "1"])
     assert code == 0, text
+    assert len(text.splitlines()) == len(PINNED["diagnostics"]) + 1
     assert len(results) == 1
     assert len(simulated) == PINNED["replicas"]
     assert not any(isinstance(part, Trajectory)
@@ -732,28 +762,53 @@ def test_run_and_every_check_load_no_scipy_stats(tmp_path):
 
 
 def test_martingale_workers_fork_before_scipy_special_loads(tmp_path):
-    """martingale is the one diagnostic of zrp run that forks its own replica
-    workers. It runs before the p-values of stationarity and flux load
-    scipy.special, so the workers it forks do not carry that module; the
-    verdicts still print in config order."""
+    """zrp run forks its replica workers once, before the p-values of
+    stationarity and flux load scipy.special, so no worker carries it; the
+    martingale rows come from those workers too, so no diagnostic forks
+    workers of its own. The verdicts print in config order."""
     p = _write_cfg(tmp_path, PINNED)
     script = (
         "import sys\n"
         "from zrp import cli, diagnostics\n"
-        "replica_map = diagnostics.replica_map\n"
+        "replica_map = cli.replica_map\n"
         "def spy(fn, n, *, threads=1):\n"
-        "    print(sys._getframe(1).f_code.co_name, sorted(\n"
+        "    print('map', n, threads, sorted(\n"
         "        m for m in sys.modules if m.split('.')[:2] == ['scipy', 'special']))\n"
         "    return replica_map(fn, n, threads=threads)\n"
-        "diagnostics.replica_map = spy\n"
+        "def second_pass(*args, **kwargs):\n"
+        "    raise AssertionError('a diagnostic mapped its own replicas')\n"
+        "cli.replica_map = spy\n"
+        "diagnostics.replica_map = second_pass\n"
         f"code = cli.main(['run', '--config', {str(p)!r}, '--out',\n"
         f"                 {str(tmp_path / 'out')!r}, '--threads', '2'])\n"
         "print(code)\n")
     res = _python(["-c", script], tmp_path)
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
-    assert lines[0] == "martingale_residual []"
+    assert lines[0] == f"map {PINNED['replicas']} 2 []"
     assert lines[-1] == "0"
     assert [line.split(":")[0] for line in lines[1:-2]] == [
         "replay", "rate-growth", "stationarity_statistical", "poisson_flux",
         "mass_conservation", "martingale_residual"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_martingale_report_equals_the_library_report(tmp_path, threads):
+    """On an explicit start every replica starts where martingale_residual
+    starts, with the same noise, so the run's own martingale rows give the
+    library's report byte for byte."""
+    from zrp.diagnostics import martingale_residual
+    from zrp.localfn import capped_occupancy
+    cfg = dict(BASE, replicas=30, T=1.0, policy={"kind": "killed", "n": 3},
+               diagnostics=["martingale"])
+    exp = cli.Experiment(cfg)
+    rep = martingale_residual(capped_occupancy(0, 10), exp.init_config,
+                              exp.rate, exp.kernel, exp.policy, exp.T,
+                              exp.replicas, exp.seed)
+    p = _write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    code, text = _run(["run", "--config", str(p), "--out", str(out),
+                       "--threads", threads])
+    assert code == 0, text
+    assert ((out / "report_martingale_residual.json").read_text()
+            == json.dumps(rep.to_json(), sort_keys=True, indent=1) + "\n")

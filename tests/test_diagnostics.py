@@ -22,6 +22,7 @@ from zrp.diagnostics import (
     engine_agreement_check,
     j_inequality_check,
     martingale_residual,
+    martingale_walk,
     mass_conservation_check,
     poisson_flux_check,
     stationarity_exact,
@@ -34,6 +35,7 @@ from zrp.localfn import capped_occupancy, occupancy_indicator
 from zrp.measures import fugacity_measure
 from zrp.noise import HarrisNoise
 from zrp.rates import power_rate
+from zrp.sites import origin
 
 SQ = power_rate(2.0)
 
@@ -262,6 +264,36 @@ def test_one_replica_has_no_sample_variance(monkeypatch, check):
     monkeypatch.setattr(diagnostics, "replica_map", _no_replicas)
     with pytest.raises(ConfigError, match="replicas >= 2"):
         check()
+
+
+@pytest.mark.parametrize("site, kernel", [
+    ((0, 0), nn_kernel_1d(0.5)),
+    (0, symmetric_nn_kernel(2)),
+], ids=["pair-in-d1", "int-in-d2"])
+def test_martingale_f_must_live_in_the_kernel_dimension(monkeypatch, site,
+                                                        kernel):
+    monkeypatch.setattr(diagnostics, "replica_map", _no_replicas)
+    f = capped_occupancy(site, 10)
+    with pytest.raises(ConfigError, match=f"d={kernel.d} sites"):
+        martingale_walk(f, SQ, kernel, OPEN, 1.0)
+    eta0 = Configuration(kernel.d, {origin(kernel.d): 1})
+    with pytest.raises(ConfigError, match=f"d={kernel.d} sites"):
+        martingale_residual(f, eta0, SQ, kernel, OPEN, 1.0, 10, 1)
+
+
+@pytest.mark.parametrize("z, theta, message", [
+    ((0,), 0.5, "d=1 sites"),
+    (0, math.nan, "theta"),
+    (0, math.inf, "theta"),
+    (0, 0.0, "theta"),
+    (0, -0.5, "theta"),
+])
+def test_moment_check_rejects_a_bad_site_or_theta_before_any_replica(
+        monkeypatch, z, theta, message):
+    monkeypatch.setattr(hitting, "replica_map", _no_replicas)
+    with pytest.raises(ConfigError, match=message):
+        hitting.exp_moment_check(Configuration(1, {-1: 1, 0: 1, 1: 1}), SQ,
+                                 nn_kernel_1d(0.5), z, theta, 1.0, 2000, 1)
 
 
 def test_estimate_F_needs_a_walk(monkeypatch):
