@@ -579,7 +579,7 @@ PINNED_SHA256 = {
     "report_mass_conservation.json":
         "7506f3a9944841ed5400594d9c85c35dc6f1cf2353173844c02c26972382f796",
     "report_martingale_residual.json":
-        "dd46e152f8dea94579864f566351dd40dba018f80d6275539cb5f64074ebfbfe",
+        "856149ff8fb7db54bdbd104a799256dabffaa24c2b9af86ea6305c2f900c84cb",
     "summary.json":
         "993b60dd5c76a8defc4ed854b157bde4bd43ea9e688f09fd39aa5cf54e861b41",
 }
