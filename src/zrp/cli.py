@@ -249,9 +249,9 @@ def _martingale_f(exp: Experiment):
 
 # name -> (prerequisite, runner). A prerequisite returns what the experiment
 # lacks, or None; Experiment checks them before any replica runs. A runner
-# takes (exp, rows, walks), the run's per-replica torus rows (None off a
-# filled torus) and martingale_walk rows (None unless asked for), returns the
-# report's JSON and is looked up here when called, so a test can replace it.
+# takes (exp, rows, walks), the per-replica torus rows (None off a filled
+# torus) and martingale_walk rows (None unless asked for), and returns the
+# report's JSON. It is looked up here when called: a test or tracer may swap it.
 DIAGNOSTICS = {
     "replay": (None, _replay_all),
     "rate-growth": (None, _rate_growth),

@@ -3,10 +3,11 @@
 Each test runs one criterion exactly as `zrp suite acceptance` does (same
 per-criterion seed derivation from DEFAULT_SEED) and prints one pass/fail
 line.  Run with -s to see the lines as they complete; the full set took
-126 s single-threaded on a 2-vCPU Xeon with Python 3.11.7.  Statistical criteria carry
-acceptance bands sized so a correct build fails each one well under one
-time in a hundred, so a red here is either a real regression or a rare
-seed fluke: rerun with a different --seed via the CLI before digging.
+155 s single-threaded on a shared 2-vCPU Xeon VM with Python 3.11.7.
+Statistical criteria carry acceptance bands sized so a correct build fails
+each one well under one time in a hundred, so a red here is either a real
+regression or a rare seed fluke: rerun with a different --seed via the CLI
+before digging.
 """
 
 import time
