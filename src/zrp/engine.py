@@ -1,15 +1,17 @@
 """Event-driven simulators for the zero-range process.
 
-simulate() runs the thinning construction on the lazy Poisson field: pop the
+simulate() runs the thinning construction on the lazy Poisson field: take the
 earliest pending atom (t, y, u) at site x, fire iff the current occupancy k
 satisfies y <= g(k), route the displaced particle through the jump kernel and
 the boundary policy. Atoms above g(k) are discarded. Height caps follow the
 occupancy one time slab at a time: at each slab start a site holding k
 particles draws bands_for(g(k)) bands, whose ceiling is 1 for g(k) <= 1 and
 lies in [g(k), 2 g(k)) above that, all sites in one HarrisNoise.slab_atoms
-batch; a rise within the slab draws the missing bands one window at a time,
-and a fall keeps what was drawn until the slab ends. Draws ask only for atoms
-in (t_now, T], and only the ceil(T) slabs that start before T are drawn: at an
+call, which a numpy batch makes with the bands of g(k + 1) as spares if the
+run has met k + 1. A site's first rise within the slab pushes its spares
+still ahead; a band still missing is hashed in one band_atoms call. A fall
+keeps what was drawn until the slab ends. Draws ask only for atoms in
+(t_now, T], and only the ceil(T) slabs that start before T are drawn: at an
 integer T that leaves out an atom at t = T, whose time word is exactly 0 in
 slab T (probability 2^-53 per atom). Both simulators move a fired particle
 through _fire, the one place a run draws a jump, routes, moves and logs.
@@ -128,9 +130,9 @@ def _fire(occ: dict, events: list, moves: dict, policy: BoundaryPolicy,
 def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
              policy: BoundaryPolicy, T: float, noise: HarrisNoise,
              tag: str = "") -> Trajectory:
-    """One path of the process under the shared-noise construction. A slab's
-    batch becomes the heap, and a landing that raises a site's cap pushes the
-    missing bands, so each atom that can fire is pushed before it is due."""
+    """One path of the process under the shared-noise construction. A slab
+    start's sorted atoms merge with a heap, onto which a landing that raises a
+    site's cap pushes the missing bands: each atom that can fire is due in turn."""
     _validate_run(eta0, rate, kernel, policy, T)
     occ: dict[Site, int] = dict(eta0.occ)
     events = []
@@ -140,9 +142,16 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
     caps = [bands_for(v) for v in gs]  # gs[k] = g(k), caps[k] its band count
     for slab in range(math.ceil(T / TIME_SLAB)):
         bands = {x: caps[k] for x, k in occ.items()}
-        heap = noise.slab_atoms(list(bands), list(bands.values()), slab, t_now, T)
-        while heap:
-            t, x, y, u = heappop(heap)
+        ahead = [caps[k + 1] if k + 1 < len(caps) else caps[k] for k in occ.values()]
+        atoms, (ts, ys, us, spans) = noise.slab_atoms(list(bands), list(bands.values()),
+                                                      ahead, slab, t_now, T)
+        rise, i = [], 0
+        while i < len(atoms) or rise:
+            if rise and (i == len(atoms) or rise[0] < atoms[i]):
+                t, x, y, u = heappop(rise)
+            else:
+                t, x, y, u = atoms[i]
+                i += 1
             k = occ.get(x, 0)
             if k == 0 or y > gs[k]:
                 continue
@@ -156,9 +165,12 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
                 m, have = caps[k], bands.get(dst, 0)
                 if m > have:
                     bands[dst] = m
-                    for b in range(have, m):
-                        for ta, ya, ua in zip(*noise.window(dst, b, slab, t, T)):
-                            heappush(heap, (ta, dst, ya, ua))
+                    a, b, have = spans.pop(dst, (0, 0, have))
+                    for j in range(a, b):
+                        if ts[j] > t:
+                            heappush(rise, (ts[j], dst, ys[j], us[j]))
+                    for atom in noise.band_atoms(dst, have, m, slab, t, T):
+                        heappush(rise, atom)
 
     return Trajectory(d=eta0.d, initial=eta0, events=events,
                       final=_trusted(eta0.d, occ), T=T,
@@ -232,12 +244,19 @@ def simulate_truncation_schedule(base: Configuration, schedule, rate: RateFn,
                                  kernel: Kernel, T: float, noise: HarrisNoise,
                                  snapshot_times=None) -> TruncationScheduleResult:
     """Run the open process from the truncations of base to each box
-    [-n, n]^d of the schedule, all levels reading the same noise field; base
-    is the start on the largest box. The levels must be pathwise
-    non-decreasing in the box; any violation is a hard failure."""
+    [-n, n]^d of the schedule (whole radii), all levels reading one noise
+    field; base is the start on the largest box and lies inside it. The levels
+    must be pathwise non-decreasing in the box; any violation is a hard failure."""
+    for n in schedule:
+        if not float(n).is_integer():
+            raise ConfigError(f"schedule level {n!r} is not a whole box radius")
     schedule = tuple(int(n) for n in schedule)
     if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("schedule must be strictly increasing with >= 2 levels")
+    for x in base.sites():
+        if not in_box(x, schedule[-1]):
+            raise ConfigError(f"base site {x!r} lies outside the largest box, "
+                              f"n={schedule[-1]}")
     d = kernel.d
     if snapshot_times is None:
         snapshot_times = tuple((i + 1) / 10 * T for i in range(10))  # the last is T

@@ -35,18 +35,22 @@ N^2 L / 2^64, below 1e-5 for a million windows of 16 words.
 
 Batches. Because a window is a pure function of its key, the windows of a
 whole slab start (every occupied site, every band it needs) can be hashed
-together: slab_atoms starts from the per-site keys that window() memoises
-(_site_key, folded in Python ints, so coordinates of any width batch), then
-applies the slab and band word, mix64 and _word on np.uint64 arrays, which
-wrap mod 2^64 exactly as the masked Python ints do, inverts each band's CDF
-with searchsorted(side="right") as bisect_right does, and forms times and
-heights with the same float64 operations, so it returns bit-for-bit the atoms
-of window(). numpy pays a fixed cost per batch of about 33 scalar windows
-of bands 0-1 with every atom kept (70 us against 2.2 us on a 2 vCPU Xeon,
-Python 3.11, numpy 2.4, in a fast phase of a host whose speed drifts up to
-threefold), so batches of fewer than _BATCH_MIN windows (about twice that
-break-even) loop over window() instead. Both take a time range (t_lo, t_hi]:
-an atom outside it costs its time word only.
+together: slab_atoms starts from the per-site keys (_site_key, folded in
+Python ints and memoised, so coordinates of any width batch), then applies
+the slab and band word, mix64 and _word on np.uint64 arrays, which wrap mod
+2^64 exactly as the masked Python ints do, inverts each band's CDF with
+searchsorted(side="right") as bisect_right does, and forms times and heights
+with the same float64 operations, so it returns bit-for-bit the atoms of
+band_atoms, the scalar kernel that window() views. numpy pays a fixed cost
+per batch of about 33 scalar windows of bands 0-1 with every atom kept (70 us
+against 2.2 us on a 2 vCPU Xeon, Python 3.11, numpy 2.4, in a fast phase of a
+host whose speed drifts up to threefold), so batches of fewer than _BATCH_MIN
+windows (about twice that break-even) loop over band_atoms instead. Both take
+a time range (t_lo, t_hi]: an atom outside it costs its time word only. A
+batch also hashes spare bands, which a rise may need, as columns; the scalar
+path hashes none: in Python a spare costs what a rise does, and about half
+never serve one (with them, 300 runs on an 11-site torus took 1.30 times as
+long).
 """
 from __future__ import annotations
 
@@ -152,43 +156,46 @@ class HarrisNoise:
         master, *path = seed_path(self.master, *self.path)
         object.__setattr__(self, "_key", reduce(_fold_int, path, _prefix(master, len(path))))
 
-    def window(self, site: Site, band: int, slab: int, t_lo=-math.inf, t_hi=math.inf):
-        """(times, heights, marks) of the atoms t_lo < t <= t_hi of one window,
-        as lists. Times are absolute (inside [slab, slab+1)), heights inside
-        the band, marks U[0,1). Recomputed from the site's key prefix on every
-        call; the height and mark words of an atom outside (t_lo, t_hi] are
-        never hashed.
-        """
+    def band_atoms(self, site: Site, b0: int, b1: int, slab: int, t_lo=-math.inf,
+                   t_hi=math.inf) -> list:
+        """The atoms (t, site, y, u), t_lo < t <= t_hi, of windows (site, b, slab)
+        for b0 <= b < b1, band by band in word order: absolute times, heights
+        inside their band, marks U[0,1). Hashed from the site's key on every
+        call; an atom outside (t_lo, t_hi] costs its time word only."""
         key = self._site_keys.get(site) or self._site_key(site)
-        # _fold(h, slab << 16 | band << 8 | d) and each _word(h, i), inline:
-        # calling _word here made window() 4-7% slower per call
-        z = key ^ ((slab << 16) | (band << 8))  # d < 256 shares no bit with them
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        h = z ^ (z >> 31)
-        cdf, lo, height = _band(band)
-        z = (h + _GAMMA) & _MASK
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        n = bisect_right(cdf, ((z ^ (z >> 31)) >> 11) * _UNIT)
-        t0 = slab * TIME_SLAB
-        ts, ys, us = [], [], []
-        for i in range(2, 3 * n + 2, 3):  # time words; height and mark if kept
-            z = (h + i * _GAMMA) & _MASK
+        out, t0 = [], slab * TIME_SLAB
+        for band in range(b0, b1):
+            # _fold(h, slab << 16 | band << 8 | d) and each _word(h, i), inline:
+            # calling _word here made each window 4-7% slower
+            z = key ^ ((slab << 16) | (band << 8))  # d < 256 shares no bit with them
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            t = t0 + ((z ^ (z >> 31)) >> 11) * _UNIT * TIME_SLAB
-            if t_lo < t <= t_hi:
-                ts.append(t)
-                z = (h + (i + 1) * _GAMMA) & _MASK
+            h = z ^ (z >> 31)
+            cdf, lo, height = _band(band)
+            z = (h + _GAMMA) & _MASK
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            n = bisect_right(cdf, ((z ^ (z >> 31)) >> 11) * _UNIT)
+            for i in range(2, 3 * n + 2, 3):  # time words; height and mark if kept
+                z = (h + i * _GAMMA) & _MASK
                 z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
                 z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                ys.append(lo + height * (((z ^ (z >> 31)) >> 11) * _UNIT))
-                z = (h + (i + 2) * _GAMMA) & _MASK
-                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                us.append(((z ^ (z >> 31)) >> 11) * _UNIT)
-        return ts, ys, us
+                t = t0 + ((z ^ (z >> 31)) >> 11) * _UNIT * TIME_SLAB
+                if t_lo < t <= t_hi:
+                    z = (h + (i + 1) * _GAMMA) & _MASK
+                    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                    y = lo + height * (((z ^ (z >> 31)) >> 11) * _UNIT)
+                    z = (h + (i + 2) * _GAMMA) & _MASK
+                    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                    out.append((t, site, y, ((z ^ (z >> 31)) >> 11) * _UNIT))
+        return out
+
+    def window(self, site: Site, band: int, slab: int, t_lo=-math.inf, t_hi=math.inf):
+        """band_atoms of one band as lists (times, heights, marks)."""
+        atoms = self.band_atoms(site, band, band + 1, slab, t_lo, t_hi)
+        return [a[0] for a in atoms], [a[2] for a in atoms], [a[3] for a in atoms]
 
     def _site_key(self, site: Site) -> int:
         """(h + GAMMA) ^ d, h the path key folded over the zigzag of each
@@ -198,21 +205,22 @@ class HarrisNoise:
         key = self._site_keys[site] = ((h + _GAMMA) & _MASK) ^ len(coords)
         return key
 
-    def slab_atoms(self, sites, counts, slab: int, t_lo, t_hi) -> list:
-        """Atoms (t, site, y, u), t_lo < t <= t_hi, of windows (sites[i], b, slab)
-        for every i and b < counts[i], sorted: the atoms window() gives, as tuples."""
+    def slab_atoms(self, sites, counts, ahead, slab: int, t_lo, t_hi):
+        """(atoms, spare). atoms: the atoms (t, site, y, u), t_lo < t <= t_hi, of
+        windows (sites[i], b, slab), b < counts[i], sorted. spare: (times, heights,
+        marks, spans), the atoms a batch hashes of bands counts[i] <= b < ahead[i],
+        site i's at [start, stop) for spans[sites[i]] = (start, stop, ahead[i])."""
         if sum(counts) >= _BATCH_MIN:
-            return self._slab_batch(sites, counts, slab, t_lo, t_hi)
-        atoms = [(t, x, y, u) for x, m in zip(sites, counts) for b in range(m)
-                 for t, y, u in zip(*self.window(x, b, slab, t_lo, t_hi))]
-        atoms.sort()
-        return atoms
+            return self._slab_batch(sites, counts, ahead, slab, t_lo, t_hi)
+        atoms = sorted(a for x, m in zip(sites, counts)
+                       for a in self.band_atoms(x, 0, m, slab, t_lo, t_hi))
+        return atoms, ([], [], [], {})
 
-    def _slab_batch(self, sites, counts, slab: int, t_lo, t_hi) -> list:
+    def _slab_batch(self, sites, counts, ahead, slab: int, t_lo, t_hi):
         """slab_atoms hashed in np.uint64 arrays, from the per-site keys."""
         keys = self._site_keys
         h = np.array([keys.get(x) or self._site_key(x) for x in sites], dtype=np.uint64)
-        site, band = _expand(np.asarray(counts, dtype=np.int64))
+        site, band = _expand(np.asarray(ahead, dtype=np.int64))
         h = _mix(h[site] ^ ((slab << 16) | (band.astype(np.uint64) << 8)))
         n_bands = int(band.max()) + 1
         count_u = _word(h, 1)
@@ -228,11 +236,18 @@ class HarrisNoise:
         lo, hi = np.array([band_bounds(k) for k in range(n_bands)])[band[win]].T
         y = lo + (hi - lo) * _word(h, i + 1)
         u = _word(h, i + 2)
-        order = np.argsort(t, kind="stable")
-        atoms = list(zip(t[order].tolist(), [sites[k] for k in site[win][order].tolist()],
+        # split by band, not height: a height can round up to its band's ceiling
+        at = site[win]
+        spare = band[win] >= np.asarray(counts, dtype=np.int64)[at]
+        order = np.flatnonzero(~spare)[np.argsort(t[~spare], kind="stable")]
+        atoms = list(zip(t[order].tolist(), [sites[k] for k in at[order].tolist()],
                          y[order].tolist(), u[order].tolist()))
         atoms.sort()  # exact ties in t fall back to tuple order, as in a heap
-        return atoms
+        # windows run site by site, so each site's spare atoms are contiguous
+        edge = np.searchsorted(at[spare], np.arange(len(sites) + 1)).tolist()
+        spans = {sites[k]: (edge[k], edge[k + 1], a)
+                 for k, (m, a) in enumerate(zip(counts, ahead)) if a > m}
+        return atoms, (t[spare].tolist(), y[spare].tolist(), u[spare].tolist(), spans)
 
 
 def _expand(counts: np.ndarray):

@@ -164,14 +164,14 @@ class _Atoms:
     def __init__(self, atoms):
         self.atoms = sorted(atoms)
 
-    def slab_atoms(self, sites, counts, slab, t_lo, t_hi):
-        return [a for a in self.atoms
-                if slab == 0 and a[1] in sites and t_lo < a[0] <= t_hi]
+    def slab_atoms(self, sites, counts, ahead, slab, t_lo, t_hi):
+        return ([a for a in self.atoms
+                 if slab == 0 and a[1] in sites and t_lo < a[0] <= t_hi],
+                ([], [], [], {}))
 
-    def window(self, site, band, slab, t_lo, t_hi):
-        mine = [a for a in self.atoms
-                if a[1] == site and band == slab == 0 and t_lo < a[0] <= t_hi]
-        return [a[0] for a in mine], [a[2] for a in mine], [a[3] for a in mine]
+    def band_atoms(self, site, b0, b1, slab, t_lo, t_hi):
+        return [a for a in self.atoms
+                if a[1] == site and b0 == slab == 0 < b1 and t_lo < a[0] <= t_hi]
 
 
 @pytest.mark.parametrize("atoms,fraction,origin_ok", [
@@ -203,6 +203,19 @@ def test_truncation_schedule_rejects_bad_schedule():
     with pytest.raises(ConfigError):
         simulate_truncation_schedule(_ones(4), (4,), RATE, NN, 1.0,
                                      HarrisNoise(0))
+
+
+@pytest.mark.parametrize("schedule,match", [
+    ((1.7, 3.2), "schedule level 1.7 is not a whole box radius"),
+    ((1, math.inf), "schedule level inf"),
+    ((1, 3), "base site -5 lies outside the largest box, n=3"),
+])
+def test_truncation_schedule_rejects_lost_levels_and_mass(schedule, match):
+    # 11 particles on [-5, 5]: a largest box of radius 3 would drop 4 of them
+    with pytest.raises(ConfigError, match=match):
+        simulate_truncation_schedule(_ones(5), schedule, RATE, NN, 1.0, HarrisNoise(0))
+    res = simulate_truncation_schedule(_ones(5), (2.0, 5), RATE, NN, 1.0, HarrisNoise(0))
+    assert res.schedule == (2, 5)
 
 
 def test_pq_family_sandwich_and_sorted_labels():
@@ -311,13 +324,13 @@ class _SlabLog:
         self.noise, self.master, self.path = noise, noise.master, noise.path
         self.slabs = set()
 
-    def slab_atoms(self, sites, counts, slab, t_lo, t_hi):
+    def slab_atoms(self, sites, counts, ahead, slab, t_lo, t_hi):
         self.slabs.add(slab)
-        return self.noise.slab_atoms(sites, counts, slab, t_lo, t_hi)
+        return self.noise.slab_atoms(sites, counts, ahead, slab, t_lo, t_hi)
 
-    def window(self, site, band, slab, t_lo, t_hi):
+    def band_atoms(self, site, b0, b1, slab, t_lo, t_hi):
         self.slabs.add(slab)
-        return self.noise.window(site, band, slab, t_lo, t_hi)
+        return self.noise.band_atoms(site, b0, b1, slab, t_lo, t_hi)
 
 
 @pytest.mark.parametrize("T", [0.3, 1.0, 2.0, 2.5])

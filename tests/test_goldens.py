@@ -3,7 +3,8 @@
 These hashes fix the exact events CSV that the Harris engine writes for a few
 seeded runs across the open, killed and periodic policies in d=1 and d=2, the
 Gillespie sampler's logs for four of those runs, a longer torus run from a
-sampled product start (a batched slab start, rises into band 4, wraps), the two coupled-run drivers,
+sampled product start (batched slab starts, rises served from their
+spare bands and rises hashed past them into band 4, wraps), the two coupled-run drivers,
 the sorted particle positions of the (p,q) family at its snapshots, and the
 JSON of one small run of the engine cross-check, the moment check, the
 occupancy bound under each tail method and the martingale residual of AC6's
@@ -17,6 +18,7 @@ import json
 import numpy as np
 import pytest
 
+from zrp import noise as noise_module
 from zrp.configuration import Configuration, events_csv_string
 from zrp.diagnostics import engine_agreement_check, martingale_residual
 from zrp.engine import (OPEN, killed, periodic, simulate, simulate_gillespie,
@@ -116,25 +118,50 @@ def test_event_log_matches_golden(name):
     assert _sha(trajs) == GOLDEN[name]
 
 
-def test_d1_torus_long_covers_batches_rises_and_wraps(monkeypatch):
-    """The golden must keep exercising the batched slab start, scalar rise
-    windows up to band 4 and periodic wraps."""
-    batched, bands = [], []
-    window, slab_batch = HarrisNoise.window, HarrisNoise._slab_batch
+@pytest.mark.parametrize("cutoff", [1, 10 ** 9])   # every slab start batched, none
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_event_log_golden_holds_at_any_batch_cutoff(name, cutoff, monkeypatch):
+    monkeypatch.setattr(noise_module, "_BATCH_MIN", cutoff)
+    assert _sha(CASES[name]()) == GOLDEN[name]
 
-    def counted_window(self, site, band, *args):
-        bands.append(band)
-        return window(self, site, band, *args)
+
+def test_d1_torus_long_covers_batches_rises_and_wraps(monkeypatch):
+    """The golden must keep exercising batched slab starts, rises served from
+    their spare bands, rises that hash bands past the spare up to band 4, and
+    periodic wraps."""
+    batched, log = [], []
+    band_atoms, slab_batch = HarrisNoise.band_atoms, HarrisNoise._slab_batch
+
+    class Spans(dict):
+        def pop(self, site, default=None):
+            if site in self:
+                log.append(("spare", site, self[site][2]))
+            return dict.pop(self, site, default)
+
+    def counted_rise(self, site, b0, b1, *args):
+        log.append(("hash", site, b0, b1))
+        return band_atoms(self, site, b0, b1, *args)
 
     def counted_batch(self, sites, counts, *args):
         batched.append(sum(counts))
-        return slab_batch(self, sites, counts, *args)
+        log.append(("batch",))
+        atoms, (ts, ys, us, spans) = slab_batch(self, sites, counts, *args)
+        return atoms, (ts, ys, us, Spans(spans))
 
-    monkeypatch.setattr(HarrisNoise, "window", counted_window)
+    monkeypatch.setattr(HarrisNoise, "band_atoms", counted_rise)
     monkeypatch.setattr(HarrisNoise, "_slab_batch", counted_batch)
     (traj,) = CASES["d1-torus-long"]()
-    assert batched and min(batched) >= 64
-    assert max(bands) >= 4
+    assert len(batched) == 6 and min(batched) >= 64   # so every hash is a rise
+    tops, served, past = {}, 0, 0
+    for e in log:
+        if e[0] == "batch":
+            tops = {}
+        elif e[0] == "spare":
+            tops[e[1]], served = e[2], served + 1
+        else:  # a later rise of a site whose spare is spent starts at its top
+            past += tops.get(e[1]) == e[2] < e[3]
+    assert served > 100 and past > 10
+    assert max(e[3] for e in log if e[0] == "hash") >= 5
     assert any(e[3] == "periodic-wrap" for e in traj.events)
 
 

@@ -264,11 +264,12 @@ def test_slab_atoms_equal_window(d, slab, n_sites):
     # 3 sites stay below the batch cutoff, 120 sites go far above it
     assert (sum(counts) >= _BATCH_MIN) == (n_sites == 120)
     noise = HarrisNoise(48, (d, 2))
-    got = noise.slab_atoms(sites, counts, slab, -math.inf, math.inf)
+    got, spare = noise.slab_atoms(sites, counts, counts, slab, -math.inf, math.inf)
     assert got == _scalar_slab(noise, sites, counts, slab)
+    assert spare == ([], [], [], {})   # no band past counts
     assert all(type(v) is float for a in got for v in (a[0], a[2], a[3]))
     for lo, hi in _time_ranges(got, slab):
-        assert noise.slab_atoms(sites, counts, slab, lo, hi) == \
+        assert noise.slab_atoms(sites, counts, counts, slab, lo, hi)[0] == \
             [a for a in got if lo < a[0] <= hi]
 
 
@@ -285,12 +286,47 @@ def test_slab_atoms_at_and_past_int64(wide, monkeypatch):
         return slab_batch(self, sites, *args)
 
     monkeypatch.setattr(HarrisNoise, "_slab_batch", counted_batch)
-    got = noise.slab_atoms(sites, [2] * len(sites), 5, -math.inf, math.inf)
+    twos = [2] * len(sites)
+    got = noise.slab_atoms(sites, twos, twos, 5, -math.inf, math.inf)[0]
     assert batched == [wide]
-    assert got == _scalar_slab(noise, sites, [2] * len(sites), 5)
+    assert got == _scalar_slab(noise, sites, twos, 5)
     for lo, hi in _time_ranges(got, 5):
-        assert noise.slab_atoms(sites, [2] * len(sites), 5, lo, hi) == \
+        assert noise.slab_atoms(sites, twos, twos, 5, lo, hi)[0] == \
             [a for a in got if lo < a[0] <= hi]
+
+
+def _spare_atoms(spare):
+    """{site: sorted spare atoms (t, site, y, u)} of one slab_atoms spare."""
+    ts, ys, us, spans = spare
+    return {x: sorted((ts[j], x, ys[j], us[j]) for j in range(a, b))
+            for x, (a, b, _) in spans.items()}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n_sites", [3, 120])
+def test_batched_spares_equal_window(d, n_sites):
+    # bands counts[i] .. ahead[i] - 1 come back apart from the sorted atoms,
+    # split by band, with and without a time range; the scalar path hashes none
+    rng = np.random.default_rng(d * 100 + n_sites)
+    coords = {tuple(int(c) for c in rng.integers(-40, 40, d)) for _ in range(n_sites)}
+    sites = [c[0] if d == 1 else c for c in sorted(coords)]
+    counts = [int(m) for m in rng.integers(1, 6, len(sites))]
+    ahead = [m + int(e) for m, e in zip(counts, rng.integers(0, 4, len(sites)))]
+    noise = HarrisNoise(53, (d,))
+    for lo, hi in [(-math.inf, math.inf)] + _time_ranges([], 7):
+        atoms, spare = noise.slab_atoms(sites, counts, ahead, 7, lo, hi)
+        assert atoms == noise.slab_atoms(sites, counts, counts, 7, lo, hi)[0]
+        if n_sites == 3:
+            assert spare == ([], [], [], {})
+            continue
+        assert all(type(c) is list for c in spare[:3])
+        assert {x: top for x, (_, _, top) in spare[3].items()} == \
+            {x: a for x, m, a in zip(sites, counts, ahead) if a > m}
+        want = {x: sorted((t, x, y, u) for b in range(m, a)
+                          for t, y, u in zip(*noise.window(x, b, 7, lo, hi)))
+                for x, m, a in zip(sites, counts, ahead) if a > m}
+        assert _spare_atoms(spare) == want
+        assert lo > -math.inf or sum(map(len, want.values())) > 100
 
 
 def test_derived_rng_streams():

@@ -10,10 +10,12 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from zrp import noise as noise_module
 from zrp.configuration import Configuration, snapshots, truncate
 from zrp.diagnostics import _j_dicts
 from zrp.engine import (OPEN, BoundaryPolicy, simulate, simulate_gillespie,
@@ -185,13 +187,17 @@ EAGER_KERNELS = {1: [nn_kernel_1d(0.7), make_kernel([(3, 0.5), (-1, 0.5)])],
        st.one_of(st.integers(1, 3).map(float), st.floats(0.1, 3.0)),
        st.integers(0, 2 ** 32 - 1), st.data())
 def test_simulate_equals_the_eager_construction(d, kind, rate, T, seed, data):
-    # the lazy caps, rises, time ranges and batches change no event: the
-    # log and final state equal the construction's, written out eagerly
+    # the lazy caps, rises, time ranges, batches and their spare bands
+    # change no event: the log and final state equal the construction's,
+    # written out eagerly
     n = data.draw(st.integers(0, 3 if d == 1 else 2))
     kernel = data.draw(st.sampled_from(EAGER_KERNELS[d]))
     placed = data.draw(st.lists(st.sampled_from(box_sites(n, d)), min_size=1, max_size=8))
     eta0 = Configuration(d, dict(Counter(placed)))
-    traj = simulate(eta0, rate, kernel, BoundaryPolicy(kind, n), T, HarrisNoise(seed))
+    # no case reaches a batch at the usual cutoff; half of them batch every slab
+    cutoff = 1 if data.draw(st.booleans()) else noise_module._BATCH_MIN
+    with patch.object(noise_module, "_BATCH_MIN", cutoff):
+        traj = simulate(eta0, rate, kernel, BoundaryPolicy(kind, n), T, HarrisNoise(seed))
     events, occ = _eager(eta0, rate, kernel, kind, n, T, HarrisNoise(seed))
     assert traj.events == events
     assert traj.final.occ == occ
