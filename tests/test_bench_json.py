@@ -1,6 +1,7 @@
 """The summary arithmetic of tools/bench_json.py; CI runs the tool itself."""
 import importlib.util
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +121,31 @@ def test_dirty_paths_names_the_tracked_files_that_differ_from_head(tmp_path):
     assert bench_json.dirty_paths(tmp_path) == []
     (tmp_path / "b.py").write_text("b = 2\n")
     assert bench_json.dirty_paths(tmp_path) == ["b.py"]
+
+
+def test_compile_sources_writes_bytecode_whatever_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "__init__.py").write_text("")
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+    bench_json.compile_sources(tmp_path)
+    tag = sys.implementation.cache_tag
+    assert sorted(p.name for p in (tmp_path / "src" / "pkg" / "__pycache__").iterdir()) \
+        == [f"__init__.{tag}.pyc", f"mod.{tag}.pyc"]
+
+
+def test_main_compiles_every_checkout_before_the_first_repeat(tmp_path, monkeypatch):
+    order = []
+    monkeypatch.setattr(bench_json, "compile_sources",
+                        lambda root: order.append(("compile", root.name)))
+    monkeypatch.setattr(bench_json, "run_once", lambda root, args: (
+        order.append(("run", root.name)), {}, {"correct": True, "metrics": {}}, 0)[1:])
+    monkeypatch.setattr(bench_json, "run_suite", lambda root: ({}, True))
+    for name in ("a", "b"):
+        (tmp_path / name / "src").mkdir(parents=True)
+    assert bench_json.main(["--checkout", f"a={tmp_path / 'a'}",
+                            "--checkout", f"b={tmp_path / 'b'}", "--workload", "w",
+                            "--seed", "1", "--seconds", "0", "--repeats", "2",
+                            "--out", str(tmp_path / "out.json")]) == 0
+    assert order == [("compile", "a"), ("compile", "b"), ("run", "a"), ("run", "b"),
+                     ("run", "b"), ("run", "a")]

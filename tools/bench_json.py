@@ -4,9 +4,13 @@ medians and quartiles of every metric to a JSON file.
     python3 tools/bench_json.py --checkout parent=../zrp-parent \
         --checkout change=. --seed 1 --seconds 3 --repeats 5 --out BENCH_n.json
 
-Each repeat runs, in every checkout in turn (so host drift hits all of them
-alike, and with the order reversed on every other repeat), for each workload
-W (every workload of the checkout's BENCHMARK.json under ``--workload all``)
+Before the first repeat it byte-compiles each checkout's ``src/`` with
+``python -m compileall -q src``, so that ``setup_s`` compares imports from
+bytecode in every checkout, whether or not it ran before and whatever
+``PYTHONDONTWRITEBYTECODE`` says. Each repeat runs, in every checkout in
+turn (so host drift hits all of them alike, and with the order reversed on
+every other repeat), for each workload W (every workload of the checkout's
+BENCHMARK.json under ``--workload all``)
 
     python3 perfbench/run.py --workload W --seed S --seconds X --trace 0
 
@@ -82,6 +86,12 @@ def dirty_paths(root: Path) -> list[str] | None:
 def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines())
                for p in sorted((root / "src").rglob("*.py")))
+
+
+def compile_sources(root: Path) -> None:
+    """Byte-compile every module under root's src/."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=root,
+                   check=True)
 
 
 def workload_names(root: Path, workload: str) -> list[str]:
@@ -184,6 +194,8 @@ def main(argv=None) -> int:
             ap.error(f"--checkout {item!r} is not LABEL=DIR")
         roots[label] = Path(path).resolve()
 
+    for root in roots.values():
+        compile_sources(root)
     runs = {label: [] for label in roots}
     suites = {label: [] for label in roots}
     ok = True
