@@ -10,10 +10,10 @@ lies in [g(k), 2 g(k)) above that, all sites in one HarrisNoise.slab_atoms
 call, which a numpy batch makes with the bands of g(k + 1) as spares if the
 run has met k + 1. A site's first rise within the slab pushes its spares
 still ahead; a band still missing is hashed in one band_atoms call. A fall
-keeps what was drawn until the slab ends. Draws ask only for atoms in
-(t_now, T], and only the ceil(T) slabs that start before T are drawn: at an
-integer T that leaves out an atom at t = T, whose time word is exactly 0 in
-slab T (probability 2^-53 per atom). Both simulators move a fired particle
+keeps what was drawn until the slab ends. A slab start draws atoms up to T, a
+rise those after it, and only the ceil(T) slabs that start before T are drawn:
+at an integer T that leaves out an atom at t = T, whose time word is exactly 0
+in slab T (probability 2^-53 per atom). Both simulators move a fired particle
 through _fire, the one place a run draws a jump, routes, moves and logs.
 
 A run reads g(k) and its band count from lists grown through rate.g, so its
@@ -137,14 +137,13 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
     occ: dict[Site, int] = dict(eta0.occ)
     events = []
     moves = {}
-    t_now = 0.0
     gs = [rate.g(k) for k in range(max(occ.values(), default=0) + 1)]
     caps = [bands_for(v) for v in gs]  # gs[k] = g(k), caps[k] its band count
     for slab in range(math.ceil(T / TIME_SLAB)):
         bands = {x: caps[k] for x, k in occ.items()}
         ahead = [caps[k + 1] if k + 1 < len(caps) else caps[k] for k in occ.values()]
         atoms, (ts, ys, us, spans) = noise.slab_atoms(list(bands), list(bands.values()),
-                                                      ahead, slab, t_now, T)
+                                                      ahead, slab, T)
         rise, i = [], 0
         while i < len(atoms) or rise:
             if rise and (i == len(atoms) or rise[0] < atoms[i]):
@@ -155,7 +154,6 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
             k = occ.get(x, 0)
             if k == 0 or y > gs[k]:
                 continue
-            t_now = t
             dst = _fire(occ, events, moves, policy, kernel, t, x, u, tag)
             if dst is not None:
                 k = occ[dst]

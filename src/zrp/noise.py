@@ -45,12 +45,12 @@ band_atoms, the scalar kernel that window() views. numpy pays a fixed cost
 per batch of about 33 scalar windows of bands 0-1 with every atom kept (70 us
 against 2.2 us on a 2 vCPU Xeon, Python 3.11, numpy 2.4, in a fast phase of a
 host whose speed drifts up to threefold), so batches of fewer than _BATCH_MIN
-windows (about twice that break-even) loop over band_atoms instead. Both take
-a time range (t_lo, t_hi]: an atom outside it costs its time word only. A
-batch also hashes spare bands, which a rise may need, as columns; the scalar
-path hashes none: in Python a spare costs what a rise does, and about half
-never serve one (with them, 300 runs on an 11-site torus took 1.30 times as
-long).
+windows (about twice that break-even) loop over band_atoms instead. A slab
+start asks for the atoms up to t_hi, a rise for those in (t_lo, t_hi], past
+its own time t_lo: an atom outside costs its time word only. A batch also
+hashes spare bands, which a rise may need, as columns; the scalar path hashes
+none: in Python a spare costs what a rise does, and about half never serve one
+(with them, 300 runs on an 11-site torus took 1.30 times as long).
 """
 from __future__ import annotations
 
@@ -205,18 +205,18 @@ class HarrisNoise:
         key = self._site_keys[site] = ((h + _GAMMA) & _MASK) ^ len(coords)
         return key
 
-    def slab_atoms(self, sites, counts, ahead, slab: int, t_lo, t_hi):
-        """(atoms, spare). atoms: the atoms (t, site, y, u), t_lo < t <= t_hi, of
+    def slab_atoms(self, sites, counts, ahead, slab: int, t_hi):
+        """(atoms, spare). atoms: the atoms (t, site, y, u), t <= t_hi, of
         windows (sites[i], b, slab), b < counts[i], sorted. spare: (times, heights,
         marks, spans), the atoms a batch hashes of bands counts[i] <= b < ahead[i],
         site i's at [start, stop) for spans[sites[i]] = (start, stop, ahead[i])."""
         if sum(counts) >= _BATCH_MIN:
-            return self._slab_batch(sites, counts, ahead, slab, t_lo, t_hi)
+            return self._slab_batch(sites, counts, ahead, slab, t_hi)
         atoms = sorted(a for x, m in zip(sites, counts)
-                       for a in self.band_atoms(x, 0, m, slab, t_lo, t_hi))
+                       for a in self.band_atoms(x, 0, m, slab, -math.inf, t_hi))
         return atoms, ([], [], [], {})
 
-    def _slab_batch(self, sites, counts, ahead, slab: int, t_lo, t_hi):
+    def _slab_batch(self, sites, counts, ahead, slab: int, t_hi):
         """slab_atoms hashed in np.uint64 arrays, from the per-site keys."""
         keys = self._site_keys
         h = np.array([keys.get(x) or self._site_key(x) for x in sites], dtype=np.uint64)
@@ -231,7 +231,7 @@ class HarrisNoise:
         win, j = _expand(num)
         h, i = h[win], (3 * j + 2).astype(np.uint64)
         t = slab * TIME_SLAB + _word(h, i) * TIME_SLAB
-        keep = (t_lo < t) & (t <= t_hi)
+        keep = t <= t_hi
         t, win, h, i = t[keep], win[keep], h[keep], i[keep]
         lo, hi = np.array([band_bounds(k) for k in range(n_bands)])[band[win]].T
         y = lo + (hi - lo) * _word(h, i + 1)

@@ -164,9 +164,8 @@ class _Atoms:
     def __init__(self, atoms):
         self.atoms = sorted(atoms)
 
-    def slab_atoms(self, sites, counts, ahead, slab, t_lo, t_hi):
-        return ([a for a in self.atoms
-                 if slab == 0 and a[1] in sites and t_lo < a[0] <= t_hi],
+    def slab_atoms(self, sites, counts, ahead, slab, t_hi):
+        return ([a for a in self.atoms if slab == 0 and a[1] in sites and a[0] <= t_hi],
                 ([], [], [], {}))
 
     def band_atoms(self, site, b0, b1, slab, t_lo, t_hi):
@@ -324,9 +323,9 @@ class _SlabLog:
         self.noise, self.master, self.path = noise, noise.master, noise.path
         self.slabs = set()
 
-    def slab_atoms(self, sites, counts, ahead, slab, t_lo, t_hi):
+    def slab_atoms(self, sites, counts, ahead, slab, t_hi):
         self.slabs.add(slab)
-        return self.noise.slab_atoms(sites, counts, ahead, slab, t_lo, t_hi)
+        return self.noise.slab_atoms(sites, counts, ahead, slab, t_hi)
 
     def band_atoms(self, site, b0, b1, slab, t_lo, t_hi):
         self.slabs.add(slab)

@@ -237,12 +237,10 @@ def test_window_matches_the_reference_derivation():
     assert info.misses > len(prefixes) > size and info.hits > 0
 
 
-def _time_ranges(atoms, slab):
-    """Bounds outside the slab, inside it and on atom times."""
+def _horizons(atoms, slab):
+    """Upper time bounds before the slab, inside it, on an atom time and past it."""
     mid = atoms[len(atoms) // 2][0] if atoms else slab + 0.5
-    return [(slab - 1.0, slab + 0.25), (slab + 0.25, slab + 0.75),
-            (mid, slab + 3.0), (slab - 2.0, mid), (mid, mid),
-            (slab + 1.0, math.inf)]
+    return [slab - 1.0, slab, slab + 0.25, mid, slab + 0.75, slab + 3.0, math.inf]
 
 
 def _scalar_slab(noise, sites, counts, slab):
@@ -264,13 +262,13 @@ def test_slab_atoms_equal_window(d, slab, n_sites):
     # 3 sites stay below the batch cutoff, 120 sites go far above it
     assert (sum(counts) >= _BATCH_MIN) == (n_sites == 120)
     noise = HarrisNoise(48, (d, 2))
-    got, spare = noise.slab_atoms(sites, counts, counts, slab, -math.inf, math.inf)
+    got, spare = noise.slab_atoms(sites, counts, counts, slab, math.inf)
     assert got == _scalar_slab(noise, sites, counts, slab)
     assert spare == ([], [], [], {})   # no band past counts
     assert all(type(v) is float for a in got for v in (a[0], a[2], a[3]))
-    for lo, hi in _time_ranges(got, slab):
-        assert noise.slab_atoms(sites, counts, counts, slab, lo, hi)[0] == \
-            [a for a in got if lo < a[0] <= hi]
+    for hi in _horizons(got, slab):
+        assert noise.slab_atoms(sites, counts, counts, slab, hi)[0] == \
+            [a for a in got if a[0] <= hi]
 
 
 @pytest.mark.parametrize("wide", [-2 ** 63, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 70])
@@ -287,12 +285,12 @@ def test_slab_atoms_at_and_past_int64(wide, monkeypatch):
 
     monkeypatch.setattr(HarrisNoise, "_slab_batch", counted_batch)
     twos = [2] * len(sites)
-    got = noise.slab_atoms(sites, twos, twos, 5, -math.inf, math.inf)[0]
+    got = noise.slab_atoms(sites, twos, twos, 5, math.inf)[0]
     assert batched == [wide]
     assert got == _scalar_slab(noise, sites, twos, 5)
-    for lo, hi in _time_ranges(got, 5):
-        assert noise.slab_atoms(sites, twos, twos, 5, lo, hi)[0] == \
-            [a for a in got if lo < a[0] <= hi]
+    for hi in _horizons(got, 5):
+        assert noise.slab_atoms(sites, twos, twos, 5, hi)[0] == \
+            [a for a in got if a[0] <= hi]
 
 
 def _spare_atoms(spare):
@@ -306,16 +304,16 @@ def _spare_atoms(spare):
 @pytest.mark.parametrize("n_sites", [3, 120])
 def test_batched_spares_equal_window(d, n_sites):
     # bands counts[i] .. ahead[i] - 1 come back apart from the sorted atoms,
-    # split by band, with and without a time range; the scalar path hashes none
+    # split by band, with and without a horizon; the scalar path hashes none
     rng = np.random.default_rng(d * 100 + n_sites)
     coords = {tuple(int(c) for c in rng.integers(-40, 40, d)) for _ in range(n_sites)}
     sites = [c[0] if d == 1 else c for c in sorted(coords)]
     counts = [int(m) for m in rng.integers(1, 6, len(sites))]
     ahead = [m + int(e) for m, e in zip(counts, rng.integers(0, 4, len(sites)))]
     noise = HarrisNoise(53, (d,))
-    for lo, hi in [(-math.inf, math.inf)] + _time_ranges([], 7):
-        atoms, spare = noise.slab_atoms(sites, counts, ahead, 7, lo, hi)
-        assert atoms == noise.slab_atoms(sites, counts, counts, 7, lo, hi)[0]
+    for hi in _horizons([], 7):
+        atoms, spare = noise.slab_atoms(sites, counts, ahead, 7, hi)
+        assert atoms == noise.slab_atoms(sites, counts, counts, 7, hi)[0]
         if n_sites == 3:
             assert spare == ([], [], [], {})
             continue
@@ -323,10 +321,10 @@ def test_batched_spares_equal_window(d, n_sites):
         assert {x: top for x, (_, _, top) in spare[3].items()} == \
             {x: a for x, m, a in zip(sites, counts, ahead) if a > m}
         want = {x: sorted((t, x, y, u) for b in range(m, a)
-                          for t, y, u in zip(*noise.window(x, b, 7, lo, hi)))
+                          for t, y, u in zip(*noise.window(x, b, 7, t_hi=hi)))
                 for x, m, a in zip(sites, counts, ahead) if a > m}
         assert _spare_atoms(spare) == want
-        assert lo > -math.inf or sum(map(len, want.values())) > 100
+        assert hi < math.inf or sum(map(len, want.values())) > 100
 
 
 def test_derived_rng_streams():

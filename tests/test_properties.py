@@ -201,3 +201,47 @@ def test_simulate_equals_the_eager_construction(d, kind, rate, T, seed, data):
     events, occ = _eager(eta0, rate, kernel, kind, n, T, HarrisNoise(seed))
     assert traj.events == events
     assert traj.final.occ == occ
+
+
+class _FromSlab:
+    """The field of noise with every atom before slab s taken out: a run that
+    starts from the state at time s reads, from there on, what an
+    uninterrupted run reads."""
+
+    def __init__(self, noise, s):
+        self.noise, self.s, self.master, self.path = noise, s, noise.master, noise.path
+
+    def slab_atoms(self, sites, counts, ahead, slab, t_hi):
+        if slab < self.s:
+            return [], ([], [], [], {})
+        return self.noise.slab_atoms(sites, counts, ahead, slab, t_hi)
+
+    def band_atoms(self, site, b0, b1, slab, t_lo, t_hi):
+        return self.noise.band_atoms(site, b0, b1, slab, t_lo, t_hi) if slab >= self.s else []
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from([1, 2]), st.sampled_from(["open", "killed", "periodic"]),
+       st.sampled_from([power_rate(1.0), power_rate(2.0), exp_rate(1.0, 0.4)]),
+       st.one_of(st.integers(2, 4).map(float),
+                 st.floats(1.0, 4.5, exclude_min=True)),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_simulate_restarted_at_a_slab_boundary_continues_the_path(d, kind, rate, T,
+                                                                   seed, data):
+    # the flow property at integer times: the state at s is the occupancy
+    # alone, so a run from it on the field after s continues the run to T
+    # event for event, though its caps, route table and headroom start afresh
+    s = data.draw(st.integers(1, math.ceil(T) - 1))
+    n = data.draw(st.integers(0, 3 if d == 1 else 2))
+    kernel = data.draw(st.sampled_from(EAGER_KERNELS[d]))
+    placed = data.draw(st.lists(st.sampled_from(box_sites(n, d)), min_size=1, max_size=8))
+    eta0 = Configuration(d, dict(Counter(placed)))
+    policy = OPEN if kind == "open" else BoundaryPolicy(kind, n)
+    cutoff = 1 if data.draw(st.booleans()) else noise_module._BATCH_MIN
+    noise = HarrisNoise(seed)
+    with patch.object(noise_module, "_BATCH_MIN", cutoff):
+        full = simulate(eta0, rate, kernel, policy, T, noise)
+        head = simulate(eta0, rate, kernel, policy, float(s), noise)
+        tail = simulate(head.final, rate, kernel, policy, T, _FromSlab(noise, s))
+    assert full.events == head.events + tail.events
+    assert full.final == tail.final
