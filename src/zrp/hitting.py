@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .configuration import Configuration, enumerate_particles, snapshots
 from .diagnostics import Report, _mean_se
 from .engine import OPEN, simulate
-from .errors import ConfigError, RateRangeError
+from .errors import ConfigError, RateRangeError, json_number
 from .kernel import Kernel
 from .measures import _logsumexp
 from .noise import HarrisNoise
@@ -239,7 +240,7 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
     dists = [max_norm(site_sub(x, z)) for x in parts]
     if K is None:
         K = sum(1 for dd in dists if dd <= _exact_radius(kernel.d))
-    elif K < 0:
+    elif json_number(K, "K", Integral) < 0:
         raise ConfigError(f"K must be >= 0, got {K}")
     K = min(int(K), n)
 

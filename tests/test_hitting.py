@@ -248,6 +248,12 @@ def test_mbar_rejects_negative_k():
     with pytest.raises(ConfigError, match="K must be >= 0, got -1"):
         mbar(Configuration(1, {0: 1, 3: 1}), 0, 1.0, power_rate(2),
              nn_kernel_1d(0.5), K=-1)
+    # not a whole count either: nan and inf used to escape as ValueError and
+    # OverflowError, 2.5 and True to run as K=2 and K=1
+    for K in (math.nan, math.inf, 2.5, True):
+        with pytest.raises(ConfigError, match=r"^K .* is not an integer$"):
+            mbar(Configuration(1, {0: 1, 3: 1}), 0, 1.0, power_rate(2),
+                 nn_kernel_1d(0.5), K=K)
 
 
 def test_exp_moment_small_run():
