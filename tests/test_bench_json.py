@@ -78,6 +78,37 @@ def test_gain_not_shown_within_the_parent_iqr():
 def test_gain_not_shown_in_the_worse_direction():
     out = _gain(PARENT, [250.0] * 10)
     assert (out["wins"], out["gain_shown"]) == (0, False)
+
+
+BOUNDED = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                          {"name": "events_per_s", "better": "higher", "bound": 0.25},
+                          {"name": "setup_s", "better": "lower"}]}
+
+
+def _flag(metric, parent, change):
+    out = bench_json.pairwise({"metrics": {metric: _entry(parent)}},
+                              {"metrics": {metric: _entry(change)}}, BOUNDED)
+    return out[metric]["bound"], out[metric]["worse_beyond_bound"]
+
+
+def test_worse_beyond_bound_when_lower_is_better():
+    # the medians 4.0 and 5.0 put the ratio exactly at 1 + bound
+    parent = [3.0, 4.0, 4.0, 5.0, 4.0]
+    assert _flag("w/wall_s", parent, [5.0] * 5) == (0.25, False)
+    assert _flag("w/wall_s", parent, [5.01] * 5) == (0.25, True)
+    assert _flag("w/wall_s", parent, [1.0] * 5) == (0.25, False)   # a gain
+
+
+def test_worse_beyond_bound_when_higher_is_better():
+    # the medians 4.0 and 3.0 put the ratio exactly at 1 - bound
+    parent = [3.0, 4.0, 4.0, 5.0, 4.0]
+    assert _flag("w/events_per_s", parent, [3.0] * 5) == (0.25, False)
+    assert _flag("w/events_per_s", parent, [2.99] * 5) == (0.25, True)
+    assert _flag("w/events_per_s", parent, [9.0] * 5) == (0.25, False)   # a gain
+
+
+def test_no_bound_flags_nothing():
+    assert _flag("w/setup_s", [1.0] * 3, [9.0] * 3) == (None, False)
     down = _gain([10.0] * 10, [8.0] * 10, "w/events_per_s")
     assert (down["wins"], down["parent_iqr"], down["gain_shown"]) == (0, 0.0, False)
 

@@ -31,7 +31,10 @@ also records, for each gated end-to-end metric of the first checkout's
 BENCHMARK.json, the ratio of the medians (second over first), in how many
 repeats the second was better, the first's interquartile range as
 ``parent_iqr``, and ``gain_shown``: the second won at least 9 of 10 repeats
-and its median is better than the first's by more than ``parent_iqr``.
+and its median is better than the first's by more than ``parent_iqr``. It
+also records the metric's ``bound`` and ``worse_beyond_bound``: the second's
+median is worse than the first's by more than ``bound`` times the first's
+median, the regression the bound forbids.
 
 Exits 1 when any run fails, reports a failed output check or fails a
 criterion of the smoke suite.
@@ -154,24 +157,30 @@ def run_suite(root: Path) -> tuple[dict, bool]:
 
 def pairwise(first: dict, second: dict, spec: dict) -> dict:
     """Per gated metric: median ratio second/first, repeats won by second
-    (ties win for neither), the first's interquartile range, and whether a
-    gain of the second is shown: it wins at least 9 of 10 repeats and its
-    median is better by more than that range."""
-    better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+    (ties win for neither), the first's interquartile range, whether a
+    gain of the second is shown (it wins at least 9 of 10 repeats and its
+    median is better by more than that range), the metric's bound, and
+    whether the ratio is worse than 1 by more than the bound (never without
+    a bound)."""
+    gated = {m["name"]: m for m in spec.get("end_to_end", [])}
     out = {}
     for key, a in first["metrics"].items():
         b = second["metrics"].get(key)
-        direction = better.get(key.rsplit("/", 1)[-1])
-        if b is None or direction is None or not a["median"]:
+        metric = gated.get(key.rsplit("/", 1)[-1])
+        if b is None or metric is None or not a["median"]:
             continue
+        direction, bound = metric["better"], metric.get("bound")
         sign = 1 if direction == "higher" else -1
         wins = sum(sign * (y - x) > 0 for x, y in zip(a["values"], b["values"]))
         iqr = a["q3"] - a["q1"]
-        out[key] = {"ratio_of_medians": b["median"] / a["median"],
+        ratio = b["median"] / a["median"]
+        out[key] = {"ratio_of_medians": ratio,
                     "better": direction, "wins": wins, "of": len(a["values"]),
                     "parent_iqr": iqr,
                     "gain_shown": 10 * wins >= 9 * len(a["values"])
-                    and sign * (b["median"] - a["median"]) > iqr}
+                    and sign * (b["median"] - a["median"]) > iqr,
+                    "bound": bound,
+                    "worse_beyond_bound": bound is not None and sign * (1 - ratio) > bound}
     return out
 
 
