@@ -8,12 +8,13 @@ occupancy one time slab at a time: at each slab start a site holding k
 particles draws bands_for(g(k)) bands, whose ceiling is 1 for g(k) <= 1 and
 lies in [g(k), 2 g(k)) above that, all sites in one HarrisNoise.slab_atoms
 call, which a numpy batch makes with the bands of g(k + 1) as spares if the
-run has met k + 1. A site's first rise within the slab pushes its spares
-still ahead; a band still missing is hashed in one band_atoms call. A fall
-keeps what was drawn until the slab ends. A slab start draws atoms up to T, a
-rise those after it, and only the ceil(T) slabs that start before T are drawn:
-at an integer T that leaves out an atom at t = T, whose time word is exactly 0
-in slab T (probability 2^-53 per atom). Both simulators move a fired particle
+run has met k + 1. The slab's atoms go on one heap, popped in (t, site, y, u)
+order, onto which a landing that raises a site's cap pushes the site's missing
+bands: spares still ahead, then the rest in one band_atoms call. A fall keeps
+what was drawn until the slab ends. A slab start draws atoms up to T, a rise
+those after it, and only the ceil(T) slabs that start before T are drawn: at
+an integer T that leaves out an atom at t = T, whose time word is exactly 0 in
+slab T (probability 2^-53 per atom). Both simulators move a fired particle
 through _fire, the one place a run draws a jump, routes, moves and logs.
 
 A run reads g(k) and its band count from lists grown through rate.g, so its
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -130,8 +131,8 @@ def _fire(occ: dict, events: list, moves: dict, policy: BoundaryPolicy,
 def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
              policy: BoundaryPolicy, T: float, noise: HarrisNoise,
              tag: str = "") -> Trajectory:
-    """One path of the process under the shared-noise construction. A slab
-    start's sorted atoms merge with a heap, onto which a landing that raises a
+    """One path under the shared-noise construction. Each slab's atoms go on one
+    heap, popped in (t, site, y, u) order, onto which a landing that raises a
     site's cap pushes the missing bands: each atom that can fire is due in turn."""
     _validate_run(eta0, rate, kernel, policy, T)
     occ: dict[Site, int] = dict(eta0.occ)
@@ -144,13 +145,9 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
         ahead = [caps[k + 1] if k + 1 < len(caps) else caps[k] for k in occ.values()]
         atoms, (ts, ys, us, spans) = noise.slab_atoms(list(bands), list(bands.values()),
                                                       ahead, slab, T)
-        rise, i = [], 0
-        while i < len(atoms) or rise:
-            if rise and (i == len(atoms) or rise[0] < atoms[i]):
-                t, x, y, u = heappop(rise)
-            else:
-                t, x, y, u = atoms[i]
-                i += 1
+        heapify(atoms)
+        while atoms:
+            t, x, y, u = heappop(atoms)
             k = occ.get(x, 0)
             if k == 0 or y > gs[k]:
                 continue
@@ -166,9 +163,9 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
                     a, b, have = spans.pop(dst, (0, 0, have))
                     for j in range(a, b):
                         if ts[j] > t:
-                            heappush(rise, (ts[j], dst, ys[j], us[j]))
+                            heappush(atoms, (ts[j], dst, ys[j], us[j]))
                     for atom in noise.band_atoms(dst, have, m, slab, t, T):
-                        heappush(rise, atom)
+                        heappush(atoms, atom)
 
     return Trajectory(d=eta0.d, initial=eta0, events=events,
                       final=_trusted(eta0.d, occ), T=T,

@@ -41,13 +41,14 @@ the slab and band word, mix64 and _word on np.uint64 arrays, which wrap mod
 2^64 exactly as the masked Python ints do, inverts each band's CDF with
 searchsorted(side="right") as bisect_right does, and forms times and heights
 with the same float64 operations, so it returns bit-for-bit the atoms of
-band_atoms, the scalar kernel that window() views. numpy pays a fixed cost
-per batch of about 33 scalar windows of bands 0-1 with every atom kept (70 us
-against 2.2 us on a 2 vCPU Xeon, Python 3.11, numpy 2.4, in a fast phase of a
-host whose speed drifts up to threefold), so batches of fewer than _BATCH_MIN
-windows (about twice that break-even) loop over band_atoms instead. A slab
-start asks for the atoms up to t_hi, a rise for those in (t_lo, t_hi], past
-its own time t_lo: an atom outside costs its time word only. A batch also
+band_atoms, the scalar kernel that window() views. Both paths return atoms in
+window order and promise none: the engine's heap orders them. numpy pays a
+fixed cost per batch of about 33 scalar windows of bands 0-1 with every atom
+kept (70 us against 2.2 us on a 2 vCPU Xeon, Python 3.11, numpy 2.4, in a fast
+phase of a host whose speed drifts up to threefold), so batches of fewer than
+_BATCH_MIN windows (about twice that break-even) loop over band_atoms instead.
+A slab start asks for the atoms up to t_hi, a rise for those in (t_lo, t_hi],
+past its own time t_lo: an atom outside costs its time word only. A batch also
 hashes spare bands, which a rise may need, as columns; the scalar path hashes
 none: in Python a spare costs what a rise does, and about half never serve one
 (with them, 300 runs on an 11-site torus took 1.30 times as long).
@@ -207,13 +208,14 @@ class HarrisNoise:
 
     def slab_atoms(self, sites, counts, ahead, slab: int, t_hi):
         """(atoms, spare). atoms: the atoms (t, site, y, u), t <= t_hi, of
-        windows (sites[i], b, slab), b < counts[i], sorted. spare: (times, heights,
-        marks, spans), the atoms a batch hashes of bands counts[i] <= b < ahead[i],
-        site i's at [start, stop) for spans[sites[i]] = (start, stop, ahead[i])."""
+        windows (sites[i], b, slab), b < counts[i], in window order, no order
+        promised. spare: (times, heights, marks, spans), the atoms a batch hashes
+        of bands counts[i] <= b < ahead[i], site i's at [start, stop) for
+        spans[sites[i]] = (start, stop, ahead[i])."""
         if sum(counts) >= _BATCH_MIN:
             return self._slab_batch(sites, counts, ahead, slab, t_hi)
-        atoms = sorted(a for x, m in zip(sites, counts)
-                       for a in self.band_atoms(x, 0, m, slab, -math.inf, t_hi))
+        atoms = [a for x, m in zip(sites, counts)
+                 for a in self.band_atoms(x, 0, m, slab, -math.inf, t_hi)]
         return atoms, ([], [], [], {})
 
     def _slab_batch(self, sites, counts, ahead, slab: int, t_hi):
@@ -239,10 +241,9 @@ class HarrisNoise:
         # split by band, not height: a height can round up to its band's ceiling
         at = site[win]
         spare = band[win] >= np.asarray(counts, dtype=np.int64)[at]
-        order = np.flatnonzero(~spare)[np.argsort(t[~spare], kind="stable")]
-        atoms = list(zip(t[order].tolist(), [sites[k] for k in at[order].tolist()],
-                         y[order].tolist(), u[order].tolist()))
-        atoms.sort()  # exact ties in t fall back to tuple order, as in a heap
+        own = ~spare
+        atoms = list(zip(t[own].tolist(), [sites[k] for k in at[own].tolist()],
+                         y[own].tolist(), u[own].tolist()))
         # windows run site by site, so each site's spare atoms are contiguous
         edge = np.searchsorted(at[spare], np.arange(len(sites) + 1)).tolist()
         spans = {sites[k]: (edge[k], edge[k + 1], a)

@@ -162,7 +162,7 @@ class _Atoms:
     master, path = 0, ()
 
     def __init__(self, atoms):
-        self.atoms = sorted(atoms)
+        self.atoms = atoms
 
     def slab_atoms(self, sites, counts, ahead, slab, t_hi):
         return ([a for a in self.atoms if slab == 0 and a[1] in sites and a[0] <= t_hi],
@@ -171,6 +171,22 @@ class _Atoms:
     def band_atoms(self, site, b0, b1, slab, t_lo, t_hi):
         return [a for a in self.atoms
                 if a[1] == site and b0 == slab == 0 < b1 and t_lo < a[0] <= t_hi]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_the_engine_orders_a_slabs_atoms(reverse):
+    # slab_atoms promises no order; simulate's heap pops (t, site, y, u), so
+    # exact ties in t fall to the site, then the height. Such ties happen: at
+    # slab 2^40 times are multiples of 2^-12. u >= 0.5 jumps right under NN.
+    atoms = [(0.6, 0, 0.5, 0.75),   # 0 -> 1; empty site 1's atoms come by its rise
+             (0.7, 1, 0.5, 0.75),   # a rise atom tied in t with a slab-start atom
+             (0.7, 2, 0.5, 0.25),
+             (0.8, 2, 0.9, 0.75),   # two atoms tied at one site: the lower
+             (0.8, 2, 0.3, 0.25)]   # fires, and the site is empty for the other
+    traj = simulate(Configuration(1, {0: 1, 2: 1}), RATE, NN, OPEN, 1.0,
+                    _Atoms(sorted(atoms, reverse=reverse)))
+    assert [ev[:3] for ev in traj.events] == [(0.6, 0, 1), (0.7, 1, 2), (0.7, 2, 1),
+                                              (0.8, 2, 1)]
 
 
 @pytest.mark.parametrize("atoms,fraction,origin_ok", [
