@@ -233,8 +233,8 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
     from scipy.special import gammainc
     if eta.d != kernel.d:
         raise ConfigError("configuration and kernel dimensions differ")
-    if t < 0:
-        raise ConfigError("need t >= 0")
+    if not 0 <= json_number(t, "t") < math.inf:
+        raise ConfigError(f"need 0 <= t < inf, got t = {t!r}")
     parts = enumerate_particles(eta, z)
     n = len(parts)
     dists = [max_norm(site_sub(x, z)) for x in parts]

@@ -256,6 +256,18 @@ def test_mbar_rejects_negative_k():
                  nn_kernel_1d(0.5), K=K)
 
 
+def test_mbar_rejects_a_time_that_is_not_finite_and_non_negative():
+    for t, match in ((-1, r"^need 0 <= t < inf, got t = -1$"),
+                     (math.nan, r"^need 0 <= t < inf, got t = nan$"),
+                     (math.inf, r"^need 0 <= t < inf, got t = inf$"),
+                     (True, r"^t True is not a number$")):
+        with pytest.raises(ConfigError, match=match):
+            mbar(Configuration(1, {0: 1, 3: 1}), 0, t, power_rate(2),
+                 nn_kernel_1d(0.5))
+    assert mbar(Configuration(1, {0: 1, 3: 1}), 0, 0, power_rate(2),
+                nn_kernel_1d(0.5)).t == 0.0
+
+
 def test_exp_moment_small_run():
     rep = exp_moment_check(Configuration(1, {-1: 1, 0: 1, 1: 1}), power_rate(2.0),
                            nn_kernel_1d(0.5), 0, 0.25, 1.0, 800, 31)
