@@ -107,8 +107,39 @@ def test_worse_beyond_bound_when_higher_is_better():
     assert _flag("w/events_per_s", parent, [9.0] * 5) == (0.25, False)   # a gain
 
 
+def _unresolved(metric, parent, change):
+    out = bench_json.pairwise({"metrics": {metric: _entry(parent)}},
+                              {"metrics": {metric: _entry(change)}}, BOUNDED)
+    return out[metric]["unresolved"]
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # IQR 0.45 against 0.25 times the median 1.0; the change's median equals it
+    parent = [0.7, 1.0, 1.3, 0.7, 1.0, 1.3, 0.7, 1.0, 1.3, 1.0]
+    assert bench_json.quartiles(parent)[2] - bench_json.quartiles(parent)[1] > 0.25
+    assert _unresolved("w/wall_s", parent, parent[::-1])
+    assert _unresolved("w/events_per_s", parent, [v * 1.2 for v in parent])
+    # one change repeat that ties the parent's best keeps it unresolved
+    assert _unresolved("w/wall_s", parent, [0.6] * 9 + [0.7])
+
+
+def test_resolved_when_every_change_repeat_beats_every_parent_repeat():
+    parent = [0.7, 1.0, 1.3, 0.7, 1.0, 1.3, 0.7, 1.0, 1.3, 1.0]
+    assert not _unresolved("w/wall_s", parent, [0.69] * 10)
+    assert not _unresolved("w/events_per_s", parent, [1.31] * 10)
+    # a change that always loses is not resolved by that
+    assert _unresolved("w/wall_s", parent, [1.31] * 10)
+
+
+def test_resolved_when_the_parent_spreads_inside_the_bound():
+    parent = [0.9, 1.0, 1.1] * 3 + [1.0]            # IQR 0.15 < 0.25 x 1.0
+    assert not _unresolved("w/wall_s", parent, parent[::-1])
+    assert not _unresolved("w/events_per_s", parent, [v * 1.5 for v in parent])
+
+
 def test_no_bound_flags_nothing():
     assert _flag("w/setup_s", [1.0] * 3, [9.0] * 3) == (None, False)
+    assert not _unresolved("w/setup_s", [0.1, 1.0, 10.0], [1.0, 10.0, 0.1])
     down = _gain([10.0] * 10, [8.0] * 10, "w/events_per_s")
     assert (down["wins"], down["parent_iqr"], down["gain_shown"]) == (0, 0.0, False)
 

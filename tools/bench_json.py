@@ -34,7 +34,10 @@ repeats the second was better, the first's interquartile range as
 and its median is better than the first's by more than ``parent_iqr``. It
 also records the metric's ``bound`` and ``worse_beyond_bound``: the second's
 median is worse than the first's by more than ``bound`` times the first's
-median, the regression the bound forbids.
+median, the regression the bound forbids; and ``unresolved``: the first's
+interquartile range is wider than ``bound`` times its median, so a change
+inside the bound cannot be told from its spread, and not every repeat of
+the second beats every repeat of the first.
 
 Exits 1 when any run fails, reports a failed output check or fails a
 criterion of the smoke suite.
@@ -159,9 +162,11 @@ def pairwise(first: dict, second: dict, spec: dict) -> dict:
     """Per gated metric: median ratio second/first, repeats won by second
     (ties win for neither), the first's interquartile range, whether a
     gain of the second is shown (it wins at least 9 of 10 repeats and its
-    median is better by more than that range), the metric's bound, and
-    whether the ratio is worse than 1 by more than the bound (never without
-    a bound)."""
+    median is better by more than that range), the metric's bound, whether
+    the ratio is worse than 1 by more than the bound, and whether the metric
+    is unresolved: that range is wider than the bound times the first's
+    median, and some repeat of the second fails to beat every repeat of the
+    first. Neither flag is raised without a bound."""
     gated = {m["name"]: m for m in spec.get("end_to_end", [])}
     out = {}
     for key, a in first["metrics"].items():
@@ -174,13 +179,16 @@ def pairwise(first: dict, second: dict, spec: dict) -> dict:
         wins = sum(sign * (y - x) > 0 for x, y in zip(a["values"], b["values"]))
         iqr = a["q3"] - a["q1"]
         ratio = b["median"] / a["median"]
+        always = min(sign * y for y in b["values"]) > max(sign * x for x in a["values"])
         out[key] = {"ratio_of_medians": ratio,
                     "better": direction, "wins": wins, "of": len(a["values"]),
                     "parent_iqr": iqr,
                     "gain_shown": 10 * wins >= 9 * len(a["values"])
                     and sign * (b["median"] - a["median"]) > iqr,
                     "bound": bound,
-                    "worse_beyond_bound": bound is not None and sign * (1 - ratio) > bound}
+                    "worse_beyond_bound": bound is not None and sign * (1 - ratio) > bound,
+                    "unresolved": bound is not None
+                    and iqr > bound * abs(a["median"]) and not always}
     return out
 
 
