@@ -202,17 +202,22 @@ def snapshots(traj: Trajectory, times) -> list[Configuration]:
     return [_trusted(traj.d, dict(occ)) for occ in states(traj, times)]
 
 
-def _fmt_site(x: Site) -> str:
-    return ";".join(str(c) for c in site_coords(x))
+class _SiteNames(dict):
+    """site -> its CSV spelling "c1;c2;...", each spelled once per log."""
+
+    def __missing__(self, x: Site) -> str:
+        name = self[x] = ";".join(map(str, site_coords(x)))
+        return name
 
 
 def events_csv_string(traj: Trajectory) -> str:
     """Columns: time, src, dst, kind, marginal. Deterministic byte-for-byte."""
+    names = _SiteNames()
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["time", "src", "dst", "kind", "marginal"])
-    for t, src, dst, kind, tag in traj.events:
-        w.writerow([repr(float(t)), _fmt_site(src), _fmt_site(dst), kind, tag])
+    w.writerows((repr(float(t)), names[src], names[dst], kind, tag)
+                for t, src, dst, kind, tag in traj.events)
     return buf.getvalue()
 
 

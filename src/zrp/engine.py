@@ -18,8 +18,13 @@ slab T (probability 2^-53 per atom). Both simulators move a fired particle
 through _fire, the one place a run draws a jump, routes, moves and logs.
 
 A run reads g(k) and its band count from lists grown through rate.g, so its
-monotonicity check runs once per new k, and _fire reuses the route() result
-of each (site, kernel support index) it has taken.
+monotonicity check runs once per new k. A route is a pure function of the
+policy, the site and the jump, so _fire takes it from _ROUTES, one table per
+(policy, kernel) that every run in the process shares (runs, replicas,
+coupled copies and criteria alike): it maps (site, kernel support index) to
+route()'s (dst, kind). It holds one entry per distinct (site, index) pair
+that the runs of each model reach, about 170 bytes an entry in d=1 and 240
+in d=2, and it is never emptied.
 
 simulate_gillespie() is the independent distributional cross-check: identical
 law, completely different use of randomness (global exponential clocks).
@@ -37,12 +42,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from numbers import Integral
 
 import numpy as np
 
 from .configuration import (Configuration, Trajectory, _trusted, move,
                             snapshots, truncate)
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, json_number
 from .kernel import Kernel, nn_kernel_1d, sample_jump
 from .noise import HarrisNoise, TIME_SLAB, bands_for
 from .rates import RateFn
@@ -59,8 +65,11 @@ class BoundaryPolicy:
             if self.n is not None:
                 raise ConfigError("open boundary takes no box")
         elif self.kind in ("killed", "periodic"):
-            if self.n is None or self.n < 0:
+            n = self.n if self.n is None else json_number(
+                self.n, f"{self.kind} box radius", Integral)
+            if n is None or n < 0:
                 raise ConfigError(f"{self.kind} boundary needs a box radius n >= 0")
+            object.__setattr__(self, "n", n)  # a plain int: equal policies share _ROUTES
         else:
             raise ConfigError(f"unknown boundary policy {self.kind!r}")
 
@@ -107,14 +116,19 @@ def _validate_run(eta0: Configuration, rate: RateFn, kernel: Kernel,
                     f"initial site {x!r} outside the {policy.describe()} box")
 
 
+# (policy, kernel) -> {(site, kernel support index): route()'s (dst, kind)}
+_ROUTES: dict[tuple[BoundaryPolicy, Kernel], dict] = {}
+
+
 def _fire(occ: dict, events: list, moves: dict, policy: BoundaryPolicy,
           kernel: Kernel, t: float, x: Site, u: float, tag: str) -> Site | None:
     """Fire the particle at x with mark u: route the displacement
     sample_jump(kernel, u), move it, log the event and return the site it
     landed on (None for a kill or for a wrap onto x, which is no event);
-    moves maps (x, support index) to the run's (dst, kind) routes so far."""
+    moves is _ROUTES[policy, kernel]."""
     key = (x, bisect_right(kernel.cum, u))
-    # kept for speed: without it a 501-site torus run to T=20 is ~7% slower
+    # kept for speed: a miss costs a sample_jump and a route(); shared by all
+    # runs of a model, the table misses once per (site, index) pair they reach
     hit = moves.get(key)
     if hit is None:
         hit = moves[key] = route(policy, x, sample_jump(kernel, u))
@@ -137,7 +151,7 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
     _validate_run(eta0, rate, kernel, policy, T)
     occ: dict[Site, int] = dict(eta0.occ)
     events = []
-    moves = {}
+    moves = _ROUTES.setdefault((policy, kernel), {})
     gs = [rate.g(k) for k in range(max(occ.values(), default=0) + 1)]
     caps = [bands_for(v) for v in gs]  # gs[k] = g(k), caps[k] its band count
     for slab in range(math.ceil(T / TIME_SLAB)):
@@ -164,8 +178,9 @@ def simulate(eta0: Configuration, rate: RateFn, kernel: Kernel,
                     for j in range(a, b):
                         if ts[j] > t:
                             heappush(atoms, (ts[j], dst, ys[j], us[j]))
-                    for atom in noise.band_atoms(dst, have, m, slab, t, T):
-                        heappush(atoms, atom)
+                    if m > have:
+                        for atom in noise.band_atoms(dst, have, m, slab, t, T):
+                            heappush(atoms, atom)
 
     return Trajectory(d=eta0.d, initial=eta0, events=events,
                       final=_trusted(eta0.d, occ), T=T,
@@ -182,7 +197,7 @@ def simulate_gillespie(eta0: Configuration, rate: RateFn, kernel: Kernel,
     g = rate.g
     occ: dict[Site, int] = dict(eta0.occ)
     events = []
-    moves = {}
+    moves = _ROUTES.setdefault((policy, kernel), {})
     t = 0.0
     while True:
         total = 0.0

@@ -180,6 +180,19 @@ def test_events_csv_layout():
     assert float(first[0]) == t.events[0][0]
 
 
+def test_events_csv_spells_sites_and_quotes_tags():
+    # a pq-family tag holds a comma, so the writer must quote it
+    eta0 = Configuration(2, {(0, 0): 1})
+    events = [(0.25, (0, 0), (1, -2), "jump", "p=0.7,q=0.3"),
+              (0.5, (1, -2), (0, 0), "kill", "n=2"),
+              (0.75, (1, -2), (0, 0), "jump", "")]
+    traj = Trajectory(d=2, initial=eta0, events=events, final=eta0, T=1.0)
+    assert events_csv_string(traj) == ('time,src,dst,kind,marginal\n'
+                                       '0.25,0;0,1;-2,jump,"p=0.7,q=0.3"\n'
+                                       '0.5,1;-2,0;0,kill,n=2\n'
+                                       '0.75,1;-2,0;0,jump,\n')
+
+
 def test_summary_fields():
     t = _traj(T=1.0, policy=killed(3), occ={0: 2, 1: 1})
     s = trajectory_summary(t)

@@ -11,6 +11,7 @@ from zrp.engine import (
     check_domination,
     killed,
     periodic,
+    route,
     simulate,
     simulate_gillespie,
     simulate_pq_family,
@@ -118,6 +119,102 @@ def test_validation_errors():
         periodic(-1)
     with pytest.raises(ConfigError):
         killed(-2)
+
+
+@pytest.mark.parametrize("make", [periodic, killed])
+@pytest.mark.parametrize("n", [2.5, 2.0, True, math.nan])
+def test_box_radius_must_be_a_whole_number(make, n):
+    with pytest.raises(ConfigError, match="box radius .* is not an integer"):
+        make(n)
+
+
+@pytest.mark.parametrize("make", [periodic, killed])
+def test_numpy_box_radius_is_stored_as_an_int(make):
+    policy = make(np.int64(2))
+    assert type(policy.n) is int
+    assert policy == make(2) and policy.describe() == f"{policy.kind}(2)"
+    eta0 = Configuration(1, {-2: 2, 1: 1})
+    traj = simulate(eta0, RATE, nn_kernel_1d(0.7), policy, 3.0, HarrisNoise(8))
+    assert traj.event_count() > 0
+    assert {type(x) for e in traj.events for x in e[1:3]} == {int}
+    assert traj.events == simulate(eta0, RATE, nn_kernel_1d(0.7), make(2), 3.0,
+                                   HarrisNoise(8)).events
+
+
+# (policy, kernel, start of run A, start of run B, route kinds A leaves in the
+# table): a kill on killed(1), and the offset +3 of SELF_WRAP, which on
+# periodic(1) folds back onto its own source (kind None)
+WARM_CASES = [
+    (OPEN, symmetric_nn_kernel(2), Configuration(2, {(1, 0): 3}),
+     Configuration(2, {(0, 0): 2, (0, 1): 2}), {"jump"}),
+    (killed(1), nn_kernel_1d(0.7), Configuration(1, {1: 3}),
+     Configuration(1, {-1: 2, 0: 2}), {"jump", "kill"}),
+    (periodic(1), SELF_WRAP, Configuration(1, {1: 3}),
+     Configuration(1, {0: 2, -1: 1}), {"jump", "periodic-wrap", None}),
+]
+
+
+def _route_calls(monkeypatch) -> list:
+    """Record every route() call; the shared tables start empty, so no
+    earlier run's routes bypass the record."""
+    calls = []
+
+    def counting(policy, x, z):
+        calls.append((x, z))
+        return route(policy, x, z)
+
+    engine._ROUTES.clear()
+    monkeypatch.setattr(engine, "route", counting)
+    return calls
+
+
+@pytest.mark.parametrize("policy,kernel,eta_a,eta_b,kinds", WARM_CASES)
+def test_a_warm_route_table_leaves_the_log_unchanged(policy, kernel, eta_a, eta_b,
+                                                     kinds, monkeypatch):
+    """Run B logs the same events from an empty route table as after an
+    unrelated run A of the same model (other start, other noise) filled it."""
+    def run(eta0, seed):
+        return simulate(eta0, RATE, kernel, policy, 3.0, HarrisNoise(seed))
+
+    calls = _route_calls(monkeypatch)
+    cold, n_cold = run(eta_b, 11), len(calls)
+    engine._ROUTES.clear()
+    run(eta_a, 12)
+    assert {kind for _, kind in engine._ROUTES[policy, kernel].values()} == kinds
+    del calls[:]
+    warm = run(eta_b, 11)
+    assert warm.events == cold.events and warm.final == cold.final
+    assert len(calls) < n_cold  # B took routes that A put in the table
+
+
+def test_equal_kernels_built_two_ways_share_one_route_table(monkeypatch):
+    spelled = make_kernel([(1, 0.5), (-1, 0.5)])
+    assert spelled == NN and spelled is not NN
+    eta0 = Configuration(1, {-1: 2, 0: 3, 2: 2})
+    calls = _route_calls(monkeypatch)
+    cold, n_cold = simulate(eta0, RATE, spelled, killed(2), 3.0, HarrisNoise(4)), len(calls)
+    engine._ROUTES.clear()
+    simulate(Configuration(1, {1: 3}), RATE, NN, killed(2), 3.0, HarrisNoise(5))
+    del calls[:]
+    warm = simulate(eta0, RATE, spelled, killed(2), 3.0, HarrisNoise(4))
+    assert len(engine._ROUTES) == 1
+    assert warm.events == cold.events
+    assert len(calls) < n_cold  # NN's routes served the run under spelled
+
+
+def test_every_shared_route_is_the_route_of_its_jump(monkeypatch):
+    _route_calls(monkeypatch)
+    for policy, kernel, eta_a, eta_b, _ in WARM_CASES:
+        for eta0, seed in ((eta_a, 1), (eta_b, 2)):
+            simulate(eta0, RATE, kernel, policy, 3.0, HarrisNoise(seed))
+            simulate_gillespie(eta0, RATE, kernel, policy, 3.0, derived_rng(seed, 0))
+    simulate(Configuration(1, {0: 2}), RATE, SELF_WRAP, OPEN, 3.0, HarrisNoise(3))
+    assert len(engine._ROUTES) == len(WARM_CASES) + 1
+    for (policy, kernel), table in engine._ROUTES.items():
+        jumps = kernel.jumps
+        assert len(table) > len(jumps)
+        for (x, i), hit in table.items():
+            assert hit == route(policy, x, jumps[min(i, len(jumps) - 1)])
 
 
 def test_shared_noise_preserves_sitewise_order():
@@ -338,6 +435,7 @@ class _SlabLog:
     def __init__(self, noise):
         self.noise, self.master, self.path = noise, noise.master, noise.path
         self.slabs = set()
+        self.rises = []  # (b0, b1) of every band_atoms call
 
     def slab_atoms(self, sites, counts, ahead, slab, t_hi):
         self.slabs.add(slab)
@@ -345,6 +443,7 @@ class _SlabLog:
 
     def band_atoms(self, site, b0, b1, slab, t_lo, t_hi):
         self.slabs.add(slab)
+        self.rises.append((b0, b1))
         return self.noise.band_atoms(site, b0, b1, slab, t_lo, t_hi)
 
 
@@ -356,6 +455,15 @@ def test_no_slab_at_or_past_the_horizon_is_drawn(T):
     traj = simulate(_ones(30), RATE, nn_kernel_1d(0.6), periodic(30), T, noise)
     assert traj.event_count() > 0
     assert noise.slabs == set(range(math.ceil(T)))
+
+
+def test_a_rise_hashes_only_the_bands_its_spares_lack(monkeypatch):
+    # every slab start batched, so most rises find spares in their span
+    monkeypatch.setattr(noise_module, "_BATCH_MIN", 1)
+    noise = _SlabLog(HarrisNoise(47, (1,)))
+    simulate(_ones(30), RATE, nn_kernel_1d(0.6), periodic(30), 3.7, noise)
+    assert len(noise.rises) > 50
+    assert all(b0 < b1 for b0, b1 in noise.rises)
 
 
 def test_start_past_the_band_budget_fails_before_any_slab():
