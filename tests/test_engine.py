@@ -192,7 +192,8 @@ def test_equal_kernels_built_two_ways_share_one_route_table(monkeypatch):
     assert spelled == NN and spelled is not NN
     eta0 = Configuration(1, {-1: 2, 0: 3, 2: 2})
     calls = _route_calls(monkeypatch)
-    cold, n_cold = simulate(eta0, RATE, spelled, killed(2), 3.0, HarrisNoise(4)), len(calls)
+    cold = simulate(eta0, RATE, spelled, killed(2), 3.0, HarrisNoise(4))
+    n_cold = len(calls)
     engine._ROUTES.clear()
     simulate(Configuration(1, {1: 3}), RATE, NN, killed(2), 3.0, HarrisNoise(5))
     del calls[:]
