@@ -34,16 +34,16 @@ from .configuration import (Configuration, config_from_json, events_csv_string,
 from .diagnostics import (chi2_replicas, flux_report, martingale_report,
                           martingale_walk, mass_report, stationarity_report,
                           torus_row)
-from .engine import OPEN, BoundaryPolicy, simulate
+from .engine import OPEN, BoundaryPolicy, horizon, simulate
 from .errors import (CertificationError, ConfigError, InvariantViolation,
-                     RateRangeError, ZRPError, json_number)
+                     RateRangeError, ZRPError, json_count, json_number)
 from .kernel import is_nearest_neighbour_1d, kernel_from_json
 from .localfn import capped_occupancy
 from .measures import fugacity_measure, sample_box_config
 from .noise import HarrisNoise, bands_for
 from .parallel import TAG_SAMPLE, derived_rng, replica_map, resolve_threads
 from .rates import check_corollary_conditions, rate_from_json
-from .sites import in_box, origin, site_from_coords
+from .sites import box_radius, in_box, origin, site_from_coords
 
 
 def _field(cfg: dict, path: str, kind=None, required: bool = True, default=None):
@@ -104,12 +104,9 @@ class Experiment:
         self.kernel = _load("kernel", kernel_from_json, _field(cfg, "kernel", dict))
         self.rate = _load("rate", rate_from_json, _field(cfg, "rate", dict))
         self.policy = _parse_policy(_field(cfg, "policy", dict))
-        self.T = _load("T", json_number, _field(cfg, "T"), "value")
-        if not (self.T > 0) or not math.isfinite(self.T):
-            raise ConfigError("config field 'T' must be positive and finite")
-        self.replicas = int(_field(cfg, "replicas", int, required=False, default=1))
-        if self.replicas < 1:
-            raise ConfigError("config field 'replicas' must be >= 1")
+        self.T = _load("T", horizon, _field(cfg, "T"))
+        self.replicas = _load("replicas", json_count, _field(
+            cfg, "replicas", required=False, default=1), "replicas", 1)
         self.seed = _field(cfg, "seed", int, required=False, default=0)
         if self.seed < 0:
             raise ConfigError("config field 'seed' must be a non-negative integer")
@@ -130,17 +127,17 @@ class Experiment:
                                   "does not match the kernel")
         elif self.init_mode == "point":
             where = "initial.site"
-            count = _field(init, "initial.n_particles", int)
-            if count < 0:
-                raise ConfigError("config field 'initial.n_particles' must be >= 0")
+            count = _load("initial.n_particles", json_count, _field(
+                init, "initial.n_particles", int), "n_particles", 0)
             site = _field(init, where, list, required=False, default=[0] * d)
             self.init_config = Configuration(
                 d, {_load(where, site_from_coords, site, d): count})
         else:
             self.init_phi = _load("initial.phi", json_number,
                                   _field(init, "initial.phi"), "value")
-            self.init_n = int(_field(init, "initial.n", int))
-            if not 0 <= self.init_n <= box:
+            self.init_n = _load("initial.n", box_radius,
+                                _field(init, "initial.n"), "product start")
+            if self.init_n > box:
                 raise ConfigError(f"config field 'initial.n' must lie in [0, {box}] "
                                   f"under the {self.policy.describe()} policy")
             # certified once here, so a bad marginal fails before any run

@@ -21,8 +21,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation, brief, json_number
-from .sites import (Site, max_norm, site_coords, site_from_coords, site_sub,
-                    validate_site)
+from .sites import (Site, box_radius, max_norm, site_coords, site_from_coords,
+                    site_sub, validate_site)
 
 EVENT_KINDS = ("jump", "kill", "periodic-wrap")
 
@@ -70,8 +70,7 @@ def _trusted(d: int, occ: dict[Site, int]) -> Configuration:
 
 def truncate(cfg: Configuration, n: int) -> Configuration:
     """Zero out everything outside the max-norm box [-n, n]^d."""
-    if n < 0:
-        raise ConfigError("box radius must be >= 0")
+    n = box_radius(n, "truncate")
     return _trusted(cfg.d, {x: k for x, k in cfg.occ.items() if max_norm(x) <= n})
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .configuration import Configuration, move, states
 from .engine import OPEN, BoundaryPolicy, periodic, route, simulate, simulate_gillespie
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, json_count
 from .kernel import Kernel, is_nearest_neighbour_1d, nn_kernel_1d
 from .localfn import LocalFunction
 from .measures import canonical_torus_measure, fugacity_measure, sample_box_config
@@ -52,10 +52,8 @@ def _perturbed_value(f: LocalFunction, occ: dict, x: Site, k: int, dst) -> float
 
 def _generator_apply_dict(f: LocalFunction, occ: dict, rate: RateFn,
                           kernel: Kernel, policy: BoundaryPolicy,
-                          sources=None) -> float:
+                          sources) -> float:
     g = rate.g
-    if sources is None:
-        sources = _candidate_sources(f, kernel, policy)
     support = set(f.support)
     f0 = f.value(occ)
     total = 0.0
@@ -149,8 +147,7 @@ def martingale_residual(f: LocalFunction, eta0: Configuration, rate: RateFn,
                         kernel: Kernel, policy: BoundaryPolicy, T: float,
                         replicas: int, seed: int, threads: int = 1) -> Report:
     """martingale_report of the martingale_walk rows of replicas from eta0."""
-    if replicas < 2:
-        raise ConfigError("the martingale residual needs replicas >= 2")
+    replicas = json_count(replicas, "replicas", 2)  # a sample variance needs two
     walk = martingale_walk(f, rate, kernel, policy, T)
     rows = replica_map(lambda r: walk(simulate(eta0, rate, kernel, policy, T,
                                                HarrisNoise(seed, (r,)))),
@@ -329,8 +326,7 @@ def stationarity_statistical(rate: RateFn, kernel: Kernel, phi: float,
     if measure.K == 0:
         raise ConfigError(f"the fugacity marginal at phi={phi} has one cell: "
                           "a chi-square needs two or more")
-    if replicas < (R := chi2_replicas(measure.pmf, replicas)):
-        raise ConfigError(f"a chi-square cell expects under 5: need replicas >= {R}")
+    replicas = json_count(replicas, "replicas", chi2_replicas(measure.pmf, 1))
     N = round(measure.density() * (2 * torus_n + 1) ** d)
     rows = _torus_rows(measure, rate, kernel, torus_n, T, replicas, seed,
                        threads, N if start == "point" else None)
@@ -394,8 +390,7 @@ def engine_agreement_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
     total-rate clock sampler on the joint time-T occupancy of the window
     [-1, 1]^d. The two engines share nothing but the model, so agreement
     here checks the thinning logic end to end."""
-    if replicas < 1:
-        raise ConfigError("engine agreement needs replicas >= 1")
+    replicas = json_count(replicas, "replicas", 1)
     window = box_sites(1, kernel.d)
 
     def replica(r):
@@ -446,8 +441,7 @@ def j_inequality_check(zeta0: Configuration, psi0: Configuration, rate: RateFn,
     plus the number of psi departures from the origin. Zero tolerance."""
     if is_nearest_neighbour_1d(kernel) is None:
         raise ConfigError("the discrepancy inequality needs a d=1 nearest-neighbour kernel")
-    if replicas < 1:
-        raise ConfigError("the discrepancy inequality needs replicas >= 1")
+    replicas = json_count(replicas, "replicas", 1)
     j0 = _j_dicts(zeta0.occ, psi0.occ)
 
     def replica(r):
@@ -487,8 +481,7 @@ def poisson_flux_check(rate: RateFn, phi: float, torus_n: int, T: float,
     tail area of a 4*SE normal band."""
     if torus_n < 1:
         raise ConfigError("need torus radius >= 1")
-    if replicas < 2:
-        raise ConfigError("the flux dispersion needs replicas >= 2")
+    replicas = json_count(replicas, "replicas", 2)  # a sample variance needs two
     rows = _torus_rows(fugacity_measure(rate, phi), rate, nn_kernel_1d(1.0),
                        torus_n, T, replicas, seed, threads)
     return flux_report(rows, phi, torus_n, T, seed)
@@ -524,8 +517,7 @@ def mass_conservation_check(rate: RateFn, kernel: Kernel, phi: float,
     E[eta_T(origin)] at the invariant density, within 4 SE. The product start
     is stationary on the torus, so eta_T(origin) has the fugacity marginal
     and the SE is exact: sqrt(Var/replicas) with Var = sum (k - rho)^2 pmf(k)."""
-    if replicas < 1:
-        raise ConfigError("mass conservation needs replicas >= 1")
+    replicas = json_count(replicas, "replicas", 1)
     measure = fugacity_measure(rate, phi)
     rows = _torus_rows(measure, rate, kernel, torus_n, T, replicas, seed, threads)
     return mass_report(rows, measure, phi, seed)

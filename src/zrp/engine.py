@@ -42,7 +42,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from numbers import Integral
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from .errors import ConfigError, InvariantViolation, json_number
 from .kernel import Kernel, nn_kernel_1d, sample_jump
 from .noise import HarrisNoise, TIME_SLAB, bands_for
 from .rates import RateFn
-from .sites import Site, box_sites, in_box, origin, site_add, wrap
+from .sites import Site, box_radius, box_sites, in_box, origin, site_add, wrap
 
 
 @dataclass(frozen=True)
@@ -65,10 +64,7 @@ class BoundaryPolicy:
             if self.n is not None:
                 raise ConfigError("open boundary takes no box")
         elif self.kind in ("killed", "periodic"):
-            n = self.n if self.n is None else json_number(
-                self.n, f"{self.kind} box radius", Integral)
-            if n is None or n < 0:
-                raise ConfigError(f"{self.kind} boundary needs a box radius n >= 0")
+            n = box_radius(self.n, f"{self.kind} boundary")
             object.__setattr__(self, "n", n)  # a plain int: equal policies share _ROUTES
         else:
             raise ConfigError(f"unknown boundary policy {self.kind!r}")
@@ -103,12 +99,19 @@ def route(policy: BoundaryPolicy, x: Site, z: Site) -> tuple[Site, str | None]:
     return dst, "jump" if dst == raw else "periodic-wrap"
 
 
+def horizon(T) -> float:
+    """T, a positive finite number, as a float."""
+    T = json_number(T, "horizon T")
+    if not 0 < T < math.inf:
+        raise ConfigError(f"horizon T must be positive and finite, got {T!r}")
+    return T
+
+
 def _validate_run(eta0: Configuration, rate: RateFn, kernel: Kernel,
                   policy: BoundaryPolicy, T: float) -> None:
     if kernel.d != eta0.d:
         raise ConfigError(f"kernel d={kernel.d} vs configuration d={eta0.d}")
-    if not (T > 0) or not math.isfinite(T):
-        raise ConfigError(f"horizon T must be positive and finite, got {T!r}")
+    horizon(T)  # the run keeps T as given, so its log records it unchanged
     if policy.kind != "open":
         for x in eta0.sites():
             if not in_box(x, policy.n):
@@ -257,10 +260,7 @@ def simulate_truncation_schedule(base: Configuration, schedule, rate: RateFn,
     [-n, n]^d of the schedule (whole radii), all levels reading one noise
     field; base is the start on the largest box and lies inside it. The levels
     must be pathwise non-decreasing in the box; any violation is a hard failure."""
-    for n in schedule:
-        if not float(n).is_integer():
-            raise ConfigError(f"schedule level {n!r} is not a whole box radius")
-    schedule = tuple(int(n) for n in schedule)
+    schedule = tuple(box_radius(n, "truncation schedule") for n in schedule)
     if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("schedule must be strictly increasing with >= 2 levels")
     for x in base.sites():

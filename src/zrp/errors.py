@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the number check the
-JSON loaders share.
+"""Exception types shared across the package, and the number checks the
+JSON loaders and the library's entry points share.
 
 The CLI maps these to exit codes: ConfigError -> 1, diagnostic failures
 (reported, not raised) -> 2, InvariantViolation -> 3. RateRangeError -> 1 as
@@ -41,13 +41,21 @@ def brief(value) -> str:
 
 def json_number(value, what: str, kind: type = Real):
     """value as an int (kind Integral) or a float (kind Real), else a
-    ConfigError naming it as what. A JSON true is not a number, a string is
-    not converted and an integer past float range is not a Real; numpy
-    numbers are accepted."""
+    ConfigError naming it as what. A JSON true is not a number, and neither a
+    string nor an integer past float range is taken; numpy numbers are."""
     if isinstance(value, bool) or not isinstance(value, kind):
         want = "an integer" if kind is Integral else "a number"
         raise ConfigError(f"{what} {brief(value)} is not {want}")
     try:
-        return int(value) if kind is Integral else float(value)
+        number = float(value)
     except OverflowError:
         raise ConfigError(f"{what} is past float range") from None
+    return int(value) if kind is Integral else number
+
+
+def json_count(value, what: str, least: int) -> int:
+    """value, a whole number >= least, as a plain int: a replica or walk count."""
+    n = json_number(value, what, Integral)
+    if n < least:
+        raise ConfigError(f"need {what} >= {least}, got {n}")
+    return n

@@ -19,7 +19,7 @@ import numpy as np
 from .configuration import Configuration, enumerate_particles, snapshots
 from .diagnostics import Report, _mean_se
 from .engine import OPEN, simulate
-from .errors import ConfigError, RateRangeError, json_number
+from .errors import ConfigError, RateRangeError, json_count, json_number
 from .kernel import Kernel
 from .measures import _logsumexp
 from .noise import HarrisNoise
@@ -171,8 +171,7 @@ def estimate_F(z: Site, times, kernel: Kernel, n_walks: int,
     times = np.asarray(sorted(float(t) for t in times))
     if len(times) == 0 or times[0] < 0 or not np.isfinite(times).all():
         raise ConfigError("need a finite nonnegative time grid")
-    if n_walks < 1:
-        raise ConfigError("need n_walks >= 1")
+    n_walks = json_count(n_walks, "n_walks", 1)
     t_max = float(times[-1])
     batch = 2000
     n_batches = math.ceil(n_walks / batch)
@@ -298,8 +297,7 @@ def exp_moment_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
     z = validate_site(z, eta0.d)
     if not 0 < theta < math.inf:
         raise ConfigError(f"need 0 < theta < inf, got {theta!r}")
-    if replicas < 1:
-        raise ConfigError("the moment check needs replicas >= 1")
+    replicas = json_count(replicas, "replicas", 1)
     grid = np.linspace(T / 4, T, 4)
 
     def replica(r):

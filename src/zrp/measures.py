@@ -105,8 +105,6 @@ def sample_box_config(measure: FugacityMeasure, n: int, d: int,
     """i.i.d. marginals on [-n, n]^d, zero outside: the i-th site of
     box_sites(n, d) takes the inverse CDF of the i-th of len(sites) uniforms
     drawn by rng.random."""
-    if n < 0:
-        raise ConfigError("box radius must be >= 0")
     sites = box_sites(n, d)
     u = rng.random(len(sites))
     ks = np.minimum(np.searchsorted(measure.cdf, u, side="right"), measure.K)

@@ -157,8 +157,7 @@ class HarrisNoise:
         master, *path = seed_path(self.master, *self.path)
         object.__setattr__(self, "_key", reduce(_fold_int, path, _prefix(master, len(path))))
 
-    def band_atoms(self, site: Site, b0: int, b1: int, slab: int, t_lo=-math.inf,
-                   t_hi=math.inf) -> list:
+    def band_atoms(self, site: Site, b0: int, b1: int, slab: int, t_lo, t_hi) -> list:
         """The atoms (t, site, y, u), t_lo < t <= t_hi, of windows (site, b, slab)
         for b0 <= b < b1, band by band in word order: absolute times, heights
         inside their band, marks U[0,1). Hashed from the site's key on every

@@ -79,9 +79,17 @@ def torus_sites(side: int, d: int) -> list[Site]:
     return sites
 
 
+def box_radius(n, owner: str) -> int:
+    """n, a whole number >= 0, as the plain int radius of [-n, n]^d."""
+    n = json_number(n, f"{owner} box radius", Integral)
+    if n < 0:
+        raise ConfigError(f"{owner} needs a box radius n >= 0")
+    return n
+
+
 def box_sites(n: int, d: int) -> list[Site]:
     """All sites of [-n, n]^d in lexicographic order."""
-    return torus_sites(2 * n + 1, d)
+    return torus_sites(2 * box_radius(n, "box_sites") + 1, d)
 
 
 def validate_site(x, d: int) -> Site:

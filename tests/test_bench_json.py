@@ -169,6 +169,31 @@ def test_summarise_takes_every_key_over_the_rows_that_have_it():
     assert bench_json.summarise([]) == {}
 
 
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
+    text = ('"""Module docstring,\n'
+            'two lines."""\n'
+            "import os  # a comment after code counts\n"
+            "\n"
+            "# a comment alone\n"
+            "class A:\n"
+            "    '''Class docstring.'''\n"
+            "    def f(self, x):\n"
+            '        """Method\n'
+            '        docstring."""\n'
+            '        s = """a string\n'
+            '        over two lines"""\n'
+            "        return (x +\n"
+            "                1)\n")
+    # import, class, def, the string's two lines and the return's two lines
+    assert bench_json.code_lines(text) == 7
+    assert bench_json.code_lines("") == 0
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text(text)
+    (tmp_path / "src" / "pkg" / "b.py").write_text("x = 1\n\n")
+    assert bench_json.src_code_lines(tmp_path) == 8
+    assert bench_json.src_lines(tmp_path) == 16
+
+
 def test_dirty_paths_names_the_tracked_files_that_differ_from_head(tmp_path):
     def git(*args):
         subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],

@@ -13,6 +13,7 @@ from scipy.stats import chi2, norm
 from zrp import diagnostics, hitting
 from zrp.configuration import Configuration, Trajectory
 from zrp.diagnostics import (
+    _candidate_sources,
     _chi2_sf,
     _chi2_two_sided_z,
     _generator_apply_dict,
@@ -40,11 +41,17 @@ from zrp.sites import origin
 SQ = power_rate(2.0)
 
 
+def _lf(f, occ, kernel, policy):
+    """(Lf)(occ) under SQ, summed over every site that can change f."""
+    return _generator_apply_dict(f, occ, SQ, kernel, policy,
+                                 _candidate_sources(f, kernel, policy))
+
+
 def test_generator_single_particle():
     # eta = {0:1}, right-only kernel, f = min(eta(0), 10):
     # only move is 0 -> 1 at rate g(1) = 1, changing f by -1
     f = capped_occupancy(0, 10)
-    val = _generator_apply_dict(f, {0: 1}, SQ, nn_kernel_1d(1.0), OPEN)
+    val = _lf(f, {0: 1}, nn_kernel_1d(1.0), OPEN)
     assert val == pytest.approx(-1.0, abs=1e-14)
 
 
@@ -55,20 +62,20 @@ def test_generator_two_sites_hand_value():
     #   1 -> 2 at rate 1 * 0.5: eta(1) = 0, df = -1  -> -0.5
     #   1 -> 0 at rate 1 * 0.5: df = -1              -> -0.5
     f = occupancy_indicator(1, 1)
-    val = _generator_apply_dict(f, {0: 2, 1: 1}, SQ, nn_kernel_1d(0.5), OPEN)
+    val = _lf(f, {0: 2, 1: 1}, nn_kernel_1d(0.5), OPEN)
     assert val == pytest.approx(-3.0, abs=1e-14)
 
 
 def test_generator_periodic_wrap():
     # on the 3-site ring {-1,0,1}, a right jump from 1 lands on -1
     f = occupancy_indicator(-1, 1)
-    val = _generator_apply_dict(f, {1: 1}, SQ, nn_kernel_1d(1.0), periodic(1))
+    val = _lf(f, {1: 1}, nn_kernel_1d(1.0), periodic(1))
     assert val == pytest.approx(1.0, abs=1e-14)
 
 
 def test_generator_empty_config_is_zero():
     f = capped_occupancy(0, 10)
-    assert _generator_apply_dict(f, {}, SQ, nn_kernel_1d(0.5), OPEN) == 0.0
+    assert _lf(f, {}, nn_kernel_1d(0.5), OPEN) == 0.0
 
 
 def test_j_discrepancy_hand_values():
@@ -435,7 +442,7 @@ def test_generator_self_wrap_is_no_op():
     # at rate g(1) * 0.5, and it empties the origin
     f = occupancy_indicator(0, 1)
     kernel = make_kernel([(3, 0.5), (-1, 0.5)])
-    val = _generator_apply_dict(f, {0: 1}, SQ, kernel, periodic(1))
+    val = _lf(f, {0: 1}, kernel, periodic(1))
     assert val == pytest.approx(-0.5, abs=1e-14)
 
 

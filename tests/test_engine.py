@@ -319,16 +319,19 @@ def test_truncation_schedule_rejects_bad_schedule():
 
 
 @pytest.mark.parametrize("schedule,match", [
-    ((1.7, 3.2), "schedule level 1.7 is not a whole box radius"),
-    ((1, math.inf), "schedule level inf"),
+    ((1.7, 3.2), "truncation schedule box radius 1.7 is not an integer"),
+    ((1, math.inf), "truncation schedule box radius inf"),
     ((1, 3), "base site -5 lies outside the largest box, n=3"),
+    ((2.0, 5), "truncation schedule box radius 2.0 is not an integer"),
 ])
 def test_truncation_schedule_rejects_lost_levels_and_mass(schedule, match):
-    # 11 particles on [-5, 5]: a largest box of radius 3 would drop 4 of them
+    # 11 particles on [-5, 5]: a largest box of radius 3 would drop 4 of them;
+    # a level is a box radius, so 2.0 is refused as periodic(2.0) is
     with pytest.raises(ConfigError, match=match):
         simulate_truncation_schedule(_ones(5), schedule, RATE, NN, 1.0, HarrisNoise(0))
-    res = simulate_truncation_schedule(_ones(5), (2.0, 5), RATE, NN, 1.0, HarrisNoise(0))
-    assert res.schedule == (2, 5)
+    res = simulate_truncation_schedule(_ones(5), (np.int64(2), 5), RATE, NN, 1.0,
+                                       HarrisNoise(0))
+    assert res.schedule == (2, 5) and type(res.schedule[0]) is int
 
 
 def test_pq_family_sandwich_and_sorted_labels():

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from zrp import noise as noise_module
-from zrp.configuration import Configuration, snapshots, truncate
+from zrp.configuration import Configuration, snapshots, states, truncate
 from zrp.diagnostics import _j_dicts
 from zrp.engine import (OPEN, BoundaryPolicy, simulate, simulate_gillespie,
                         simulate_pq_family)
@@ -245,3 +245,30 @@ def test_simulate_restarted_at_a_slab_boundary_continues_the_path(d, kind, rate,
         tail = simulate(head.final, rate, kernel, policy, T, _FromSlab(noise, s))
     assert full.events == head.events + tail.events
     assert full.final == tail.final
+
+
+ORDER_KERNELS = {1: [nn_kernel_1d(0.7), make_kernel([(3, 0.5), (-1, 0.5)])],
+                 2: [symmetric_nn_kernel(2), make_kernel([((3, 0), 0.5), ((-1, 0), 0.5)])]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(st.sampled_from([1, 2]), st.sampled_from(["open", "killed", "periodic"]),
+       st.sampled_from([power_rate(1.0), power_rate(2.0), exp_rate(1.0, 0.4)]),
+       st.floats(0.1, 3.0), st.integers(0, 2 ** 32 - 1), st.data())
+def test_ordered_starts_stay_ordered_at_every_event(d, kind, rate, T, seed, data):
+    # attractiveness under one field: an atom that fires in eta fires in zeta
+    # with the same mark, and one that fires in zeta alone needs
+    # g(eta(x)) < g(zeta(x)), so eta <= zeta sitewise at time 0 holds after
+    # every event of either run, for any non-decreasing g, kernel and policy
+    n = data.draw(st.integers(0, 3 if d == 1 else 2))
+    kernel = data.draw(st.sampled_from(ORDER_KERNELS[d]))
+    zeta = data.draw(st.dictionaries(st.sampled_from(box_sites(n, d)), st.integers(1, 4),
+                                     min_size=1, max_size=6))
+    eta = {x: data.draw(st.integers(0, k)) for x, k in zeta.items()}
+    policy = OPEN if kind == "open" else BoundaryPolicy(kind, n)
+    noise = HarrisNoise(seed)
+    low = simulate(Configuration(d, eta), rate, kernel, policy, T, noise)
+    high = simulate(Configuration(d, zeta), rate, kernel, policy, T, noise)
+    times = sorted({ev[0] for ev in low.events} | {ev[0] for ev in high.events})
+    for t, a, b in zip(times, states(low, times), states(high, times)):
+        assert all(k <= b.get(x, 0) for x, k in a.items()), (t, a, b)

@@ -24,7 +24,8 @@ on that checkout's ``src/`` and reads the seconds of each criterion from
 the suite JSON, with the wall time of the whole command as ``total``. For
 each checkout the file records the machine line, the git sha, the tracked
 files that differ from that sha (``dirty``, empty for a clean checkout), the
-line count of ``src/``, whether every run passed its output checks, for each metric
+line count of ``src/`` and its count of code lines (not blank, comment or
+docstring), whether every run passed its output checks, for each metric
 its median, first and third quartile and the values of all repeats, and the
 same summary of the suite seconds under ``suite``. With two checkouts it
 also records, for each gated end-to-end metric of the first checkout's
@@ -45,6 +46,8 @@ criterion of the smoke suite.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import statistics
@@ -52,6 +55,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 
@@ -92,6 +96,29 @@ def dirty_paths(root: Path) -> list[str] | None:
 def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines())
                for p in sorted((root / "src").rglob("*.py")))
+
+
+def code_lines(text: str) -> int:
+    """The lines of Python source text that hold code: a line some token
+    other than a comment touches, outside every module, class and function
+    docstring."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    blank = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in blank:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docs)
+
+
+def src_code_lines(root: Path) -> int:
+    return sum(code_lines(p.read_text()) for p in sorted((root / "src").rglob("*.py")))
 
 
 def compile_sources(root: Path) -> None:
@@ -245,7 +272,7 @@ def main(argv=None) -> int:
         report["checkouts"][label] = {
             "machine": runs[label][0][0], "commit": git_sha(root),
             "dirty": dirty_paths(root),
-            "src_lines": src_lines(root),
+            "src_lines": src_lines(root), "src_code_lines": src_code_lines(root),
             "correct": all(res.get("correct", False) for _, res in runs[label]),
             "metrics": metrics, "suite": summarise(suites[label])}
     if len(roots) == 2:
