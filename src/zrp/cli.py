@@ -34,9 +34,9 @@ from .configuration import (Configuration, config_from_json, events_csv_string,
 from .diagnostics import (chi2_replicas, flux_report, martingale_report,
                           martingale_walk, mass_report, stationarity_report,
                           torus_row)
-from .engine import OPEN, BoundaryPolicy, horizon, simulate
+from .engine import OPEN, BoundaryPolicy, simulate
 from .errors import (CertificationError, ConfigError, InvariantViolation,
-                     RateRangeError, ZRPError, json_count, json_number)
+                     RateRangeError, ZRPError, json_count, json_positive)
 from .kernel import is_nearest_neighbour_1d, kernel_from_json
 from .localfn import capped_occupancy
 from .measures import fugacity_measure, sample_box_config
@@ -104,12 +104,11 @@ class Experiment:
         self.kernel = _load("kernel", kernel_from_json, _field(cfg, "kernel", dict))
         self.rate = _load("rate", rate_from_json, _field(cfg, "rate", dict))
         self.policy = _parse_policy(_field(cfg, "policy", dict))
-        self.T = _load("T", horizon, _field(cfg, "T"))
+        self.T = _load("T", json_positive, _field(cfg, "T"), "horizon T")
         self.replicas = _load("replicas", json_count, _field(
             cfg, "replicas", required=False, default=1), "replicas", 1)
-        self.seed = _field(cfg, "seed", int, required=False, default=0)
-        if self.seed < 0:
-            raise ConfigError("config field 'seed' must be a non-negative integer")
+        self.seed = _load("seed", json_count, _field(
+            cfg, "seed", required=False, default=0), "seed", 0)
         d = self.kernel.d
         box = math.inf if self.policy.kind == "open" else self.policy.n
         init = _field(cfg, "initial", dict)
@@ -133,8 +132,8 @@ class Experiment:
             self.init_config = Configuration(
                 d, {_load(where, site_from_coords, site, d): count})
         else:
-            self.init_phi = _load("initial.phi", json_number,
-                                  _field(init, "initial.phi"), "value")
+            self.init_phi = _load("initial.phi", json_positive,
+                                  _field(init, "initial.phi"), "phi")
             self.init_n = _load("initial.n", box_radius,
                                 _field(init, "initial.n"), "product start")
             if self.init_n > box:

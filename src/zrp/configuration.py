@@ -20,7 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation, brief, json_number
+from .errors import ConfigError, InvariantViolation, brief, json_number, json_time
 from .sites import (Site, box_radius, max_norm, site_coords, site_from_coords,
                     site_sub, validate_site)
 
@@ -198,6 +198,7 @@ def states(traj: Trajectory, times):
 
 def snapshots(traj: Trajectory, times) -> list[Configuration]:
     """States at the given non-decreasing times within [0, T]."""
+    times = [json_time(t, f"times[{i}]") for i, t in enumerate(times)]
     return [_trusted(traj.d, dict(occ)) for occ in states(traj, times)]
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .configuration import (Configuration, Trajectory, _trusted, move,
                             snapshots, truncate)
-from .errors import ConfigError, InvariantViolation, json_number
+from .errors import ConfigError, InvariantViolation, json_positive, json_time
 from .kernel import Kernel, nn_kernel_1d, sample_jump
 from .noise import HarrisNoise, TIME_SLAB, bands_for
 from .rates import RateFn
@@ -99,19 +99,11 @@ def route(policy: BoundaryPolicy, x: Site, z: Site) -> tuple[Site, str | None]:
     return dst, "jump" if dst == raw else "periodic-wrap"
 
 
-def horizon(T) -> float:
-    """T, a positive finite number, as a float."""
-    T = json_number(T, "horizon T")
-    if not 0 < T < math.inf:
-        raise ConfigError(f"horizon T must be positive and finite, got {T!r}")
-    return T
-
-
 def _validate_run(eta0: Configuration, rate: RateFn, kernel: Kernel,
                   policy: BoundaryPolicy, T: float) -> None:
     if kernel.d != eta0.d:
         raise ConfigError(f"kernel d={kernel.d} vs configuration d={eta0.d}")
-    horizon(T)  # the run keeps T as given, so its log records it unchanged
+    json_positive(T, "horizon T")  # the run, and so its log, keeps T as given
     if policy.kind != "open":
         for x in eta0.sites():
             if not in_box(x, policy.n):
@@ -268,9 +260,11 @@ def simulate_truncation_schedule(base: Configuration, schedule, rate: RateFn,
             raise ConfigError(f"base site {x!r} lies outside the largest box, "
                               f"n={schedule[-1]}")
     d = kernel.d
-    if snapshot_times is None:
-        snapshot_times = tuple((i + 1) / 10 * T for i in range(10))  # the last is T
-    snapshot_times = tuple(float(t) for t in snapshot_times)
+    if snapshot_times is None:  # the last is T
+        json_positive(T, "horizon T")  # named before the grid built from it
+        snapshot_times = tuple((i + 1) / 10 * T for i in range(10))
+    snapshot_times = tuple(json_time(t, f"snapshot_times[{i}]")
+                           for i, t in enumerate(snapshot_times))
 
     trajs = [simulate(truncate(base, n), rate, kernel, OPEN, T, noise, tag=f"n={n}")
              for n in schedule]
@@ -331,8 +325,10 @@ def simulate_pq_family(eta0: Configuration, rate: RateFn, T: float,
         pqs.append((float(p), float(q)))
     pqs += [ext for ext in ((1.0, 0.0), (0.0, 1.0)) if ext not in pqs]
     if snapshot_times is None:
+        json_positive(T, "horizon T")  # named before the grid built from it
         snapshot_times = tuple((i + 1) * T / 8.0 for i in range(8))
-    snapshot_times = tuple(float(t) for t in snapshot_times)
+    snapshot_times = tuple(json_time(t, f"snapshot_times[{i}]")
+                           for i, t in enumerate(snapshot_times))
 
     labels = sorted(x for x, k in eta0.occ.items() for _ in range(k))
     trajectories = {(p, q): simulate(eta0, rate, nn_kernel_1d(p), OPEN, T, noise,

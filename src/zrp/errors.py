@@ -5,6 +5,7 @@ The CLI maps these to exit codes: ConfigError -> 1, diagnostic failures
 (reported, not raised) -> 2, InvariantViolation -> 3. RateRangeError -> 1 as
 a config error on 'rate'; mid-run, it leaves the files an exit 3 leaves.
 """
+import math
 from numbers import Integral, Real
 
 
@@ -54,8 +55,24 @@ def json_number(value, what: str, kind: type = Real):
 
 
 def json_count(value, what: str, least: int) -> int:
-    """value, a whole number >= least, as a plain int: a replica or walk count."""
+    """value, a whole number >= least, as a plain int: a count or a seed."""
     n = json_number(value, what, Integral)
     if n < least:
         raise ConfigError(f"need {what} >= {least}, got {n}")
     return n
+
+
+def json_positive(value, what: str) -> float:
+    """value, a positive finite number, as a float: a horizon or a parameter."""
+    x = json_number(value, what)
+    if not 0 < x < math.inf:
+        raise ConfigError(f"{what} must be positive and finite, got {value!r}")
+    return x
+
+
+def json_time(value, what: str) -> float:
+    """value, a finite number >= 0, as a float: a time."""
+    x = json_number(value, what)
+    if not 0 <= x < math.inf:
+        raise ConfigError(f"need 0 <= {what} < inf, got {what} = {value!r}")
+    return x

@@ -19,7 +19,8 @@ import numpy as np
 from .configuration import Configuration, enumerate_particles, snapshots
 from .diagnostics import Report, _mean_se
 from .engine import OPEN, simulate
-from .errors import ConfigError, RateRangeError, json_count, json_number
+from .errors import (ConfigError, RateRangeError, json_count, json_number,
+                     json_positive, json_time)
 from .kernel import Kernel
 from .measures import _logsumexp
 from .noise import HarrisNoise
@@ -69,8 +70,7 @@ def exact_F_small(z: Site, s: float, kernel: Kernel,
     """
     d = kernel.d
     z = validate_site(z, d)
-    if s < 0 or not math.isfinite(s):
-        raise ConfigError("need a finite nonnegative time")
+    json_time(s, "s")
     if not 0 < tol < 1:
         raise ConfigError(f"need a tolerance 0 < tol < 1, got {tol!r}")
     if z == origin(d):
@@ -168,9 +168,9 @@ def estimate_F(z: Site, times, kernel: Kernel, n_walks: int,
                seed: int) -> HittingCurve:
     """Monte Carlo curve of F_z over a time grid with 4-sigma Wilson bands."""
     z = validate_site(z, kernel.d)
-    times = np.asarray(sorted(float(t) for t in times))
-    if len(times) == 0 or times[0] < 0 or not np.isfinite(times).all():
-        raise ConfigError("need a finite nonnegative time grid")
+    times = np.asarray(sorted(json_time(t, f"times[{i}]") for i, t in enumerate(times)))
+    if len(times) == 0:
+        raise ConfigError("need a non-empty time grid")
     n_walks = json_count(n_walks, "n_walks", 1)
     t_max = float(times[-1])
     batch = 2000
@@ -232,8 +232,7 @@ def mbar(eta: Configuration, z: Site, t: float, rate: RateFn, kernel: Kernel,
     from scipy.special import gammainc
     if eta.d != kernel.d:
         raise ConfigError("configuration and kernel dimensions differ")
-    if not 0 <= json_number(t, "t") < math.inf:
-        raise ConfigError(f"need 0 <= t < inf, got t = {t!r}")
+    json_time(t, "t")
     parts = enumerate_particles(eta, z)
     n = len(parts)
     dists = [max_norm(site_sub(x, z)) for x in parts]
@@ -295,8 +294,7 @@ def exp_moment_check(eta0: Configuration, rate: RateFn, kernel: Kernel,
     mbar. The first moment is checked against mbar directly as well.
     """
     z = validate_site(z, eta0.d)
-    if not 0 < theta < math.inf:
-        raise ConfigError(f"need 0 < theta < inf, got {theta!r}")
+    json_positive(theta, "theta")  # the report keeps theta as given
     replicas = json_count(replicas, "replicas", 1)
     grid = np.linspace(T / 4, T, 4)
 

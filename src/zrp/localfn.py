@@ -9,11 +9,10 @@ pickled: replica workers are forked and inherit it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, json_positive
 from .sites import Site
 
 
@@ -27,8 +26,7 @@ class LocalFunction:
     def __post_init__(self):
         if not self.support:
             raise ConfigError("local function needs a non-empty support")
-        if not (self.bound > 0 and math.isfinite(self.bound)):
-            raise ConfigError("local function needs a finite positive sup bound")
+        json_positive(self.bound, "bound")
 
     def value(self, occ: Mapping) -> float:
         return self.fn(occ)
@@ -65,10 +63,8 @@ def product_local(factors: dict[Site, tuple[Callable[[int], float], float]],
     items = tuple(sorted(((site, fn) for site, (fn, _b) in factors.items()),
                          key=lambda it: str(it[0])))
     bound = 1.0
-    for _fn, b in factors.values():
-        if not (b > 0 and math.isfinite(b)):
-            raise ConfigError("each factor needs a finite positive bound")
-        bound *= b
+    for site, (_fn, b) in factors.items():
+        bound *= json_positive(b, f"factor bound at {site!r}")
 
     def fn(occ):
         out = 1.0

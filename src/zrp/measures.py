@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configuration import Configuration, _trusted
-from .errors import CertificationError, ConfigError, RateRangeError
+from .errors import CertificationError, ConfigError, RateRangeError, json_positive
 from .rates import RateFn
 from .sites import Site, box_sites, torus_sites
 
@@ -63,8 +63,7 @@ def fugacity_measure(rate: RateFn, phi: float, tol: float = 1e-12) -> FugacityMe
     """The fugacity-phi marginal on 0..K, K the certified support cut, with
     log_z its log normalization and tail_bound the relative mass bound for
     everything beyond K."""
-    if not (phi > 0) or not math.isfinite(phi):
-        raise ConfigError(f"fugacity must be positive and finite, got {phi!r}")
+    json_positive(phi, "phi")  # the measure keeps phi as given
     if not (0 < tol < 1e-2):
         raise ConfigError("tolerance must be in (0, 1e-2)")
     log_phi = math.log(phi)

@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError, WorkerError
+from .errors import ConfigError, WorkerError, json_count
 
 # stream tags: keep distinct consumers on distinct subtrees of the seed space
 TAG_HARRIS = 1
@@ -55,9 +55,7 @@ def resolve_threads(requested: int | None = None) -> int:
     """The --threads flag, else the CPU count (1 without os.fork)."""
     if requested is None:
         return (os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    if requested < 1:
-        raise ConfigError("threads must be >= 1")
-    return _forkable(requested)
+    return _forkable(json_count(requested, "threads", 1))
 
 
 def _share(fn, indices) -> tuple:

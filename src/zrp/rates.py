@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field
 import numpy as np
 
-from .errors import ConfigError, RateRangeError, brief, json_number
+from .errors import ConfigError, RateRangeError, brief, json_number, json_positive
 from .kernel import Kernel, mean_drift
 
 MAX_RATE = 1e300  # beyond this, refuse rather than hand out inf
@@ -32,14 +32,10 @@ class RateFn:
 
     def __post_init__(self):
         if self.family == "power":
-            if self.a is None or not (self.a > 0):
-                raise ConfigError("power rate needs exponent a > 0")
-            if self.a == math.inf:
-                raise ConfigError("power rate needs a finite exponent a")
+            self.a = json_positive(self.a, "a")
         elif self.family == "exp":
-            if (self.c is None or self.theta is None
-                    or not (0 < self.c < math.inf and 0 < self.theta < math.inf)):
-                raise ConfigError("exp rate needs finite c > 0 and theta > 0")
+            self.c = json_positive(self.c, "c")
+            self.theta = json_positive(self.theta, "theta")
         elif self.family == "table":
             if not self.table or len(self.table) < 2:
                 raise ConfigError("table rate needs at least [g(0), g(1)]")
@@ -100,11 +96,11 @@ class RateFn:
 
 
 def power_rate(a: float) -> RateFn:
-    return RateFn(family="power", a=float(a))
+    return RateFn(family="power", a=a)
 
 
 def exp_rate(c: float, theta: float) -> RateFn:
-    return RateFn(family="exp", c=float(c), theta=float(theta))
+    return RateFn(family="exp", c=c, theta=theta)
 
 
 def table_rate(values) -> RateFn:
@@ -118,10 +114,9 @@ def rate_from_json(obj: dict) -> RateFn:
         raise ConfigError("rate spec needs a 'family' field") from None
     try:
         if fam == "power":
-            return power_rate(json_number(obj["a"], "a"))
+            return power_rate(obj["a"])
         if fam == "exp":
-            return exp_rate(json_number(obj["c"], "c"),
-                            json_number(obj["theta"], "theta"))
+            return exp_rate(obj["c"], obj["theta"])
         if fam == "table":
             values = obj["values"]
             if not isinstance(values, list):

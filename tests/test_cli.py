@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -447,6 +449,64 @@ def test_uncertifiable_product_start_is_config_error(tmp_path):
 
 
 KILLED = dict(BASE, policy={"kind": "killed", "n": 2})
+POINT = dict(BASE, initial={"mode": "point", "n_particles": 2, "site": [0]})
+EXP = dict(BASE, rate={"family": "exp", "c": 1.0, "theta": 0.5})
+
+# every numeric leaf of a config: label -> (field the error names, a valid
+# config, the path to the leaf in it)
+LEAVES = {
+    "T": ("T", BASE, ("T",)),
+    "replicas": ("replicas", BASE, ("replicas",)),
+    "seed": ("seed", BASE, ("seed",)),
+    "rate.a": ("rate", BASE, ("rate", "a")),
+    "rate.c": ("rate", EXP, ("rate", "c")),
+    "rate.theta": ("rate", EXP, ("rate", "theta")),
+    "rate.values": ("rate", dict(BASE, rate={"family": "table", "values": [0, 1, 4, 9]}),
+                    ("rate", "values", 1)),
+    "initial.phi": ("initial.phi", TORUS, ("initial", "phi")),
+    "initial.n": ("initial.n", TORUS, ("initial", "n")),
+    "initial.n_particles": ("initial.n_particles", POINT, ("initial", "n_particles")),
+    "initial.site": ("initial.site", POINT, ("initial", "site", 0)),
+    "policy.n": ("policy.n", dict(POINT, policy={"kind": "killed", "n": 2}),
+                 ("policy", "n")),
+    "kernel.p": ("kernel", dict(BASE, kernel=TASEP), ("kernel", "support", 0, "p")),
+    "kernel.z": ("kernel", BASE, ("kernel", "support", 0, "z", 0)),
+    "kernel.d": ("kernel", BASE, ("kernel", "d")),
+    "initial.config.d": ("initial.config", BASE, ("initial", "config", "d")),
+}
+# hostile values, as json.dumps writes them: Python's json reads NaN and
+# Infinity, and a JSON integer of any length
+HOSTILE = {"true": True, '"2"': "2", "[]": [], "{}": {}, "NaN": math.nan,
+           "Infinity": math.inf, "-1": -1, "1.5": 1.5, "0": 0,
+           "10**400": 10 ** 400, "null": None}
+# the (leaf, value) pairs that make a valid config
+VALID_LEAVES = {("T", "1.5"), ("seed", "0"), ("rate.a", "1.5"), ("rate.c", "1.5"),
+                ("rate.theta", "1.5"), ("rate.values", "1.5"), ("rate.values", "0"),
+                ("initial.phi", "1.5"), ("initial.n", "0"),
+                ("initial.n_particles", "0"), ("initial.site", "-1"),
+                ("initial.site", "0"), ("policy.n", "0")}
+
+
+def _with_leaf(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def _hostile_leaves():
+    for label, (field, cfg, path) in LEAVES.items():
+        for name, value in HOSTILE.items():
+            if (label, name) in VALID_LEAVES:
+                continue
+            # policy.n's type check passes an int on to the radius rule,
+            # whose errors name the policy
+            named = ("policy" if label == "policy.n" and name in ("-1", "10**400")
+                     else field)
+            yield pytest.param(named, _with_leaf(cfg, path, value),
+                               id=f"{label}={name}")
 
 
 @pytest.mark.parametrize("field,cfg", [
@@ -493,6 +553,7 @@ KILLED = dict(BASE, policy={"kind": "killed", "n": 2})
     ("rate", dict(BASE, rate={"family": "exp", "c": 1, "theta": 10 ** 400})),
     ("rate", dict(BASE, rate={"family": "table", "values": [0, 10 ** 400]})),
     ("kernel", dict(BASE, kernel={"d": 1, "support": [{"z": [1], "p": 10 ** 400}]})),
+    *_hostile_leaves(),
 ])
 def test_config_the_engine_rejects_fails_before_output(tmp_path, field, cfg):
     p = _write_cfg(tmp_path, cfg)
@@ -500,6 +561,7 @@ def test_config_the_engine_rejects_fails_before_output(tmp_path, field, cfg):
     code, text = _run(["run", "--config", str(p), "--out", str(out)])
     assert code == 1
     assert f"config error: config field '{field}'" in text
+    assert len(text) < 300, text
     assert not out.exists()
 
 
@@ -515,7 +577,7 @@ def test_config_the_engine_rejects_fails_before_output(tmp_path, field, cfg):
      "config field 'initial.n_particles' has the wrong type"),
     (dict(BASE, rate={"family": "power", "a": -1.0}),
      "config field 'rate': bad rate spec {'family': 'power', 'a': -1.0}: "
-     "power rate needs exponent a > 0"),
+     "a must be positive and finite, got -1.0"),
 ])
 def test_loader_errors_name_the_field(tmp_path, cfg, message):
     p = _write_cfg(tmp_path, cfg)

@@ -329,7 +329,7 @@ def test_no_replicas_is_rejected(monkeypatch, check):
 def test_estimate_F_needs_finite_times(monkeypatch, times):
     # an infinite horizon would walk forever
     monkeypatch.setattr(hitting, "_walk_batch", _no_replicas)
-    with pytest.raises(ConfigError, match="finite"):
+    with pytest.raises(ConfigError, match=r"^need 0 <= times\[\d\] < inf"):
         hitting.estimate_F(-1, times, nn_kernel_1d(0.0), 10, 1)
 
 
