@@ -103,12 +103,12 @@ NAMES = {
 }
 BAD = {"True": True, "2.5": 2.5, "2.0": 2.0, "nan": math.nan, "inf": math.inf,
        "-1": -1, "10**400": 10 ** 400, "0": 0}
-# names in BAD per table: a radius and a time may be 0, and a horizon, a
-# parameter or a time may be 2.5 or 2.0
+# the names in BAD that each rule refuses: a radius, a seed and a time may
+# be 0, and a horizon, a parameter or a time may be 2.5 or 2.0
+WHOLE = ["True", "2.5", "2.0", "nan", "inf", "-1", "10**400"]
 REAL = ["True", "nan", "inf", "-1", "10**400"]
 CASES = [(name, v) for table, values in [
-    (RADII, list(BAD)[:-1]), (COUNTS, list(BAD)[:-1]),
-    (POSITIVES, REAL + ["0"]), (TIMES, REAL),
+    (RADII, WHOLE), (COUNTS, WHOLE), (POSITIVES, REAL + ["0"]), (TIMES, REAL),
 ] for name in table for v in values]
 
 
